@@ -44,11 +44,12 @@ from .embeddings import (
     EmbeddingMatrix,
     LabelSpace,
     TestBatch,
+    batches_truth,
     load_embeddings,
     save_embeddings,
 )
 from .errors import ConfigError, InputError, NegtextError
-from .metrics import SCORE_FMT, compute_report, export_results, load_records_csv
+from .metrics import compute_report, export_results, load_records_csv, split_scores
 from .pipeline import PipelineConfig, run_stream, save_checkpoint
 from .spaces import CorpusCandidates
 from .synthetic import (
@@ -62,7 +63,13 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DEGRADED = 2
 
-SWEEP_AXES = ("delta", "lambda", "eta", "length")
+# sweep axis -> the config overrides that set it to a value
+SWEEP_AXES = {
+    "delta": lambda v: {"mining.class_ratio": v},
+    "lambda": lambda v: {"mode": "fixed-lambda", "score.lambda_override": v},
+    "eta": lambda v: {"mining.selection_ratio": v},
+    "length": lambda v: {"sentence_len_max": int(v)},
+}
 
 ENV_ENDPOINT = "NEGTEXT_ENDPOINT"
 ENV_AUTH_TOKEN = "NEGTEXT_AUTH_TOKEN"
@@ -91,7 +98,12 @@ class Manifest:
         path = Path(path)
         if not path.exists():
             raise InputError(f"manifest not found: {path}")
-        spec = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            spec = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise InputError(f"{path}: manifest is not valid JSON ({exc})") from exc
+        if not isinstance(spec, dict):
+            raise InputError(f"{path}: manifest must be a JSON object")
         manifest = cls(spec, path.parent)
         manifest.validate_paths()
         return manifest
@@ -143,7 +155,11 @@ class Manifest:
     def pipeline_config(self, overrides=None) -> PipelineConfig:
         config = self.spec.get("config")
         if isinstance(config, str):
-            spec = json.loads(self._resolve(config).read_text(encoding="utf-8"))
+            path = self._resolve(config)
+            try:
+                spec = json.loads(path.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: config is not valid JSON ({exc})") from exc
         elif isinstance(config, dict):
             spec = dict(config)
         elif self.client_spec["mode"] == "synthetic":
@@ -247,13 +263,10 @@ def _assemble_inputs(manifest: Manifest, client_override=None) -> RunInputs:
             int(client_spec.get("id_per_batch", 150)),
             int(client_spec.get("ood_per_batch", 150)),
         )
-        truth = {
-            image_id: tag
-            for batch in batches
-            for image_id, tag in zip(batch.images.ids, batch.ground_truth)
-        }
         client = client_override or _build_client(manifest, world)
-        return RunInputs(world.label_space, world.corpus, batches, truth, client)
+        return RunInputs(
+            world.label_space, world.corpus, batches, batches_truth(batches), client
+        )
 
     for key in ("labels", "corpus", "batches"):
         if not manifest.spec.get(key):
@@ -285,26 +298,6 @@ def _assemble_inputs(manifest: Manifest, client_override=None) -> RunInputs:
 # commands
 
 
-def _write_records_csv_no_truth(records, path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["image_id", "s_nl", "s_ens", "s_vsnl", "s_ada", "predicted_class", "tag"]
-        )
-        for r in records:
-            writer.writerow(
-                [
-                    r.image_id,
-                    SCORE_FMT % r.s_nl,
-                    SCORE_FMT % r.s_ens,
-                    SCORE_FMT % r.s_vsnl,
-                    SCORE_FMT % r.s_ada,
-                    r.predicted_class,
-                    "",
-                ]
-            )
-
-
 def _execute_run(manifest: Manifest, args, client_override=None) -> int:
     config = manifest.pipeline_config(_parse_set_flags(getattr(args, "set", None)))
     inputs = _assemble_inputs(manifest, client_override=client_override)
@@ -319,10 +312,7 @@ def _execute_run(manifest: Manifest, args, client_override=None) -> int:
         config,
         seed=manifest.seed,
     )
-    if inputs.truth:
-        export_results(records, inputs.truth, out_dir)
-    else:
-        _write_records_csv_no_truth(records, out_dir / "records.csv")
+    export_results(records, inputs.truth, out_dir)
     save_checkpoint(state, out_dir / "checkpoint.nckp")
     if state.degraded:
         print(
@@ -340,29 +330,9 @@ def cmd_run(args) -> int:
 def cmd_eval(args) -> int:
     records, tags = load_records_csv(args.records)
     truth = _load_truth_csv(args.truth) if args.truth else tags
-    missing = [r.image_id for r in records if r.image_id not in truth]
-    if missing:
-        raise InputError(f"records without ground truth: {missing[:10]}")
-    id_scores = [r.s_ada for r in records if truth[r.image_id] == "ID"]
-    ood_scores = [r.s_ada for r in records if truth[r.image_id] == "OOD"]
-    report = compute_report(id_scores, ood_scores)
+    report = compute_report(*split_scores(records, truth))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
-
-
-_AXIS_KEYS = {
-    "delta": "mining.class_ratio",
-    "eta": "mining.selection_ratio",
-    "length": "sentence_len_max",
-}
-
-
-def _sweep_overrides(axis: str, value: float) -> dict:
-    if axis == "lambda":
-        return {"mode": "fixed-lambda", "score.lambda_override": value}
-    if axis == "length":
-        return {_AXIS_KEYS[axis]: int(value)}
-    return {_AXIS_KEYS[axis]: value}
 
 
 def cmd_sweep(args) -> int:
@@ -380,7 +350,7 @@ def cmd_sweep(args) -> int:
         fh.flush()
         for value in values:
             overrides = dict(base_overrides)
-            overrides.update(_sweep_overrides(args.axis, value))
+            overrides.update(SWEEP_AXES[args.axis](value))
             config = manifest.pipeline_config(overrides)
             inputs = _assemble_inputs(manifest)
             if not inputs.truth:
@@ -396,17 +366,9 @@ def cmd_sweep(args) -> int:
             degraded = degraded or state.degraded
             # quantize like the records exporter so sweep rows agree with
             # the report a plain run of the same config would produce
-            id_scores = [
-                float(SCORE_FMT % r.s_ada)
-                for r in records
-                if inputs.truth[r.image_id] == "ID"
-            ]
-            ood_scores = [
-                float(SCORE_FMT % r.s_ada)
-                for r in records
-                if inputs.truth[r.image_id] == "OOD"
-            ]
-            report = compute_report(id_scores, ood_scores)
+            report = compute_report(
+                *split_scores(records, inputs.truth, quantized=True)
+            )
             writer.writerow(
                 ["%g" % value, "%.9g" % report.auroc, "%.9g" % report.fpr95,
                  report.n_id, report.n_ood]
@@ -456,14 +418,12 @@ def cmd_synth_world(args) -> int:
     (out_dir / "corpus_words.json").write_text(
         json.dumps(list(world.corpus.words), indent=2), encoding="utf-8"
     )
-    truth: dict[str, str] = {}
     batch_names = []
     for i, batch in enumerate(batches):
         name = f"batch_{i:03d}.nspc"
         save_embeddings(batch.images, out_dir / name)
         batch_names.append(name)
-        truth.update(zip(batch.images.ids, batch.ground_truth))
-    _save_truth_csv(truth, out_dir / "truth.csv")
+    _save_truth_csv(batches_truth(batches), out_dir / "truth.csv")
     (out_dir / "config.json").write_text(
         json.dumps(scenario_pipeline_config().to_dict(), indent=2, sort_keys=True),
         encoding="utf-8",
@@ -514,12 +474,6 @@ def cmd_fixtures(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="negtext", description=__doc__.split("\n")[0])
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="upper bound on internal fan-out (current pipeline is serial)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="convert raw embeddings to the binary format")

@@ -39,6 +39,33 @@ def request_key(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _post_json(client, url: str, payload: dict, image_id: str | None = None) -> dict:
+    """POST `payload` with the client's session, headers, timeout and retries.
+
+    Connection errors, timeouts, 408, 429 and 5xx are retried with
+    exponential backoff; any other failure raises at once.
+    """
+    last = None
+    for attempt in range(client.retries):
+        try:
+            resp = client._session.post(
+                url, json=payload, headers=client._headers, timeout=client.timeout
+            )
+            if resp.status_code not in (408, 429) and resp.status_code < 500:
+                resp.raise_for_status()
+                return resp.json()
+            last = f"HTTP {resp.status_code}"
+        except (requests.ConnectionError, requests.Timeout) as exc:
+            last = exc
+        except (requests.RequestException, ValueError) as exc:
+            raise GenerationError(f"{url}: {exc}", image_id=image_id) from exc
+        if attempt + 1 < client.retries:
+            time.sleep(client.backoff * (2**attempt))
+    raise GenerationError(
+        f"{url} failed after {client.retries} attempts: {last}", image_id=image_id
+    )
+
+
 class HttpGenerationClient:
     """Task-based JSON client with bounded retries and exponential backoff."""
 
@@ -60,29 +87,10 @@ class HttpGenerationClient:
         if auth_token:
             self._headers["Authorization"] = f"Bearer {auth_token}"
 
-    def _post(self, payload: dict, image_id: str | None = None) -> dict:
-        last = None
-        for attempt in range(self.retries):
-            try:
-                resp = self._session.post(
-                    self.endpoint,
-                    json=payload,
-                    headers=self._headers,
-                    timeout=self.timeout,
-                )
-                resp.raise_for_status()
-                return resp.json()
-            except (requests.RequestException, ValueError) as exc:
-                last = exc
-                if attempt + 1 < self.retries:
-                    time.sleep(self.backoff * (2**attempt))
-        raise GenerationError(
-            f"generation endpoint failed after {self.retries} attempts: {last}",
-            image_id=image_id,
-        )
-
     def describe_image(self, image_ref: str, exclude_label: str) -> str:
-        out = self._post(
+        out = _post_json(
+            self,
+            self.endpoint,
             {"task": "describe", "text": image_ref, "exclude": exclude_label},
             image_id=image_ref,
         )
@@ -92,13 +100,13 @@ class HttpGenerationClient:
         return texts[0]
 
     def similar_labels(self, class_name: str, count: int) -> list[str]:
-        out = self._post(
-            {"task": "similar", "text": class_name, "count": count}
+        out = _post_json(
+            self, self.endpoint, {"task": "similar", "text": class_name, "count": count}
         )
         return list(out.get("texts") or [])
 
     def embed_texts(self, texts: list[str]) -> np.ndarray:
-        out = self._post({"task": "embed", "texts": list(texts)})
+        out = _post_json(self, self.endpoint, {"task": "embed", "texts": list(texts)})
         vectors = out.get("vectors")
         if not vectors or len(vectors) != len(texts):
             raise GenerationError("embed returned wrong vector count")
@@ -134,30 +142,10 @@ class ChatCompletionShim:
         if auth_token:
             self._headers["Authorization"] = f"Bearer {auth_token}"
 
-    def _post(self, path: str, payload: dict, image_id: str | None = None) -> dict:
-        last = None
-        for attempt in range(self.retries):
-            try:
-                resp = self._session.post(
-                    f"{self.base_url}{path}",
-                    json=payload,
-                    headers=self._headers,
-                    timeout=self.timeout,
-                )
-                resp.raise_for_status()
-                return resp.json()
-            except (requests.RequestException, ValueError) as exc:
-                last = exc
-                if attempt + 1 < self.retries:
-                    time.sleep(self.backoff * (2**attempt))
-        raise GenerationError(
-            f"chat endpoint failed after {self.retries} attempts: {last}",
-            image_id=image_id,
-        )
-
     def _chat(self, prompt: str, image_id: str | None = None) -> str:
-        out = self._post(
-            "/chat/completions",
+        out = _post_json(
+            self,
+            f"{self.base_url}/chat/completions",
             {
                 "model": self.model,
                 "messages": [{"role": "user", "content": prompt}],
@@ -187,8 +175,10 @@ class ChatCompletionShim:
         return [ln.strip(" -*\t") for ln in lines if ln.strip()][:count]
 
     def embed_texts(self, texts: list[str]) -> np.ndarray:
-        out = self._post(
-            "/embeddings", {"model": self.embedding_model, "input": list(texts)}
+        out = _post_json(
+            self,
+            f"{self.base_url}/embeddings",
+            {"model": self.embedding_model, "input": list(texts)},
         )
         try:
             data = sorted(out["data"], key=lambda d: d["index"])

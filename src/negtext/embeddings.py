@@ -90,47 +90,58 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(min(1.0, max(-1.0, float(np.dot(a, b)))))
 
 
+def encode_nspc(matrix: EmbeddingMatrix) -> bytes:
+    """The binary container: magic, version, row/dim counts, float32 LE rows."""
+    header = MAGIC + struct.pack("<IQI", FORMAT_VERSION, matrix.rows, matrix.dim)
+    return header + np.ascontiguousarray(matrix.data, dtype="<f4").tobytes()
+
+
+def decode_nspc(raw: bytes, ids, source) -> EmbeddingMatrix:
+    """Parse a container whose rows carry `ids`; `source` names it in errors.
+
+    Rows are renormalized to unit norm.
+    """
+    if len(raw) < 20:
+        raise FormatError(f"{source}: truncated header")
+    if raw[:4] != MAGIC:
+        raise FormatError(f"{source}: bad magic {raw[:4]!r}")
+    version, rows, dim = struct.unpack("<IQI", raw[4:20])
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{source}: unsupported version {version}")
+    expected = 20 + rows * dim * 4
+    if len(raw) != expected:
+        raise FormatError(
+            f"{source}: payload size {len(raw) - 20}, expected {expected - 20}"
+        )
+    data = np.frombuffer(raw, dtype="<f4", offset=20).astype(np.float64)
+    data = data.reshape(rows, dim)
+    if not np.all(np.isfinite(data)):
+        raise DataError(f"{source}: non-finite entries")
+    if not isinstance(ids, list) or len(ids) != rows:
+        raise DataError(f"{source}: expected a list of {rows} ids")
+    return EmbeddingMatrix(ids=tuple(ids), data=_normalize_rows(data))
+
+
 def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
     """Write the binary container plus the `<file>.ids.json` sidecar."""
     path = Path(path)
-    header = MAGIC + struct.pack(
-        "<IQI", FORMAT_VERSION, matrix.rows, matrix.dim
-    )
-    payload = np.ascontiguousarray(matrix.data, dtype="<f4").tobytes()
-    path.write_bytes(header + payload)
+    path.write_bytes(encode_nspc(matrix))
     sidecar = path.with_name(path.name + ".ids.json")
     sidecar.write_text(json.dumps(list(matrix.ids)), encoding="utf-8")
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
-    """Read the binary container; rows are renormalized to unit norm."""
+    """Read the binary container and its id sidecar."""
     path = Path(path)
     raw = path.read_bytes()
-    if len(raw) < 20:
-        raise FormatError(f"{path}: truncated header")
-    if raw[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, rows, dim = struct.unpack("<IQI", raw[4:20])
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    expected = 20 + rows * dim * 4
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload size {len(raw) - 20}, expected {expected - 20}"
-        )
-    data = np.frombuffer(raw, dtype="<f4", offset=20).astype(np.float64)
-    data = data.reshape(rows, dim)
-    if not np.all(np.isfinite(data)):
-        raise DataError(f"{path}: non-finite entries")
     sidecar = path.with_name(path.name + ".ids.json")
     if not sidecar.exists():
         raise FormatError(f"{path}: missing id sidecar {sidecar.name}")
-    ids = json.loads(sidecar.read_text(encoding="utf-8"))
-    if not isinstance(ids, list) or len(ids) != rows:
-        raise DataError(
-            f"{path}: sidecar has {len(ids)} ids for {rows} rows"
-        )
-    return EmbeddingMatrix(ids=tuple(ids), data=_normalize_rows(data))
+    try:
+        ids = json.loads(sidecar.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{sidecar}: not a JSON id list ({exc})") from exc
+    return decode_nspc(raw, ids, path)
 
 
 def _canon_label(label: str) -> str:
@@ -253,3 +264,8 @@ class TestBatch:
             bad = set(self.ground_truth) - {"ID", "OOD"}
             if bad:
                 raise DataError(f"unknown ground-truth tags: {bad}")
+
+
+def batches_truth(batches) -> dict[str, str]:
+    """Image id -> "ID"/"OOD" tag over a stream of tagged batches."""
+    return {i: t for b in batches for i, t in zip(b.images.ids, b.ground_truth)}

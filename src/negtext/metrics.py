@@ -1,9 +1,10 @@
 """Detection metrics and result export.
 
-AUROC is the rank-based probability that a random ID score exceeds a
-random OOD score (ties count one half). FPR95 sweeps the attained score
-values for the largest threshold keeping ID true-positive rate at or
-above 95% and reports the OOD fraction at or above it.
+AUROC is the probability that a random ID score exceeds a random OOD
+score (ties count one half). FPR95 takes the largest attained ID score
+that keeps the ID true-positive rate at or above 95% as the threshold
+and reports the OOD fraction at or above it. Both sort once and count
+with `searchsorted`, so they run in O(n log n).
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import InputError
 from .scoring import ScoreRecord
@@ -42,30 +42,34 @@ class MetricReport:
         return out
 
 
-def auroc(id_scores, ood_scores) -> float:
+def _score_pair(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
     id_scores = np.asarray(id_scores, dtype=np.float64)
     ood_scores = np.asarray(ood_scores, dtype=np.float64)
     if id_scores.size == 0 or ood_scores.size == 0:
         raise InputError("both ID and OOD scores are required")
-    ranks = rankdata(np.concatenate([id_scores, ood_scores]))
-    n_id = id_scores.size
-    u = float(np.sum(ranks[:n_id])) - n_id * (n_id + 1) / 2.0
-    return u / (n_id * ood_scores.size)
+    if np.isnan(id_scores).any() or np.isnan(ood_scores).any():
+        raise InputError("scores must not be NaN")
+    return id_scores, ood_scores
+
+
+def auroc(id_scores, ood_scores) -> float:
+    id_scores, ood_scores = _score_pair(id_scores, ood_scores)
+    ood_sorted = np.sort(ood_scores)
+    below = np.searchsorted(ood_sorted, id_scores, side="left")
+    at_or_below = np.searchsorted(ood_sorted, id_scores, side="right")
+    # Mann-Whitney U = #(OOD < id) + 1/2 #(OOD == id), summed exactly in integers
+    u = int(np.sum(below) + np.sum(at_or_below)) / 2.0
+    return u / (id_scores.size * ood_scores.size)
 
 
 def fpr95(id_scores, ood_scores, tpr_target: float = 0.95) -> float:
-    id_scores = np.asarray(id_scores, dtype=np.float64)
-    ood_scores = np.asarray(ood_scores, dtype=np.float64)
-    if id_scores.size == 0 or ood_scores.size == 0:
-        raise InputError("both ID and OOD scores are required")
+    id_scores, ood_scores = _score_pair(id_scores, ood_scores)
     # largest attained threshold with TPR(gamma) >= target; no interpolation
-    candidates = np.unique(id_scores)[::-1]  # descending
+    candidates = np.unique(id_scores)  # ascending, so TPR falls along it
     n = id_scores.size
-    gamma = candidates[-1]
-    for value in candidates:
-        if np.count_nonzero(id_scores >= value) / n >= tpr_target:
-            gamma = value
-            break
+    at_or_above = n - np.searchsorted(np.sort(id_scores), candidates, side="left")
+    passing = np.flatnonzero(at_or_above / n >= tpr_target)
+    gamma = candidates[passing[-1]] if passing.size else candidates[0]
     return float(np.count_nonzero(ood_scores >= gamma) / ood_scores.size)
 
 
@@ -82,6 +86,29 @@ def _fmt(x: float) -> str:
     return SCORE_FMT % x
 
 
+def split_scores(
+    records: list[ScoreRecord], truth: dict[str, str], quantized: bool = False
+) -> tuple[list[float], list[float]]:
+    """The s_ada of the ID-tagged and of the OOD-tagged records, in order.
+
+    `quantized` first rounds each score to the digits a records CSV
+    stores, so the metrics equal an eval of the exported file.
+    """
+    missing = [r.image_id for r in records if r.image_id not in truth]
+    if missing:
+        raise InputError(f"records without ground truth: {missing[:10]}")
+    id_scores: list[float] = []
+    ood_scores: list[float] = []
+    for r in records:
+        score = float(_fmt(r.s_ada)) if quantized else r.s_ada
+        tag = truth[r.image_id]
+        if tag == "ID":
+            id_scores.append(score)
+        elif tag == "OOD":
+            ood_scores.append(score)
+    return id_scores, ood_scores
+
+
 def export_results(
     records: list[ScoreRecord],
     ground_truth: dict[str, str],
@@ -89,14 +116,15 @@ def export_results(
 ) -> dict[str, Path]:
     """Write records CSV, histogram CSV, and a JSON metric report.
 
-    The report is computed from the serialized (9-significant-digit)
-    score values so that re-importing the CSV reproduces it exactly.
+    An empty `ground_truth` leaves the tag column empty and writes no
+    report; truth that misses some records is rejected. The report is
+    computed from the serialized (9-significant-digit) score values so
+    that re-importing the CSV reproduces it exactly.
     """
     if not records:
         raise InputError("no records to export")
-    missing = [r.image_id for r in records if r.image_id not in ground_truth]
-    if missing:
-        raise InputError(f"records without ground truth: {missing[:10]}")
+    if ground_truth:
+        id_scores, ood_scores = split_scores(records, ground_truth, quantized=True)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -115,12 +143,11 @@ def export_results(
                     _fmt(r.s_vsnl),
                     _fmt(r.s_ada),
                     r.predicted_class,
-                    ground_truth[r.image_id],
+                    ground_truth.get(r.image_id, ""),
                 ]
             )
 
     s_ada = np.array([float(_fmt(r.s_ada)) for r in records])
-    tags = [ground_truth[r.image_id] for r in records]
     counts, edges = np.histogram(s_ada, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     hist_path = out_dir / "histogram.csv"
     with hist_path.open("w", newline="", encoding="utf-8") as fh:
@@ -130,9 +157,7 @@ def export_results(
             writer.writerow([_fmt(edges[i]), _fmt(edges[i + 1]), int(count)])
 
     out = {"records": records_path, "histogram": hist_path}
-    id_scores = s_ada[[t == "ID" for t in tags]]
-    ood_scores = s_ada[[t == "OOD" for t in tags]]
-    if id_scores.size and ood_scores.size:
+    if ground_truth and id_scores and ood_scores:
         report = compute_report(id_scores, ood_scores)
         report_path = out_dir / "report.json"
         report_path.write_text(

@@ -25,8 +25,8 @@ from .embeddings import (
     NegativeSpace,
     SpaceKind,
     TestBatch,
-    load_embeddings,
-    save_embeddings,
+    decode_nspc,
+    encode_nspc,
 )
 from .errors import ConfigError, FormatError, GenerationError, InputError
 from .mining import (
@@ -82,10 +82,13 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "PipelineConfig":
-        spec = dict(spec)
-        score = ScoreConfig(**spec.pop("score", {}))
-        mining = MiningConfig(**spec.pop("mining", {}))
-        return cls(score=score, mining=mining, **spec)
+        try:
+            spec = dict(spec)
+            score = ScoreConfig(**spec.pop("score", {}))
+            mining = MiningConfig(**spec.pop("mining", {}))
+            return cls(score=score, mining=mining, **spec)
+        except TypeError as exc:  # unknown key, or a value of the wrong type
+            raise ConfigError(f"invalid config: {exc}") from exc
 
     def digest(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
@@ -251,16 +254,6 @@ def run_stream(
     return records, state
 
 
-def _space_blob(space: NegativeSpace) -> bytes:
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "space.nspc"
-        save_embeddings(space.features, path)
-        payload = path.read_bytes()
-    return payload
-
-
 def _space_meta(space: NegativeSpace) -> dict:
     return {
         "kind": space.kind.value,
@@ -278,11 +271,8 @@ def save_checkpoint(state: StreamState, path) -> None:
         "ens": state.ens_space,
         "vsnl": state.vsnl_space,
     }
-    blobs: list[bytes] = []
-    meta: dict[str, dict] = {}
-    for name, space in spaces.items():
-        meta[name] = _space_meta(space)
-        blobs.append(_space_blob(space))
+    meta = {name: _space_meta(space) for name, space in spaces.items()}
+    blobs = [encode_nspc(space.features) for space in spaces.values()]
     cache_matrix = state.cache.matrix().astype("<f4")
     header = {
         "epoch": state.epoch,
@@ -318,25 +308,22 @@ def save_checkpoint(state: StreamState, path) -> None:
             fh.write(blob)
 
 
-def _matrix_from_nspc_bytes(blob: bytes, ids) -> EmbeddingMatrix:
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "space.nspc"
-        path.write_bytes(blob)
-        sidecar = Path(tmp) / "space.nspc.ids.json"
-        sidecar.write_text(json.dumps(list(ids)), encoding="utf-8")
-        return load_embeddings(path)
-
-
 def load_checkpoint(path) -> StreamState:
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
+    if len(raw) < 16:
+        raise FormatError(f"{path}: truncated checkpoint header")
     version, header_len = struct.unpack("<IQ", raw[4:16])
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+        expected = 16 + header_len + sum(header["blob_sizes"])
+    except (ValueError, KeyError, TypeError) as exc:  # cut or corrupted header
+        raise FormatError(f"{path}: unreadable checkpoint header ({exc!r})") from exc
+    if len(raw) != expected:
+        raise FormatError(f"{path}: checkpoint size {len(raw)}, expected {expected}")
     cursor = 16 + header_len
     payloads = []
     for size in header["blob_sizes"]:
@@ -361,7 +348,7 @@ def load_checkpoint(path) -> StreamState:
     spaces = {}
     for i, name in enumerate(["nl", "ens", "vsnl"]):
         meta = header["spaces"][name]
-        features = _matrix_from_nspc_bytes(payloads[2 + i], meta["ids"])
+        features = decode_nspc(payloads[2 + i], meta["ids"], f"{path} [{name}]")
         spaces[name] = NegativeSpace(
             kind=SpaceKind(meta["kind"]),
             texts=tuple(meta["texts"]),

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, LabelSpace, TestBatch
+from .embeddings import EmbeddingMatrix, LabelSpace, TestBatch, batches_truth
 from .errors import ConfigError
-from .metrics import MetricReport, compute_report
+from .metrics import MetricReport, compute_report, split_scores
 from .pipeline import PipelineConfig, run_stream
 from .scoring import ScoreConfig, ScoreRecord
 from .mining import MiningConfig
@@ -441,12 +441,6 @@ class ScenarioResult:
     ground_truth: dict[str, str] = field(repr=False, default_factory=dict)
 
 
-def _split_scores(records, truth) -> tuple[list[float], list[float]]:
-    id_scores = [r.s_ada for r in records if truth[r.image_id] == "ID"]
-    ood_scores = [r.s_ada for r in records if truth[r.image_id] == "OOD"]
-    return id_scores, ood_scores
-
-
 def run_scenario(
     name: str,
     pipeline_cfg: PipelineConfig | None = None,
@@ -462,10 +456,7 @@ def run_scenario(
     def one_run(adapt: bool):
         world = SyntheticWorld(world_cfg)
         batches = world.make_batches(n_batches, id_per_batch, ood_per_batch)
-        truth = {}
-        for batch in batches:
-            for image_id, tag in zip(batch.images.ids, batch.ground_truth):
-                truth[image_id] = tag
+        truth = batches_truth(batches)
         run_cfg = replace(cfg, adapt=adapt)
         records, state = run_stream(
             batches, world.label_space, world.corpus,
@@ -475,8 +466,8 @@ def run_scenario(
 
     base_records, _, truth = one_run(adapt=False)
     full_records, state, _ = one_run(adapt=True)
-    base_report = compute_report(*_split_scores(base_records, truth))
-    full_report = compute_report(*_split_scores(full_records, truth))
+    base_report = compute_report(*split_scores(base_records, truth))
+    full_report = compute_report(*split_scores(full_records, truth))
     return ScenarioResult(
         baseline=base_report,
         adapted=full_report,

@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes, determinism, fixtures, sweeps."""
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +73,40 @@ class TestRun:
         assert run_cli("run", world_dir / "manifest.json", "--out", out2) == 0
         for name in ("records.csv", "report.json", "histogram.csv", "checkpoint.nckp"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_malformed_manifest_fails_with_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "manifest.json"
+        bad.write_text('{"client": {"mode": ')
+        assert run_cli("run", bad, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unknown_config_key_fails_with_one_line(self, world_dir, tmp_path, capsys):
+        code = run_cli(
+            "run", world_dir / "manifest.json", "--out", tmp_path / "o",
+            "--set", "mining.bogus=1",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_run_without_truth_leaves_tags_empty(self, world_dir, tmp_path):
+        fixtures = tmp_path / "fx"
+        assert run_cli(
+            "fixtures", "record", world_dir / "manifest.json",
+            "--fixtures", fixtures, "--out", tmp_path / "rec",
+        ) == 0
+        manifest = json.loads((world_dir / "manifest.json").read_text())
+        del manifest["truth"]
+        manifest["client"] = {"mode": "replay", "fixtures": str(fixtures)}
+        path = world_dir / "manifest_no_truth.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "run"
+        assert run_cli("run", path, "--out", out) == 0
+        rows = list(csv.DictReader((out / "records.csv").open()))
+        assert rows and all(row["tag"] == "" for row in rows)
+        assert (out / "histogram.csv").exists()
+        assert not (out / "report.json").exists()
 
     def test_set_overrides_config(self, world_dir, tmp_path):
         out = tmp_path / "run"
@@ -199,3 +237,17 @@ class TestIngest:
         src = tmp_path / "v.parquet"
         src.write_bytes(b"")
         assert run_cli("ingest", src, "-o", tmp_path / "v.nspc") == 1
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    probe = "import sys, negtext.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

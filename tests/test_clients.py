@@ -89,6 +89,12 @@ class TestHttpGenerationClient:
         assert client.describe_image("img_1", "fox") == "ok now"
         assert len(session.calls) == 3
 
+    def test_client_error_is_not_retried(self):
+        client, session = self._client([FakeResponse(status=404)] * 3)
+        with pytest.raises(GenerationError):
+            client.describe_image("img_1", "fox")
+        assert len(session.calls) == 1
+
     def test_exhausted_retries_raise_with_image_id(self):
         client, _ = self._client([requests.ConnectionError("down")] * 3)
         with pytest.raises(GenerationError) as err:

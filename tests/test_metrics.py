@@ -3,7 +3,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negtext.errors import InputError
@@ -19,6 +19,11 @@ from negtext.scoring import ScoreRecord
 score_lists = st.lists(
     st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=40
 )
+
+# a few thousand scores quantized to 3 digits: nearly every value is tied
+_rng = np.random.default_rng(11)
+TIED_ID = np.round(_rng.uniform(0.2, 1.0, 2000), 3).tolist()
+TIED_OOD = np.round(_rng.uniform(0.0, 0.8, 1500), 3).tolist()
 
 
 def auroc_oracle(id_scores, ood_scores):
@@ -54,7 +59,12 @@ class TestAuroc:
         with pytest.raises(InputError):
             auroc([], [0.5])
 
+    def test_nan_rejected(self):
+        with pytest.raises(InputError):
+            auroc([0.5, float("nan")], [0.5])
+
     @given(id_scores=score_lists, ood_scores=score_lists)
+    @example(id_scores=TIED_ID, ood_scores=TIED_OOD)
     @settings(max_examples=100)
     def test_matches_pairwise_oracle(self, id_scores, ood_scores):
         assert auroc(id_scores, ood_scores) == pytest.approx(
@@ -88,7 +98,12 @@ class TestFpr95:
         with pytest.raises(InputError):
             fpr95([0.5], [])
 
+    def test_nan_rejected(self):
+        with pytest.raises(InputError):
+            fpr95([0.5], [float("nan")])
+
     @given(id_scores=score_lists, ood_scores=score_lists)
+    @example(id_scores=TIED_ID, ood_scores=TIED_OOD)
     @settings(max_examples=100)
     def test_matches_threshold_sweep_oracle(self, id_scores, ood_scores):
         assert fpr95(id_scores, ood_scores) == pytest.approx(
@@ -164,5 +179,5 @@ class TestExport:
     def test_missing_truth_rejected_before_write(self, tmp_path):
         out = tmp_path / "sub"
         with pytest.raises(InputError):
-            export_results(_records([0.5]), {}, out)
+            export_results(_records([0.5, 0.6]), {"img_0": "ID"}, out)
         assert not out.exists()

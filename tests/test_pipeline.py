@@ -1,8 +1,11 @@
 """Streaming loop: modes, regeneration gating, checkpoints, causality."""
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from negtext.errors import ConfigError, GenerationError
+from negtext.errors import ConfigError, FormatError, GenerationError
 from negtext.mining import MiningConfig
 from negtext.pipeline import (
     PipelineConfig,
@@ -197,6 +200,37 @@ class TestCheckpoint:
         from negtext.errors import FormatError
 
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def _saved(self, tmp_path):
+        world, batches = small_setup(per_side=60, n_batches=2)
+        _, state = run_stream(
+            batches, world.label_space, world.corpus, world.oracle_client(),
+            small_config(), seed=42,
+        )
+        path = tmp_path / "state.nckp"
+        save_checkpoint(state, path)
+        return path
+
+    def test_resave_is_byte_identical(self, tmp_path):
+        path = self._saved(tmp_path)
+        again = tmp_path / "again.nckp"
+        save_checkpoint(load_checkpoint(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("where", ["header", "cache blob", "last space blob"])
+    def test_truncated_file_rejected_with_its_path(self, tmp_path, where):
+        path = self._saved(tmp_path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[8:16])
+        sizes = json.loads(raw[16 : 16 + header_len])["blob_sizes"]
+        cut = {
+            "header": 16 + header_len // 2,
+            "cache blob": 16 + header_len + sizes[0] + sizes[1] // 2,
+            "last space blob": len(raw) - sizes[-1] // 2,
+        }[where]
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FormatError, match=str(path)):
             load_checkpoint(path)
 
 
