@@ -49,7 +49,13 @@ from .embeddings import (
     save_embeddings,
 )
 from .errors import ConfigError, InputError, NegtextError
-from .metrics import compute_report, export_results, load_records_csv, split_scores
+from .metrics import (
+    compute_report,
+    export_results,
+    load_records_csv,
+    read_csv_rows,
+    split_scores,
+)
 from .pipeline import PipelineConfig, run_stream, save_checkpoint
 from .spaces import CorpusCandidates
 from .synthetic import (
@@ -199,11 +205,8 @@ def _parse_set_flags(pairs) -> dict:
 
 
 def _load_truth_csv(path) -> dict[str, str]:
-    truth = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            truth[row["image_id"]] = row["tag"]
-    return truth
+    rows = read_csv_rows(path, ("image_id", "tag"))
+    return {row["image_id"]: row["tag"] for row in rows}
 
 
 def _save_truth_csv(truth: dict[str, str], path) -> None:
@@ -254,10 +257,11 @@ def _build_world(manifest: Manifest) -> SyntheticWorld:
     return SyntheticWorld(scenario_world_config(scenario, seed=manifest.seed))
 
 
-def _assemble_inputs(manifest: Manifest, client_override=None) -> RunInputs:
+def _assemble_inputs(manifest: Manifest, client_override=None, world=None) -> RunInputs:
+    """`world` is the manifest's synthetic world when the caller built it."""
     client_spec = manifest.client_spec
     if client_spec["mode"] == "synthetic":
-        world = _build_world(manifest)
+        world = world or _build_world(manifest)
         batches = world.make_batches(
             int(client_spec.get("n_batches", 3)),
             int(client_spec.get("id_per_batch", 150)),
@@ -298,9 +302,9 @@ def _assemble_inputs(manifest: Manifest, client_override=None) -> RunInputs:
 # commands
 
 
-def _execute_run(manifest: Manifest, args, client_override=None) -> int:
+def _execute_run(manifest: Manifest, args, client_override=None, world=None) -> int:
     config = manifest.pipeline_config(_parse_set_flags(getattr(args, "set", None)))
-    inputs = _assemble_inputs(manifest, client_override=client_override)
+    inputs = _assemble_inputs(manifest, client_override=client_override, world=world)
     out_dir = manifest.output_dir(getattr(args, "out", None))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -454,18 +458,16 @@ def cmd_synth_world(args) -> int:
 def cmd_fixtures(args) -> int:
     manifest = Manifest.load(args.manifest)
     fixtures_dir = Path(args.fixtures)
+    world = None
     if args.action == "record":
-        client_spec = manifest.client_spec
-        if client_spec["mode"] == "synthetic":
-            inner = _build_world(manifest).oracle_client()
-        else:
-            inner = _build_client(manifest)
-        client = RecordingClient(inner, fixtures_dir)
+        if manifest.client_spec["mode"] == "synthetic":
+            world = _build_world(manifest)
+        client = RecordingClient(_build_client(manifest, world), fixtures_dir)
     else:  # replay
         if not fixtures_dir.exists():
             raise InputError(f"fixtures directory not found: {fixtures_dir}")
         client = ReplayClient(fixtures_dir)
-    return _execute_run(manifest, args, client_override=client)
+    return _execute_run(manifest, args, client_override=client, world=world)
 
 
 # ---------------------------------------------------------------------------

@@ -193,28 +193,41 @@ class ReplayClient:
     def __init__(self, fixtures_dir):
         self.fixtures_dir = Path(fixtures_dir)
 
-    def _lookup(self, payload: dict, image_id: str | None = None) -> dict:
+    def _lookup(self, payload: dict, key: str, image_id: str | None = None):
+        """The fixture's `response[key]`; a missing or malformed fixture
+        is a generation failure."""
         path = self.fixtures_dir / f"{request_key(payload)}.json"
         if not path.exists():
             raise GenerationError(
                 f"no fixture for request {payload!r}", image_id=image_id
             )
-        return json.loads(path.read_text(encoding="utf-8"))["response"]
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))["response"][key]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise GenerationError(
+                f"malformed fixture {path}: {exc!r}", image_id=image_id
+            ) from exc
 
     def describe_image(self, image_ref: str, exclude_label: str) -> str:
-        out = self._lookup(
+        texts = self._lookup(
             {"task": "describe", "text": image_ref, "exclude": exclude_label},
+            "texts",
             image_id=image_ref,
         )
-        return out["texts"][0]
+        if not texts:
+            raise GenerationError("fixture holds no description", image_ref)
+        return texts[0]
 
     def similar_labels(self, class_name: str, count: int) -> list[str]:
-        out = self._lookup({"task": "similar", "text": class_name, "count": count})
-        return list(out["texts"])
+        payload = {"task": "similar", "text": class_name, "count": count}
+        return list(self._lookup(payload, "texts"))
 
     def embed_texts(self, texts: list[str]) -> np.ndarray:
-        out = self._lookup({"task": "embed", "texts": list(texts)})
-        return np.asarray(out["vectors"], dtype=np.float64)
+        vectors = self._lookup({"task": "embed", "texts": list(texts)}, "vectors")
+        try:
+            return np.asarray(vectors, dtype=np.float64)
+        except (ValueError, TypeError) as exc:  # ragged or non-numeric rows
+            raise GenerationError(f"malformed embedding fixture: {exc}") from exc
 
 
 class RecordingClient:

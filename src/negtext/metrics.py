@@ -109,6 +109,9 @@ def split_scores(
     return id_scores, ood_scores
 
 
+RECORD_COLUMNS = ("image_id", "s_nl", "s_ens", "s_vsnl", "s_ada", "predicted_class")
+
+
 def export_results(
     records: list[ScoreRecord],
     ground_truth: dict[str, str],
@@ -131,9 +134,7 @@ def export_results(
     records_path = out_dir / "records.csv"
     with records_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["image_id", "s_nl", "s_ens", "s_vsnl", "s_ada", "predicted_class", "tag"]
-        )
+        writer.writerow([*RECORD_COLUMNS, "tag"])
         for r in records:
             writer.writerow(
                 [
@@ -168,13 +169,21 @@ def export_results(
     return out
 
 
+def read_csv_rows(path, columns) -> list[dict[str, str]]:
+    """Rows of a headed CSV; the header must name every one of `columns`."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
+        return list(reader)
+
+
 def load_records_csv(path) -> tuple[list[ScoreRecord], dict[str, str]]:
-    path = Path(path)
     records: list[ScoreRecord] = []
     tags: dict[str, str] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
+    for line, row in enumerate(read_csv_rows(path, RECORD_COLUMNS), start=2):
+        try:
             records.append(
                 ScoreRecord(
                     image_id=row["image_id"],
@@ -185,6 +194,8 @@ def load_records_csv(path) -> tuple[list[ScoreRecord], dict[str, str]]:
                     predicted_class=int(row["predicted_class"]),
                 )
             )
-            if "tag" in row and row["tag"]:
-                tags[row["image_id"]] = row["tag"]
+        except (TypeError, ValueError) as exc:  # short row or non-numeric cell
+            raise InputError(f"{path}, line {line}: {exc}") from exc
+        if row.get("tag"):
+            tags[row["image_id"]] = row["tag"]
     return records, tags

@@ -8,11 +8,11 @@ cached images get classified into and keeps the most frequent slice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, LabelSpace, TestBatch
+from .embeddings import LabelSpace, TestBatch
 from .errors import ConfigError, DimError, InputError
 
 
@@ -115,6 +115,13 @@ class HistoryCache:
     Every streamed image has equal retention probability once the capacity
     is exceeded; replacement draws come from a dedicated generator so that
     truncating a stream replays identically.
+
+    Rows live in one preallocated `(capacity, dim)` reservoir; slot `k`
+    holds `ids[k]`. Two per-row columns sit beside it: `nl_scores`, the
+    image's grouped score against the fixed negative-label space, and
+    `predictions`, its nearest ID class. Both are fixed when the image
+    arrives, so the caller writes them once at the slots `append_batch`
+    returns; only the first `len(cache)` entries are meaningful.
     """
 
     def __init__(self, capacity: int, dim: int, seed: int):
@@ -122,7 +129,11 @@ class HistoryCache:
             raise ConfigError("cache capacity must be >= 1")
         self.capacity = capacity
         self._ids: list[str] = []
-        self._rows: list[np.ndarray] = []
+        # np.empty pages are touched only when written, so unused
+        # capacity costs no resident memory
+        self._data = np.empty((capacity, dim))
+        self.nl_scores = np.empty(capacity)
+        self.predictions = np.empty(capacity, dtype=np.int64)
         self.n_seen = 0
         self._rng = np.random.default_rng(
             np.random.SeedSequence([seed, 0xCAC4E])
@@ -136,22 +147,34 @@ class HistoryCache:
         return list(self._ids)
 
     def matrix(self) -> np.ndarray:
-        if not self._rows:
-            return np.empty((0, 0))
-        return np.vstack(self._rows)
+        """View of the filled rows, in slot order."""
+        return self._data[: len(self._ids)]
 
-    def append_batch(self, batch: TestBatch) -> None:
+    def append_batch(self, batch: TestBatch) -> np.ndarray:
+        """Stream a batch through the reservoir.
+
+        Returns each row's slot, or -1 where the row was not kept,
+        including a row whose slot a later row of the same batch took.
+        """
         data = batch.images.data
+        slots = np.full(batch.images.rows, -1, dtype=np.int64)
+        owner: dict[int, int] = {}  # slot -> batch row that holds it
         for i, image_id in enumerate(batch.images.ids):
             self.n_seen += 1
             if len(self._ids) < self.capacity:
+                j = len(self._ids)
                 self._ids.append(image_id)
-                self._rows.append(np.array(data[i]))
             else:
                 j = int(self._rng.integers(0, self.n_seen))
-                if j < self.capacity:
-                    self._ids[j] = image_id
-                    self._rows[j] = np.array(data[i])
+                if j >= self.capacity:
+                    continue
+                self._ids[j] = image_id
+                if j in owner:
+                    slots[owner[j]] = -1
+            self._data[j] = data[i]
+            owner[j] = i
+            slots[i] = j
+        return slots
 
     def state_dict(self) -> dict:
         return {
@@ -163,9 +186,11 @@ class HistoryCache:
 
     @classmethod
     def from_state(cls, state: dict, data: np.ndarray, seed: int) -> "HistoryCache":
-        cache = cls(state["capacity"], data.shape[1] if data.size else 0, seed)
+        """Cache with the saved rows; `nl_scores` and `predictions` are
+        left for the caller to rebuild."""
+        cache = cls(state["capacity"], data.shape[1], seed)
         cache._ids = list(state["ids"])
-        cache._rows = [np.array(row) for row in data]
+        cache._data[: data.shape[0]] = data
         cache.n_seen = state["n_seen"]
         cache._rng.bit_generator.state = state["rng_state"]
         return cache

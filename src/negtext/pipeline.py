@@ -28,7 +28,7 @@ from .embeddings import (
     decode_nspc,
     encode_nspc,
 )
-from .errors import ConfigError, FormatError, GenerationError, InputError
+from .errors import ConfigError, DataError, FormatError, GenerationError, InputError
 from .mining import (
     HistoryCache,
     MiningConfig,
@@ -144,17 +144,25 @@ def _effective_lambda(state: StreamState) -> float:
     return state.lambda_
 
 
+def _cache_batch(
+    state: StreamState, batch: TestBatch, s_nl: np.ndarray, predictions: np.ndarray
+) -> None:
+    """Add the batch to the cache with its NL scores and predicted classes."""
+    slots = state.cache.append_batch(batch)
+    kept = slots >= 0
+    state.cache.nl_scores[slots[kept]] = s_nl[kept]
+    state.cache.predictions[slots[kept]] = predictions[kept]
+
+
 def _regenerate(state: StreamState, client: GenerationClient) -> None:
     cfg = state.config
-    cache_matrix = state.cache.matrix()
-    cache_ids = state.cache.ids
-    nl_scores = grouped_scores_batch(
-        cache_matrix, state.label_space, state.nl_space, cfg.score
+    n = len(state.cache)
+    mined = mine_negative_images(
+        state.cache.ids, state.cache.nl_scores[:n], cfg.mining
     )
-    mined = mine_negative_images(cache_ids, nl_scores, cfg.mining)
     if mined.empty:
         return
-    predictions = classify_batch(cache_matrix, state.label_space)
+    predictions = state.cache.predictions[:n]
     predicted_labels = {
         image_id: state.label_space.labels[predictions[idx]]
         for image_id, idx in zip(mined.image_ids, mined.indices)
@@ -180,7 +188,7 @@ def _regenerate(state: StreamState, client: GenerationClient) -> None:
         cfg.score.group_size,
         epoch=state.epoch + 1,
     )
-    neg_vectors = cache_matrix[list(mined.indices)]
+    neg_vectors = state.cache.matrix()[list(mined.indices)]
     ens_scores = grouped_scores_batch(
         neg_vectors, state.label_space, ens_space, cfg.score
     )
@@ -202,24 +210,26 @@ def process_batch(
             f"batch dim {batch.images.dim} vs label dim "
             f"{state.label_space.features.dim}"
         )
+    # the NL space and the label space are fixed for the stream, so these
+    # serve both the batch's records and its rows in the cache
+    images = batch.images.data
+    s_nl = grouped_scores_batch(images, state.label_space, state.nl_space, cfg.score)
+    predictions = classify_batch(images, state.label_space)
     if cfg.include_current_batch:
-        state.cache.append_batch(batch)
+        _cache_batch(state, batch, s_nl, predictions)
     if cfg.adapt and len(state.cache) > 0 and state.epoch % cfg.regen_every == 0:
         try:
             _regenerate(state, client)
-        except GenerationError:
+        except (GenerationError, DataError):  # e.g. a non-finite embedding
             state.degraded = True
     if not cfg.include_current_batch:
-        state.cache.append_batch(batch)
+        _cache_batch(state, batch, s_nl, predictions)
 
-    images = batch.images.data
     lam = _effective_lambda(state)
-    s_nl = grouped_scores_batch(images, state.label_space, state.nl_space, cfg.score)
     s_ens = grouped_scores_batch(images, state.label_space, state.ens_space, cfg.score)
     s_vsnl = grouped_scores_batch(
         images, state.label_space, state.vsnl_space, cfg.score
     )
-    predictions = classify_batch(images, state.label_space)
     records = [
         ScoreRecord(
             image_id=batch.images.ids[i],
@@ -339,9 +349,13 @@ def load_checkpoint(path) -> StreamState:
         features=label_features,
         prompt_template=header["prompt_template"],
     )
-    cache_rows, cache_dim = header["cache_shape"]
+    cache_rows, _ = header["cache_shape"]
     cache_data = np.frombuffer(payloads[1], dtype="<f4").astype(np.float64)
-    cache_data = cache_data.reshape(cache_rows, cache_dim)
+    n_ids = len(header["cache"]["ids"])
+    if cache_rows != n_ids or cache_data.size != cache_rows * label_dim:
+        raise FormatError(f"{path}: cache rows do not match their ids and dim")
+    # an empty cache may have been saved as 0x0
+    cache_data = cache_data.reshape(cache_rows, label_dim)
     cache = HistoryCache.from_state(
         header["cache"], cache_data, header["rng_seed"]
     )
@@ -357,6 +371,12 @@ def load_checkpoint(path) -> StreamState:
             epoch=meta["epoch"],
         )
     config = PipelineConfig.from_dict(header["config"])
+    # the per-row columns are not stored; rebuild them from the loaded rows
+    n = len(cache)
+    cache.nl_scores[:n] = grouped_scores_batch(
+        cache_data, label_space, spaces["nl"], config.score
+    )
+    cache.predictions[:n] = classify_batch(cache_data, label_space)
     return StreamState(
         label_space=label_space,
         config=config,

@@ -135,6 +135,31 @@ class TestFixtures:
         for name in ("records.csv", "report.json", "checkpoint.nckp"):
             assert (rec_out / name).read_bytes() == (rep_out / name).read_bytes()
 
+    def test_record_builds_the_world_once_and_matches_run(
+        self, world_dir, tmp_path, monkeypatch
+    ):
+        import negtext.synthetic
+
+        builds = []
+        original_init = negtext.synthetic.SyntheticWorld.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(negtext.synthetic.SyntheticWorld, "__init__", counting_init)
+        rec_out = tmp_path / "rec"
+        assert run_cli(
+            "fixtures", "record", world_dir / "manifest.json",
+            "--fixtures", tmp_path / "fx", "--out", rec_out,
+        ) == 0
+        assert len(builds) == 1
+        # the recording client answers from the world that made the stream
+        run_out = tmp_path / "run"
+        assert run_cli("run", world_dir / "manifest.json", "--out", run_out) == 0
+        for name in ("records.csv", "report.json", "checkpoint.nckp"):
+            assert (rec_out / name).read_bytes() == (run_out / name).read_bytes()
+
     def test_replay_without_fixtures_fails(self, world_dir, tmp_path):
         assert run_cli(
             "fixtures", "replay", world_dir / "manifest.json",
@@ -164,6 +189,36 @@ class TestEval:
             for r in records:
                 writer.writerow([r.image_id, "ID"])
         assert run_cli("eval", out / "records.csv", "--truth", truth) == 1
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            ("a,b\n1,2\n", "image_id"),
+            ("image_id,s_nl,s_ens,s_vsnl,s_ada,predicted_class,tag\n"
+             "img_1,0.5,0.5,0.5,abc,0,ID\n", "line 2"),
+        ],
+    )
+    def test_malformed_records_fail_with_one_line(
+        self, tmp_path, capsys, content, named
+    ):
+        junk = tmp_path / "junk.csv"
+        junk.write_text(content)
+        assert run_cli("eval", junk) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(junk) in err[0] and named in err[0]
+
+    def test_truth_with_wrong_header_fails_with_one_line(
+        self, world_dir, tmp_path, capsys
+    ):
+        out = self._run(world_dir, tmp_path)
+        truth = tmp_path / "t.csv"
+        truth.write_text("id,label\nimg_000000,ID\n")
+        capsys.readouterr()
+        assert run_cli("eval", out / "records.csv", "--truth", truth) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(truth) in err[0] and "tag" in err[0]
 
     def test_inverted_scores_complement_auroc(self, world_dir, tmp_path, capsys):
         out = self._run(world_dir, tmp_path)

@@ -200,3 +200,20 @@ class TestRecordReplay:
         with pytest.raises(GenerationError) as err:
             replay.describe_image("img_9", "fox")
         assert err.value.image_id == "img_9"
+
+    @pytest.mark.parametrize(
+        "response", [{}, {"texts": []}, {"vectors": [[1.0, 0.0], [1.0]]}, None]
+    )
+    def test_malformed_fixture_raises_generation_error(self, tmp_path, response):
+        for payload in (
+            {"task": "describe", "text": "img_1", "exclude": "fox"},
+            {"task": "embed", "texts": ["alpha", "beta"]},
+        ):
+            path = tmp_path / f"{request_key(payload)}.json"
+            body = {"request": payload, "response": response}
+            path.write_text(json.dumps(body) if response is not None else "{trunc")
+        replay = ReplayClient(tmp_path)
+        with pytest.raises(GenerationError):
+            replay.describe_image("img_1", "fox")
+        with pytest.raises(GenerationError):
+            replay.embed_texts(["alpha", "beta"])

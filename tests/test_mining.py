@@ -239,3 +239,42 @@ class TestHistoryCache:
         stream(restored, 3)
         assert restored.ids == original.ids
         assert np.array_equal(restored.matrix(), original.matrix())
+
+    def test_append_returns_the_slot_of_each_kept_row(self):
+        cache = HistoryCache(capacity=6, dim=4, seed=5)
+        for s in range(5):
+            ids = [f"z{s}_{i}" for i in range(4)]
+            slots = cache.append_batch(_batch_of(ids, seed=s))
+            for image_id, slot in zip(ids, slots):
+                if slot >= 0:
+                    assert cache.ids[slot] == image_id
+                else:
+                    assert image_id not in cache.ids
+            kept = slots[slots >= 0]
+            assert len(set(kept.tolist())) == kept.size
+
+    def test_row_displaced_within_its_batch_reads_minus_one(self):
+        # a cache fed one row at a time draws the same slots; a row whose
+        # slot a later row of the same batch takes must read -1
+        ids = [f"w{i}" for i in range(40)]
+        batch = _batch_of(ids, seed=9)
+        single = HistoryCache(capacity=3, dim=4, seed=11)
+        drawn = [
+            int(single.append_batch(_batch_of([image_id], seed=9))[0])
+            for image_id in ids
+        ]
+        expected = [
+            -1 if slot >= 0 and slot in drawn[i + 1 :] else slot
+            for i, slot in enumerate(drawn)
+        ]
+        assert any(d >= 0 and e == -1 for d, e in zip(drawn, expected))
+        cache = HistoryCache(capacity=3, dim=4, seed=11)
+        assert cache.append_batch(batch).tolist() == expected
+        assert cache.ids == single.ids
+
+    def test_matrix_is_a_view_of_the_filled_rows(self):
+        cache = HistoryCache(capacity=10, dim=4, seed=0)
+        assert cache.matrix().shape == (0, 4)
+        cache.append_batch(_batch_of(["a", "b", "c"], seed=3))
+        assert cache.matrix().shape == (3, 4)
+        assert np.shares_memory(cache.matrix(), cache.matrix())

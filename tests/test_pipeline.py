@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from negtext.errors import ConfigError, FormatError, GenerationError
-from negtext.mining import MiningConfig
+from negtext.mining import MiningConfig, classify_batch
 from negtext.pipeline import (
     PipelineConfig,
     init_stream,
@@ -15,7 +15,7 @@ from negtext.pipeline import (
     run_stream,
     save_checkpoint,
 )
-from negtext.scoring import ScoreConfig
+from negtext.scoring import ScoreConfig, grouped_scores_batch
 from negtext.synthetic import (
     SyntheticWorld,
     scenario_pipeline_config,
@@ -171,6 +171,87 @@ class TestDegradedGeneration:
         assert state.vsnl_space is state.nl_space
         assert len(records) == sum(b.images.rows for b in batches)
 
+    def test_non_finite_embedding_degrades_instead_of_raising(self):
+        world, batches = small_setup(scenario="mixed", n_batches=3, per_side=100)
+        client = NanOnFirstEmbedClient(world.oracle_client())
+        records, state = run_stream(
+            batches, world.label_space, world.corpus, client,
+            small_config(), seed=42,
+        )
+        assert client.embed_calls > 1  # later batches regenerated normally
+        assert state.degraded
+        assert [r.image_id for r in records] == [
+            i for b in batches for i in b.images.ids
+        ]
+        assert all(0.0 <= r.s_ada <= 1.0 for r in records)
+
+
+class NanOnFirstEmbedClient:
+    """Delegates to `inner`, but its first `embed_texts` holds a NaN row."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.embed_calls = 0
+
+    def describe_image(self, image_ref, exclude_label):
+        return self.inner.describe_image(image_ref, exclude_label)
+
+    def similar_labels(self, class_name, count):
+        return self.inner.similar_labels(class_name, count)
+
+    def embed_texts(self, texts):
+        vectors = np.array(self.inner.embed_texts(texts))
+        self.embed_calls += 1
+        if self.embed_calls == 1:
+            vectors[0, 0] = np.nan
+        return vectors
+
+
+def assert_cache_columns_match_rescore(state):
+    """The stored per-row columns equal a rescore of the cached rows."""
+    cache = state.cache
+    n = len(cache)
+    matrix = cache.matrix()
+    rescored = grouped_scores_batch(
+        matrix, state.label_space, state.nl_space, state.config.score
+    )
+    assert np.array_equal(cache.nl_scores[:n], rescored)
+    assert np.array_equal(
+        cache.predictions[:n], classify_batch(matrix, state.label_space)
+    )
+
+
+def small_cache_config(**kw):
+    """Scenario config with a 100-image cache, so replacement runs."""
+    mining = {**scenario_pipeline_config().mining.__dict__, "cache_capacity": 100}
+    return small_config(mining=mining, **kw)
+
+
+class TestCacheColumns:
+    @pytest.mark.parametrize("include_current_batch", [True, False])
+    def test_columns_match_rescore_after_replacement(self, include_current_batch):
+        world, batches = small_setup(scenario="mixed", n_batches=4, per_side=40)
+        cfg = small_cache_config(include_current_batch=include_current_batch)
+        _, state = run_stream(
+            batches, world.label_space, world.corpus, world.oracle_client(),
+            cfg, seed=42,
+        )
+        assert state.cache.n_seen == 320 and len(state.cache) == 100
+        assert_cache_columns_match_rescore(state)
+
+    def test_load_checkpoint_rebuilds_columns(self, tmp_path):
+        world, batches = small_setup(scenario="mixed", n_batches=3, per_side=40)
+        cfg = small_cache_config()
+        _, state = run_stream(
+            batches, world.label_space, world.corpus, world.oracle_client(),
+            cfg, seed=42,
+        )
+        path = tmp_path / "state.nckp"
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+        assert len(loaded.cache) == 100
+        assert_cache_columns_match_rescore(loaded)
+
 
 class TestCheckpoint:
     def test_roundtrip_restores_state(self, tmp_path):
@@ -217,6 +298,20 @@ class TestCheckpoint:
         again = tmp_path / "again.nckp"
         save_checkpoint(load_checkpoint(path), again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_cache_ids_not_matching_rows_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + header_len])
+        header["cache"]["ids"].pop()
+        new_header = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(
+            raw[:8] + struct.pack("<Q", len(new_header)) + new_header
+            + raw[16 + header_len :]
+        )
+        with pytest.raises(FormatError, match=str(path)):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("where", ["header", "cache blob", "last space blob"])
     def test_truncated_file_rejected_with_its_path(self, tmp_path, where):
