@@ -72,7 +72,7 @@ EXIT_DEGRADED = 2
 # sweep axis -> the config overrides that set it to a value
 SWEEP_AXES = {
     "delta": lambda v: {"mining.class_ratio": v},
-    "lambda": lambda v: {"mode": "fixed-lambda", "score.lambda_override": v},
+    "lambda": lambda v: {"score.lambda_override": v},
     "eta": lambda v: {"mining.selection_ratio": v},
     "length": lambda v: {"sentence_len_max": int(v)},
 }
@@ -104,10 +104,7 @@ class Manifest:
         path = Path(path)
         if not path.exists():
             raise InputError(f"manifest not found: {path}")
-        try:
-            spec = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise InputError(f"{path}: manifest is not valid JSON ({exc})") from exc
+        spec = _read_json(path, "manifest")
         if not isinstance(spec, dict):
             raise InputError(f"{path}: manifest must be a JSON object")
         manifest = cls(spec, path.parent)
@@ -150,7 +147,7 @@ class Manifest:
 
     @property
     def seed(self) -> int:
-        return int(self.spec.get("seed", 0))
+        return _int_entry(self.spec, "seed", 0)
 
     def output_dir(self, override=None) -> Path:
         out = override or self.spec.get("output_dir")
@@ -161,11 +158,7 @@ class Manifest:
     def pipeline_config(self, overrides=None) -> PipelineConfig:
         config = self.spec.get("config")
         if isinstance(config, str):
-            path = self._resolve(config)
-            try:
-                spec = json.loads(path.read_text(encoding="utf-8"))
-            except ValueError as exc:
-                raise ConfigError(f"{path}: config is not valid JSON ({exc})") from exc
+            spec = _read_json(self._resolve(config), "config")
         elif isinstance(config, dict):
             spec = dict(config)
         elif self.client_spec["mode"] == "synthetic":
@@ -175,6 +168,21 @@ class Manifest:
         for key, value in (overrides or {}).items():
             _apply_override(spec, key, value)
         return PipelineConfig.from_dict(spec)
+
+
+def _read_json(path: Path, what: str):
+    """The parsed JSON file; `what` names it in the error."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # also a file that is not UTF-8
+        raise InputError(f"{path}: {what} is not valid JSON ({exc})") from exc
+
+
+def _int_entry(spec: dict, key: str, default: int) -> int:
+    try:
+        return int(spec.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"manifest {key!r} must be an integer ({exc})") from exc
 
 
 def _apply_override(spec: dict, dotted_key: str, value) -> None:
@@ -263,9 +271,9 @@ def _assemble_inputs(manifest: Manifest, client_override=None, world=None) -> Ru
     if client_spec["mode"] == "synthetic":
         world = world or _build_world(manifest)
         batches = world.make_batches(
-            int(client_spec.get("n_batches", 3)),
-            int(client_spec.get("id_per_batch", 150)),
-            int(client_spec.get("ood_per_batch", 150)),
+            _int_entry(client_spec, "n_batches", 3),
+            _int_entry(client_spec, "id_per_batch", 150),
+            _int_entry(client_spec, "ood_per_batch", 150),
         )
         client = client_override or _build_client(manifest, world)
         return RunInputs(
@@ -277,9 +285,10 @@ def _assemble_inputs(manifest: Manifest, client_override=None, world=None) -> Ru
             raise ConfigError(f"manifest needs {key!r} outside synthetic mode")
     label_space = LabelSpace.from_manifest(manifest._resolve(manifest.spec["labels"]))
     corpus_spec = manifest.spec["corpus"]
-    words = json.loads(
-        manifest._resolve(corpus_spec["words"]).read_text(encoding="utf-8")
-    )
+    words_path = manifest._resolve(corpus_spec["words"])
+    words = _read_json(words_path, "corpus words")
+    if not isinstance(words, list):
+        raise InputError(f"{words_path}: corpus words must be a JSON list")
     corpus = CorpusCandidates(
         words=tuple(words),
         features=load_embeddings(manifest._resolve(corpus_spec["embeddings"])),
@@ -340,7 +349,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise InputError(f"--values must be numbers ({exc})") from exc
     if len(values) < 2:
         raise InputError("sweep needs at least two values")
     manifest = Manifest.load(args.manifest)
@@ -388,7 +400,10 @@ def cmd_ingest(args) -> int:
     if src.suffix == ".npy":
         if not args.ids:
             raise InputError("--ids is required for .npy input")
-        data = np.load(src)
+        try:
+            data = np.asarray(np.load(src), dtype=np.float64)
+        except (ValueError, EOFError) as exc:  # pickled, non-numeric, cut or empty
+            raise InputError(f"{src}: not a numeric .npy array ({exc})") from exc
         ids = [
             line.strip()
             for line in Path(args.ids).read_text(encoding="utf-8").splitlines()
@@ -397,11 +412,21 @@ def cmd_ingest(args) -> int:
     elif src.suffix == ".csv":
         ids, rows = [], []
         with src.open(newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row:
                     continue
+                try:
+                    values = [float(x) for x in row[1:]]
+                except ValueError as exc:  # e.g. a header row
+                    raise InputError(f"{src}, line {reader.line_num}: {exc}") from exc
+                if rows and len(values) != len(rows[0]):
+                    raise InputError(
+                        f"{src}, line {reader.line_num}: {len(values)} values, "
+                        f"expected {len(rows[0])}"
+                    )
                 ids.append(row[0])
-                rows.append([float(x) for x in row[1:]])
+                rows.append(values)
         data = np.asarray(rows, dtype=np.float64)
     else:
         raise InputError(f"unsupported input format {src.suffix!r} (.npy or .csv)")

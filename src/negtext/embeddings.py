@@ -179,11 +179,15 @@ class LabelSpace:
     @classmethod
     def from_manifest(cls, path) -> "LabelSpace":
         path = Path(path)
-        spec = json.loads(path.read_text(encoding="utf-8"))
-        features = load_embeddings(path.parent / spec["features"])
+        try:
+            spec = json.loads(path.read_text(encoding="utf-8"))
+            features_path = path.parent / spec["features"]
+            labels = tuple(spec["labels"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: unreadable labels manifest ({exc!r})") from exc
         return cls(
-            labels=tuple(spec["labels"]),
-            features=features,
+            labels=labels,
+            features=load_embeddings(features_path),
             prompt_template=spec.get("prompt_template", "The nice <label>."),
         )
 

@@ -43,9 +43,14 @@ from .scoring import (
     fused_score,
     grouped_scores_batch,
 )
-from .spaces import CorpusCandidates, generate_ens, generate_vsnl, select_initial_nls
-
-MODES = ("adaptive", "ens-only", "vsnl-only", "fixed-lambda")
+from .spaces import (
+    SENTENCE_MAX_WORDS,
+    SENTENCE_MIN_WORDS,
+    CorpusCandidates,
+    generate_ens,
+    generate_vsnl,
+    select_initial_nls,
+)
 
 CHECKPOINT_MAGIC = b"NCKP"
 CHECKPOINT_VERSION = 1
@@ -57,11 +62,10 @@ class PipelineConfig:
     mining: MiningConfig = field(default_factory=MiningConfig)
     num_negatives: int = 10000
     regen_every: int = 1
-    mode: str = "adaptive"
     include_current_batch: bool = True
     adapt: bool = True  # False freezes both spaces at initialization
-    sentence_len_min: int = 3
-    sentence_len_max: int = 15
+    sentence_len_min: int = SENTENCE_MIN_WORDS
+    sentence_len_max: int = SENTENCE_MAX_WORDS
 
     def __post_init__(self):
         if self.num_negatives < self.score.group_size:
@@ -72,10 +76,6 @@ class PipelineConfig:
             raise ConfigError("regeneration interval must be >= 1")
         if not 1 <= self.sentence_len_min <= self.sentence_len_max:
             raise ConfigError("sentence length window must satisfy 1 <= min <= max")
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if self.mode == "fixed-lambda" and self.score.lambda_override is None:
-            raise ConfigError("fixed-lambda mode requires a lambda override")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -131,17 +131,6 @@ def init_stream(
         epoch=0,
         rng_seed=seed,
     )
-
-
-def _effective_lambda(state: StreamState) -> float:
-    mode = state.config.mode
-    if mode == "ens-only":
-        return 1.0
-    if mode == "vsnl-only":
-        return 0.0
-    if mode == "fixed-lambda":
-        return float(state.config.score.lambda_override)
-    return state.lambda_
 
 
 def _cache_batch(
@@ -225,7 +214,8 @@ def process_batch(
     if not cfg.include_current_batch:
         _cache_batch(state, batch, s_nl, predictions)
 
-    lam = _effective_lambda(state)
+    override = cfg.score.lambda_override
+    lam = state.lambda_ if override is None else float(override)
     s_ens = grouped_scores_batch(images, state.label_space, state.ens_space, cfg.score)
     s_vsnl = grouped_scores_batch(
         images, state.label_space, state.vsnl_space, cfg.score

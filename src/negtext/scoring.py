@@ -22,7 +22,7 @@ from .errors import ConfigError, DimError, InputError
 class ScoreConfig:
     temperature: float = 0.01
     group_size: int = 100
-    lambda_override: float | None = None
+    lambda_override: float | None = None  # None: the adaptive weight
 
     def __post_init__(self):
         if self.temperature <= 0:

@@ -95,8 +95,8 @@ def _contains_word(sentence: str, label: str) -> bool:
 def _sentence_ok(
     sentence: str,
     exclude_label: str,
-    len_min: int = SENTENCE_MIN_WORDS,
-    len_max: int = SENTENCE_MAX_WORDS,
+    len_min: int,
+    len_max: int,
 ) -> tuple[bool, bool]:
     """Returns (length in window, excluded label absent)."""
     n_words = len(sentence.split())
@@ -110,8 +110,8 @@ def _request_sentence(
     client: GenerationClient,
     image_id: str,
     exclude_label: str,
-    len_min: int = SENTENCE_MIN_WORDS,
-    len_max: int = SENTENCE_MAX_WORDS,
+    len_min: int,
+    len_max: int,
 ) -> str | None:
     """One validated sentence, or None when the excluded label sticks."""
     sentence = ""

@@ -162,11 +162,10 @@ def test_metric_oracle_equivalence():
     _passed("metric-oracle equivalence: 1000 instances within 1e-12 abs")
 
 
-def _scenario_stream(mode, lambda_override, seed=42):
+def _scenario_stream(lambda_override, seed=42):
     world = SyntheticWorld(scenario_world_config("mixed", seed=seed))
     batches = world.make_batches(3, 150, 150)
     base = scenario_pipeline_config().to_dict()
-    base["mode"] = mode
     base["score"]["lambda_override"] = lambda_override
     cfg = PipelineConfig.from_dict(base)
     records, _ = run_stream(
@@ -178,9 +177,9 @@ def _scenario_stream(mode, lambda_override, seed=42):
 
 def test_endpoint_identities():
     """Fixed weight 1 (resp. 0) reproduces the sentence (resp. label) score bitwise."""
-    ens_records = _scenario_stream("fixed-lambda", 1.0)
+    ens_records = _scenario_stream(1.0)
     assert ens_records and all(r.s_ada == r.s_ens for r in ens_records)
-    vsnl_records = _scenario_stream("fixed-lambda", 0.0)
+    vsnl_records = _scenario_stream(0.0)
     assert vsnl_records and all(r.s_ada == r.s_vsnl for r in vsnl_records)
     _passed("endpoint identities: fixed weight 0/1 bitwise across a full stream")
 

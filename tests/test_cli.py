@@ -12,6 +12,8 @@ import pytest
 from negtext.cli import main
 from negtext.embeddings import load_embeddings
 from negtext.metrics import load_records_csv
+from negtext.pipeline import load_checkpoint
+from negtext.scoring import fused_score
 
 
 def run_cli(*argv):
@@ -74,21 +76,60 @@ class TestRun:
         for name in ("records.csv", "report.json", "histogram.csv", "checkpoint.nckp"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_malformed_manifest_fails_with_one_line(self, tmp_path, capsys):
+    def test_malformed_manifest_fails_with_one_line(self, world_dir, tmp_path, capsys):
         bad = tmp_path / "manifest.json"
         bad.write_text('{"client": {"mode": ')
-        assert run_cli("run", bad, "--out", tmp_path / "o") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        manifest = json.loads((world_dir / "manifest.json").read_text())
+        replay = {**manifest, "client": {"mode": "replay", "fixtures": "."}}
+        (world_dir / "labels_no_features.json").write_text('{"labels": ["a"]}')
+        (world_dir / "broken.json").write_text('{"labels": [')
+        variants = {
+            "seed": {**manifest, "seed": "abc"},
+            "n_batches": {
+                **manifest, "client": {**manifest["client"], "n_batches": "x"}
+            },
+            "no_features": {**replay, "labels": "labels_no_features.json"},
+            "broken_labels": {**replay, "labels": "broken.json"},
+            "broken_words": {
+                **replay, "corpus": {**manifest["corpus"], "words": "broken.json"}
+            },
+            "words_not_list": {
+                **replay,
+                "corpus": {**manifest["corpus"], "words": "labels_no_features.json"},
+            },
+        }
+        cases = [("run", bad, "--out", tmp_path / "o")]
+        for name, spec in variants.items():
+            path = world_dir / f"manifest_bad_{name}.json"
+            path.write_text(json.dumps(spec))
+            cases.append(("run", path, "--out", tmp_path / "o"))
+        cases.append((
+            "sweep", "lambda", world_dir / "manifest.json",
+            "--values", "a,b", "-o", tmp_path / "s.csv",
+        ))
+        for argv in cases:
+            assert run_cli(*argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
     def test_unknown_config_key_fails_with_one_line(self, world_dir, tmp_path, capsys):
-        code = run_cli(
-            "run", world_dir / "manifest.json", "--out", tmp_path / "o",
-            "--set", "mining.bogus=1",
+        # a config written while a `mode` field existed
+        config = json.loads((world_dir / "config.json").read_text())
+        (world_dir / "config_with_mode.json").write_text(
+            json.dumps({**config, "mode": "adaptive"})
         )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        manifest = json.loads((world_dir / "manifest.json").read_text())
+        with_mode = world_dir / "manifest_with_mode.json"
+        with_mode.write_text(json.dumps({**manifest, "config": "config_with_mode.json"}))
+        for argv in (
+            ("run", world_dir / "manifest.json", "--out", tmp_path / "o",
+             "--set", "mining.bogus=1"),
+            ("run", with_mode, "--out", tmp_path / "o"),
+        ):
+            code = run_cli(*argv)
+            assert code == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
     def test_run_without_truth_leaves_tags_empty(self, world_dir, tmp_path):
         fixtures = tmp_path / "fx"
@@ -112,11 +153,25 @@ class TestRun:
         out = tmp_path / "run"
         code = run_cli(
             "run", world_dir / "manifest.json", "--out", out,
-            "--set", "mode=vsnl-only",
+            "--set", "score.lambda_override=0",
         )
         assert code == 0
         records, _ = load_records_csv(out / "records.csv")
         assert all(r.s_ada == r.s_vsnl for r in records)
+
+    def test_lambda_override_alone_fixes_the_weight(self, world_dir, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(
+            "run", world_dir / "manifest.json", "--out", out,
+            "--set", "score.lambda_override=0.3",
+        ) == 0
+        records, _ = load_records_csv(out / "records.csv")
+        # records.csv holds 9 significant digits
+        assert records and all(
+            r.s_ada == pytest.approx(fused_score(r.s_ens, r.s_vsnl, 0.3), abs=1e-8)
+            for r in records
+        )
+        assert load_checkpoint(out / "checkpoint.nckp").lambda_history == [0.3, 0.3]
 
 
 class TestFixtures:
@@ -250,11 +305,11 @@ class TestSweep:
         rows = list(csv.DictReader(sweep_csv.open()))
         assert len(rows) == 3
 
-        for mode, row in (("vsnl-only", rows[0]), ("ens-only", rows[2])):
-            out = tmp_path / f"mode_{mode}"
+        for value, row in (("0", rows[0]), ("1", rows[2])):
+            out = tmp_path / f"lambda_{value}"
             assert run_cli(
                 "run", world_dir / "manifest.json", "--out", out,
-                "--set", f"mode={mode}",
+                "--set", f"score.lambda_override={value}",
             ) == 0
             report = json.loads((out / "report.json").read_text())
             assert float(row["auroc"]) == pytest.approx(report["auroc"], abs=1e-9)
@@ -287,6 +342,28 @@ class TestIngest:
         src = tmp_path / "v.npy"
         np.save(src, np.eye(3))
         assert run_cli("ingest", src, "-o", tmp_path / "v.nspc") == 1
+
+    @pytest.mark.parametrize(
+        "name, content, named",
+        [
+            ("header.csv", b"id,a,b\nv0,1,2\n", "line 1"),
+            ("ragged.csv", b"v0,1,2\nv1,1,2,3\n", "line 2"),
+            ("pickled.npy", None, ""),
+        ],
+        ids=["header", "ragged", "pickled"],
+    )
+    def test_bad_input_fails_with_one_line(self, tmp_path, capsys, name, content, named):
+        src = tmp_path / name
+        if content is None:
+            np.save(src, np.array([{"v": 1}, None], dtype=object), allow_pickle=True)
+        else:
+            src.write_bytes(content)
+        ids = tmp_path / "ids.txt"
+        ids.write_text("v0\nv1\n")
+        assert run_cli("ingest", src, "--ids", ids, "-o", tmp_path / "v.nspc") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(src) in err[0] and named in err[0]
 
     def test_unsupported_format_fails(self, tmp_path):
         src = tmp_path / "v.parquet"

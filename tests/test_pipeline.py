@@ -1,4 +1,4 @@
-"""Streaming loop: modes, regeneration gating, checkpoints, causality."""
+"""Streaming loop: fusion weight, regeneration gating, checkpoints, causality."""
 import json
 import struct
 
@@ -15,7 +15,7 @@ from negtext.pipeline import (
     run_stream,
     save_checkpoint,
 )
-from negtext.scoring import ScoreConfig, grouped_scores_batch
+from negtext.scoring import ScoreConfig, fused_score, grouped_scores_batch
 from negtext.synthetic import (
     SyntheticWorld,
     scenario_pipeline_config,
@@ -41,9 +41,9 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(regen_every=0)
         with pytest.raises(ConfigError):
-            PipelineConfig(mode="bogus")
+            PipelineConfig.from_dict({"mode": "adaptive"})  # no such field
         with pytest.raises(ConfigError):
-            PipelineConfig(mode="fixed-lambda")  # needs an override
+            PipelineConfig.from_dict({"score": {"lambda_override": 1.5}})
         with pytest.raises(ConfigError):
             PipelineConfig(sentence_len_min=0)
         with pytest.raises(ConfigError):
@@ -51,10 +51,9 @@ class TestPipelineConfig:
 
     def test_dict_roundtrip_and_digest(self):
         cfg = PipelineConfig(
-            score=ScoreConfig(temperature=0.05, group_size=10),
+            score=ScoreConfig(temperature=0.05, group_size=10, lambda_override=1.0),
             mining=MiningConfig(class_ratio=0.2),
             num_negatives=50,
-            mode="ens-only",
         )
         again = PipelineConfig.from_dict(cfg.to_dict())
         assert again == cfg
@@ -76,10 +75,9 @@ class TestInitStream:
 
 
 class TestModes:
-    def _records_for(self, mode, lambda_override=None, seed=42):
+    def _records_for(self, lambda_override=None, seed=42):
         world, batches = small_setup(seed=seed)
         cfg = small_config(
-            mode=mode,
             score={
                 **scenario_pipeline_config().score.__dict__,
                 "lambda_override": lambda_override,
@@ -92,22 +90,19 @@ class TestModes:
         return records, state
 
     def test_fixed_lambda_one_is_ens_bitwise(self):
-        records, _ = self._records_for("fixed-lambda", lambda_override=1.0)
+        records, _ = self._records_for(lambda_override=1.0)
         assert all(r.s_ada == r.s_ens for r in records)
 
     def test_fixed_lambda_zero_is_vsnl_bitwise(self):
-        records, _ = self._records_for("fixed-lambda", lambda_override=0.0)
+        records, _ = self._records_for(lambda_override=0.0)
         assert all(r.s_ada == r.s_vsnl for r in records)
 
-    def test_ens_only_matches_lambda_one(self):
-        ens_records, _ = self._records_for("ens-only")
-        fixed_records, _ = self._records_for("fixed-lambda", lambda_override=1.0)
-        assert ens_records == fixed_records
-
-    def test_vsnl_only_matches_lambda_zero(self):
-        vsnl_records, _ = self._records_for("vsnl-only")
-        fixed_records, _ = self._records_for("fixed-lambda", lambda_override=0.0)
-        assert vsnl_records == fixed_records
+    def test_lambda_override_alone_fixes_the_weight(self):
+        records, state = self._records_for(lambda_override=0.3)
+        assert records and all(
+            r.s_ada == fused_score(r.s_ens, r.s_vsnl, 0.3) for r in records
+        )
+        assert state.lambda_history == [0.3, 0.3]
 
     def test_adaptive_lambda_leaves_half_after_regeneration(self):
         world, batches = small_setup(per_side=150, n_batches=3)
