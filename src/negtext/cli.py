@@ -69,12 +69,18 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DEGRADED = 2
 
+def _whole_number(value: float) -> int:
+    if not value.is_integer():
+        raise InputError(f"sentence length must be a whole number, got {value:g}")
+    return int(value)
+
+
 # sweep axis -> the config overrides that set it to a value
 SWEEP_AXES = {
     "delta": lambda v: {"mining.class_ratio": v},
     "lambda": lambda v: {"score.lambda_override": v},
     "eta": lambda v: {"mining.selection_ratio": v},
-    "length": lambda v: {"sentence_len_max": int(v)},
+    "length": lambda v: {"sentence_len_max": _whole_number(v)},
 }
 
 ENV_ENDPOINT = "NEGTEXT_ENDPOINT"
@@ -357,6 +363,11 @@ def cmd_sweep(args) -> int:
         raise InputError("sweep needs at least two values")
     manifest = Manifest.load(args.manifest)
     base_overrides = _parse_set_flags(args.set)
+    # every value is checked before the CSV is opened
+    configs = [
+        manifest.pipeline_config({**base_overrides, **SWEEP_AXES[args.axis](value)})
+        for value in values
+    ]
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     degraded = False
@@ -364,10 +375,7 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow([args.axis, "auroc", "fpr95", "n_id", "n_ood"])
         fh.flush()
-        for value in values:
-            overrides = dict(base_overrides)
-            overrides.update(SWEEP_AXES[args.axis](value))
-            config = manifest.pipeline_config(overrides)
+        for value, config in zip(values, configs):
             inputs = _assemble_inputs(manifest)
             if not inputs.truth:
                 raise InputError("sweep requires ground truth")

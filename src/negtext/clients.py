@@ -17,16 +17,28 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 import numpy as np
-import requests
 
 from .errors import GenerationError
+
+if TYPE_CHECKING:  # imported where an HTTP client is built or posts
+    import requests
 
 
 @runtime_checkable
 class GenerationClient(Protocol):
+    """What the pipeline asks of a generation backend.
+
+    `describe_image` may be called from several threads at once (one ENS
+    build keeps `spaces.DESCRIBE_WORKERS` requests in flight); the other
+    two methods are called from one thread. The clients here allow it: the
+    HTTP ones share a `requests.Session`, whose pool of 10 connections
+    exceeds the workers, and `RecordingClient` writes one file per
+    distinct request.
+    """
+
     def describe_image(self, image_ref: str, exclude_label: str) -> str: ...
 
     def similar_labels(self, class_name: str, count: int) -> list[str]: ...
@@ -45,6 +57,8 @@ def _post_json(client, url: str, payload: dict, image_id: str | None = None) -> 
     Connection errors, timeouts, 408, 429 and 5xx are retried with
     exponential backoff; any other failure raises at once.
     """
+    import requests
+
     last = None
     for attempt in range(client.retries):
         try:
@@ -66,6 +80,13 @@ def _post_json(client, url: str, payload: dict, image_id: str | None = None) -> 
     )
 
 
+def _new_session() -> "requests.Session":
+    # importing `requests` adds ~8 MB and ~0.1 s; only HTTP clients need it
+    import requests
+
+    return requests.Session()
+
+
 class HttpGenerationClient:
     """Task-based JSON client with bounded retries and exponential backoff."""
 
@@ -82,7 +103,7 @@ class HttpGenerationClient:
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
-        self._session = session or requests.Session()
+        self._session = session or _new_session()
         self._headers = {"Content-Type": "application/json"}
         if auth_token:
             self._headers["Authorization"] = f"Bearer {auth_token}"
@@ -137,7 +158,7 @@ class ChatCompletionShim:
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
-        self._session = session or requests.Session()
+        self._session = session or _new_session()
         self._headers = {"Content-Type": "application/json"}
         if auth_token:
             self._headers["Authorization"] = f"Bearer {auth_token}"

@@ -23,13 +23,24 @@ FORMAT_VERSION = 1
 # makes normalization idempotent at float32 resolution (bitwise-stable
 # round trips through the file format).
 _NORM_SKIP_TOL = 1e-6
+# rows whose norm falls outside this range may have lost it to underflow or
+# overflow of the squared entries
+_NORM_SAFE_MIN = 2.0**-500
+_NORM_SAFE_MAX = 2.0**500
 
 
 def _normalize_rows(data: np.ndarray) -> np.ndarray:
     out = np.array(data, dtype=np.float64, copy=True)
-    norms = np.linalg.norm(out, axis=1)
-    if np.any(norms == 0.0):
-        raise DataError("zero-norm row cannot be normalized")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(out, axis=1)
+    extreme = ~(norms >= _NORM_SAFE_MIN) | (norms > _NORM_SAFE_MAX)
+    if np.any(extreme):
+        # divide by the largest entry first; other rows keep their bytes
+        peaks = np.max(np.abs(out[extreme]), axis=1, initial=0.0)
+        if np.any(peaks == 0.0):
+            raise DataError("zero-norm row cannot be normalized")
+        out[extreme] /= peaks[:, None]
+        norms[extreme] = np.linalg.norm(out[extreme], axis=1)
     needs = np.abs(norms - 1.0) > _NORM_SKIP_TOL
     if np.any(needs):
         out[needs] /= norms[needs, None]

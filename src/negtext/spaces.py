@@ -9,6 +9,9 @@ through the generation-client boundary.
 from __future__ import annotations
 
 import re
+import threading
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,8 @@ from .mining import MinedNegatives, SimilarClassSubset
 SENTENCE_MIN_WORDS = 3
 SENTENCE_MAX_WORDS = 15
 MAX_ATTEMPTS_PER_REQUEST = 3
+# describe requests in flight at once during one ENS build
+DESCRIBE_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -88,13 +93,14 @@ def embed_space(
     return EmbeddingMatrix.from_rows(ids, vectors)
 
 
-def _contains_word(sentence: str, label: str) -> bool:
-    return re.search(rf"\b{re.escape(label)}\b", sentence, re.IGNORECASE) is not None
+def _word_pattern(label: str) -> re.Pattern:
+    """Matches `label` as a whole word, ignoring case."""
+    return re.compile(rf"\b{re.escape(label)}\b", re.IGNORECASE)
 
 
 def _sentence_ok(
     sentence: str,
-    exclude_label: str,
+    excluded: re.Pattern,
     len_min: int,
     len_max: int,
 ) -> tuple[bool, bool]:
@@ -102,32 +108,88 @@ def _sentence_ok(
     n_words = len(sentence.split())
     return (
         len_min <= n_words <= len_max,
-        not _contains_word(sentence, exclude_label),
+        excluded.search(sentence) is None,
     )
 
 
 def _request_sentence(
-    client: GenerationClient,
+    describe: Callable[[str, str], str],
     image_id: str,
     exclude_label: str,
+    excluded: re.Pattern,
     len_min: int,
     len_max: int,
 ) -> str | None:
     """One validated sentence, or None when the excluded label sticks."""
     sentence = ""
     for _ in range(MAX_ATTEMPTS_PER_REQUEST):
-        sentence = client.describe_image(image_id, exclude_label)
-        len_ok, label_ok = _sentence_ok(sentence, exclude_label, len_min, len_max)
+        sentence = describe(image_id, exclude_label)
+        len_ok, label_ok = _sentence_ok(sentence, excluded, len_min, len_max)
         if len_ok and label_ok:
             return sentence
     # length violations are recoverable by truncation; a lingering excluded
     # label is not
-    if not _sentence_ok(sentence, exclude_label, len_min, len_max)[1]:
+    if not _sentence_ok(sentence, excluded, len_min, len_max)[1]:
         return None
     words = sentence.split()
     if len(words) > len_max:
         return " ".join(words[:len_max])
     return sentence if len(words) >= len_min else None
+
+
+class _Stopped(Exception):
+    """Another request of the wave failed; start no further request."""
+
+
+def _describe_wave(
+    pool: ThreadPoolExecutor,
+    client: GenerationClient,
+    wave: list[str],
+    predicted_labels: dict[str, str],
+    patterns: dict[str, re.Pattern],
+    len_min: int,
+    len_max: int,
+) -> list[str | None]:
+    """`_request_sentence` for each image of `wave`, results in wave order.
+
+    The wave is cut into `DESCRIBE_WORKERS` contiguous chunks, one task
+    each, and a task requests its chunk one image after another, retries
+    included; so the requests are those of a one-at-a-time loop, and only
+    their waits overlap. After the first failure no task starts
+    another request, and once every task has stopped the failure of the
+    earliest chunk is raised.
+    """
+    failed = threading.Event()
+
+    def describe(image_id: str, exclude_label: str) -> str:
+        if failed.is_set():
+            raise _Stopped
+        return client.describe_image(image_id, exclude_label)
+
+    def run(chunk: list[str]) -> list[str | None]:
+        out: list[str | None] = []
+        try:
+            for image_id in chunk:
+                label = predicted_labels[image_id]
+                out.append(
+                    _request_sentence(
+                        describe, image_id, label, patterns[label], len_min, len_max
+                    )
+                )
+        except _Stopped:
+            pass
+        except BaseException:
+            failed.set()
+            raise
+        return out
+
+    n = len(wave)
+    bounds = [n * k // DESCRIBE_WORKERS for k in range(DESCRIBE_WORKERS + 1)]
+    futures = [
+        pool.submit(run, wave[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
+    ]
+    wait(futures)
+    return [sentence for future in futures for sentence in future.result()]
 
 
 def generate_ens(
@@ -146,34 +208,42 @@ def generate_ens(
 
     One sentence is requested per negative image; when that yields at
     least M sentences, a seeded uniform subsample of M is kept, otherwise
-    prompting repeats round-robin over the negatives until M exist.
+    prompting repeats round-robin over the negatives until M exist. A
+    round-robin pass sends waves of the next `M - len(sentences)` images,
+    exactly the ones a request-by-request pass would reach, so the
+    requests and the sentence order do not depend on `DESCRIBE_WORKERS`.
     """
     if negatives.empty:
         raise InputError("no mined negative images")
     sources = list(negatives.image_ids)
+    patterns = {
+        label: _word_pattern(label)
+        for label in {predicted_labels[image_id] for image_id in sources}
+    }
     sentences: list[str] = []
+    with ThreadPoolExecutor(DESCRIBE_WORKERS) as pool:
 
-    def one_pass(need_all: bool) -> int:
-        produced = 0
-        for image_id in sources:
-            if not need_all and len(sentences) >= m:
-                break
-            sentence = _request_sentence(
-                client, image_id, predicted_labels[image_id], len_min, len_max
+        def request(wave: list[str]) -> int:
+            """Appends the wave's admissible sentences; returns how many."""
+            found = _describe_wave(
+                pool, client, wave, predicted_labels, patterns, len_min, len_max
             )
-            if sentence is not None:
-                sentences.append(sentence)
-                produced += 1
-        return produced
+            found = [s for s in found if s is not None]
+            sentences.extend(found)
+            return len(found)
 
-    one_pass(need_all=True)
-    if len(sentences) >= m:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, 0xE25]))
-        pick = np.sort(rng.choice(len(sentences), size=m, replace=False))
-        sentences = [sentences[i] for i in pick]
-    else:
-        while len(sentences) < m:
-            if one_pass(need_all=False) == 0:
+        request(sources)
+        if len(sentences) >= m:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, 0xE25]))
+            pick = np.sort(rng.choice(len(sentences), size=m, replace=False))
+            sentences = [sentences[i] for i in pick]
+        while len(sentences) < m:  # round-robin
+            produced = start = 0
+            while start < len(sources) and len(sentences) < m:
+                wave = sources[start : start + m - len(sentences)]
+                produced += request(wave)
+                start += len(wave)
+            if produced == 0:
                 raise GenerationError(
                     "no negative image yields an admissible sentence",
                     image_id=sources[0],

@@ -131,6 +131,17 @@ class TestRun:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
+    def test_bool_lambda_override_fails_with_one_line(self, world_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli(
+            "run", world_dir / "manifest.json", "--out", out,
+            "--set", "score.lambda_override=true",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_run_without_truth_leaves_tags_empty(self, world_dir, tmp_path):
         fixtures = tmp_path / "fx"
         assert run_cli(
@@ -315,6 +326,18 @@ class TestSweep:
             assert float(row["auroc"]) == pytest.approx(report["auroc"], abs=1e-9)
             assert float(row["fpr95"]) == pytest.approx(report["fpr95"], abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "axis,values",
+        [("length", "2.5,4"), ("length", "4,5.5"), ("lambda", "0.5,1.5")],
+    )
+    def test_bad_value_fails_before_writing(self, world_dir, tmp_path, capsys, axis, values):
+        out = tmp_path / "s.csv"
+        code = run_cli("sweep", axis, world_dir / "manifest.json", "--values", values, "-o", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_single_value_is_usage_error(self, world_dir, tmp_path):
         assert run_cli(
             "sweep", "delta", world_dir / "manifest.json",
@@ -371,15 +394,25 @@ class TestIngest:
         assert run_cli("ingest", src, "-o", tmp_path / "v.nspc") == 1
 
 
-def test_cli_import_does_not_load_scipy():
+def _module_loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh `import negtext.cli` puts `module` in `sys.modules`."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    probe = "import sys, negtext.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, negtext.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_scipy():
+    assert not _module_loaded_by_cli_import("scipy")
+
+
+def test_cli_import_does_not_load_requests():
+    # only the HTTP clients need it, and it costs ~8 MB of RSS
+    assert not _module_loaded_by_cli_import("requests")

@@ -5,7 +5,7 @@ import struct
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -33,8 +33,13 @@ finite_rows = arrays(
 
 class TestEmbeddingMatrix:
     @given(data=finite_rows)
+    # entries whose squares underflow (a row of norm 0.9994, a row taken for
+    # zero) or overflow (a row of zeros) in a plain norm
+    @example(data=np.array([[3.34e-161, 3.34e-161]]))
+    @example(data=np.array([[1e-170, 0.0, 5e-171]]))
+    @example(data=np.array([[1e200, 1e200]]))
     def test_rows_are_unit_norm_after_ingestion(self, data):
-        if np.any(np.linalg.norm(data, axis=1) == 0.0):
+        if np.any(np.all(data == 0.0, axis=1)):
             with pytest.raises(DataError):
                 EmbeddingMatrix.from_rows(
                     [f"r{i}" for i in range(data.shape[0])], data
@@ -53,6 +58,17 @@ class TestEmbeddingMatrix:
         once = EmbeddingMatrix.from_rows(["a", "b"], rng.standard_normal((2, 5)))
         twice = EmbeddingMatrix.from_rows(once.ids, once.data)
         assert np.array_equal(once.data, twice.data)
+
+    def test_extreme_rows_leave_other_rows_bytes(self):
+        rng = np.random.default_rng(4)
+        ordinary = rng.standard_normal((2, 5))
+        alone = EmbeddingMatrix.from_rows(["a", "b"], ordinary)
+        mixed = EmbeddingMatrix.from_rows(
+            ["a", "tiny", "huge", "b"],
+            np.vstack([ordinary[0], np.full(5, 1e-170), np.full(5, 1e200), ordinary[1]]),
+        )
+        assert mixed.data[[0, 3]].tobytes() == alone.data.tobytes()
+        assert np.allclose(mixed.data[1:3], np.sqrt(0.2), rtol=0, atol=1e-15)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError):

@@ -9,7 +9,7 @@ from negtext.errors import GenerationError, InputError
 from negtext.mining import MinedNegatives, SimilarClassSubset
 from negtext.spaces import (
     CorpusCandidates,
-    _contains_word,
+    _word_pattern,
     embed_space,
     generate_ens,
     generate_vsnl,
@@ -100,10 +100,12 @@ class TestEmbedSpace:
 
 class TestContainsWord:
     def test_whole_word_matching(self):
-        assert _contains_word("a red fox runs", "fox")
-        assert _contains_word("A RED FOX", "fox")
-        assert not _contains_word("a foxhound runs", "fox")
-        assert _contains_word("the fox.", "fox")
+        fox = _word_pattern("fox")
+        assert fox.search("a red fox runs")
+        assert fox.search("A RED FOX")
+        assert not fox.search("a foxhound runs")
+        assert fox.search("the fox.")
+        assert _word_pattern("a.b").search("axb") is None  # escaped
 
 
 def mined(ids):
@@ -144,8 +146,18 @@ class TestGenerateEns:
         ids = make_label_space(n=2, dim=4, seed=6)
         space = generate_ens(mined(["i0", "i1"]), labels, ids, client, 5, 5, seed=0)
         assert len(space.texts) == 5
-        assert [c[0] for c in client.describe_calls] == ["i0", "i1", "i0", "i1", "i0"]
-        assert space.texts.count("first thing seen") == 3
+        # requests of one pass overlap, so only each pass's content is fixed:
+        # both images, both again, then the one sentence still missing
+        calls = [c[0] for c in client.describe_calls]
+        assert [sorted(calls[:2]), sorted(calls[2:4]), calls[4:]] == [
+            ["i0", "i1"], ["i0", "i1"], ["i0"]
+        ]
+        # the sentences keep request order
+        assert space.texts == (
+            "first thing seen", "second thing seen",
+            "first thing seen", "second thing seen",
+            "first thing seen",
+        )
 
     def test_oversupply_subsample_is_seeded(self):
         descriptions = {
