@@ -163,14 +163,18 @@ class Manifest:
 
     def pipeline_config(self, overrides=None) -> PipelineConfig:
         config = self.spec.get("config")
-        if isinstance(config, str):
+        source = "manifest 'config'"
+        if config is None:
+            synthetic = self.client_spec["mode"] == "synthetic"
+            spec = scenario_pipeline_config().to_dict() if synthetic else {}
+        elif isinstance(config, str):
+            source = f"config file {self._resolve(config)}"
             spec = _read_json(self._resolve(config), "config")
-        elif isinstance(config, dict):
-            spec = dict(config)
-        elif self.client_spec["mode"] == "synthetic":
-            spec = scenario_pipeline_config().to_dict()
         else:
-            spec = {}
+            spec = config
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{source} must be a JSON object, got {spec!r}")
+        spec = dict(spec)
         for key, value in (overrides or {}).items():
             _apply_override(spec, key, value)
         return PipelineConfig.from_dict(spec)

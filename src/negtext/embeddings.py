@@ -101,17 +101,15 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(min(1.0, max(-1.0, float(np.dot(a, b)))))
 
 
-def encode_nspc(matrix: EmbeddingMatrix) -> bytes:
-    """The binary container: magic, version, row/dim counts, float32 LE rows."""
-    header = MAGIC + struct.pack("<IQI", FORMAT_VERSION, matrix.rows, matrix.dim)
-    return header + np.ascontiguousarray(matrix.data, dtype="<f4").tobytes()
+def encode_nspc(data: np.ndarray) -> bytes:
+    """Container of a 2-D array: magic, version, row/dim counts, float32 LE rows."""
+    data = np.ascontiguousarray(data, dtype="<f4")
+    header = MAGIC + struct.pack("<IQI", FORMAT_VERSION, *data.shape)
+    return header + data.tobytes()
 
 
-def decode_nspc(raw: bytes, ids, source) -> EmbeddingMatrix:
-    """Parse a container whose rows carry `ids`; `source` names it in errors.
-
-    Rows are renormalized to unit norm.
-    """
+def decode_nspc(raw: bytes, source) -> np.ndarray:
+    """The float64 (rows, dim) array of a container; `source` names it in errors."""
     if len(raw) < 20:
         raise FormatError(f"{source}: truncated header")
     if raw[:4] != MAGIC:
@@ -128,15 +126,20 @@ def decode_nspc(raw: bytes, ids, source) -> EmbeddingMatrix:
     data = data.reshape(rows, dim)
     if not np.all(np.isfinite(data)):
         raise DataError(f"{source}: non-finite entries")
-    if not isinstance(ids, list) or len(ids) != rows:
-        raise DataError(f"{source}: expected a list of {rows} ids")
+    return data
+
+
+def with_ids(ids, data: np.ndarray, source) -> EmbeddingMatrix:
+    """Decoded rows carrying `ids`, renormalized to unit norm."""
+    if not isinstance(ids, list) or len(ids) != data.shape[0]:
+        raise DataError(f"{source}: expected a list of {data.shape[0]} ids")
     return EmbeddingMatrix(ids=tuple(ids), data=_normalize_rows(data))
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
     """Write the binary container plus the `<file>.ids.json` sidecar."""
     path = Path(path)
-    path.write_bytes(encode_nspc(matrix))
+    path.write_bytes(encode_nspc(matrix.data))
     sidecar = path.with_name(path.name + ".ids.json")
     sidecar.write_text(json.dumps(list(matrix.ids)), encoding="utf-8")
 
@@ -152,7 +155,7 @@ def load_embeddings(path) -> EmbeddingMatrix:
         ids = json.loads(sidecar.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise FormatError(f"{sidecar}: not a JSON id list ({exc})") from exc
-    return decode_nspc(raw, ids, path)
+    return with_ids(ids, decode_nspc(raw, path), path)
 
 
 def _canon_label(label: str) -> str:

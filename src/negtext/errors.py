@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the config type check."""
+import dataclasses
+import numbers
 
 
 class NegtextError(Exception):
@@ -31,3 +33,23 @@ class GenerationError(NegtextError):
     def __init__(self, message: str, image_id: str | None = None):
         super().__init__(message)
         self.image_id = image_id
+
+
+_FIELD_TYPES = {"bool": bool, "int": numbers.Integral, "float": numbers.Real}
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigError where a dataclass field's value does not fit its
+    annotation: an `int` takes no bool or float, a `float` takes an int but
+    no bool, a `bool` takes only a bool, and `X | None` also takes None.
+    Annotations are read as strings, as `from __future__ import annotations`
+    leaves them."""
+    for f in dataclasses.fields(config):
+        name, _, rest = f.type.partition(" | ")
+        value = getattr(config, f.name)
+        if name not in _FIELD_TYPES or (value is None and rest == "None"):
+            continue
+        if not isinstance(value, _FIELD_TYPES[name]) or (
+            isinstance(value, bool) != (name == "bool")
+        ):
+            raise ConfigError(f"{f.name} must be of type {name}, got {value!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import LabelSpace, TestBatch
-from .errors import ConfigError, DimError, InputError
+from .errors import ConfigError, DimError, InputError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,7 @@ class MiningConfig:
     cache_capacity: int = 20000
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.initial_threshold < 1.0:
             raise ConfigError("initial threshold must lie in (0, 1)")
         if not 0.0 < self.selection_ratio < 1.0:

@@ -16,19 +16,19 @@ import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-import numpy as np
-
 from .clients import GenerationClient
 from .embeddings import (
-    EmbeddingMatrix,
     LabelSpace,
     NegativeSpace,
     SpaceKind,
     TestBatch,
     decode_nspc,
     encode_nspc,
+    with_ids,
 )
-from .errors import ConfigError, DataError, FormatError, GenerationError, InputError
+from .errors import (
+    ConfigError, DataError, FormatError, GenerationError, InputError, check_field_types
+)
 from .mining import (
     HistoryCache,
     MiningConfig,
@@ -53,7 +53,9 @@ from .spaces import (
 )
 
 CHECKPOINT_MAGIC = b"NCKP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# the matrices after the checkpoint header, in file order
+CHECKPOINT_MATRICES = ("labels", "cache", "nl", "ens", "vsnl")
 
 
 @dataclass(frozen=True)
@@ -61,21 +63,17 @@ class PipelineConfig:
     score: ScoreConfig = field(default_factory=ScoreConfig)
     mining: MiningConfig = field(default_factory=MiningConfig)
     num_negatives: int = 10000
-    regen_every: int = 1
-    include_current_batch: bool = True
     adapt: bool = True  # False freezes both spaces at initialization
-    sentence_len_min: int = SENTENCE_MIN_WORDS
     sentence_len_max: int = SENTENCE_MAX_WORDS
 
     def __post_init__(self):
+        check_field_types(self)
         if self.num_negatives < self.score.group_size:
             raise ConfigError(
                 "negative count must be at least one scoring group"
             )
-        if self.regen_every < 1:
-            raise ConfigError("regeneration interval must be >= 1")
-        if not 1 <= self.sentence_len_min <= self.sentence_len_max:
-            raise ConfigError("sentence length window must satisfy 1 <= min <= max")
+        if self.sentence_len_max < SENTENCE_MIN_WORDS:
+            raise ConfigError(f"sentence length cap must be >= {SENTENCE_MIN_WORDS}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -133,16 +131,6 @@ def init_stream(
     )
 
 
-def _cache_batch(
-    state: StreamState, batch: TestBatch, s_nl: np.ndarray, predictions: np.ndarray
-) -> None:
-    """Add the batch to the cache with its NL scores and predicted classes."""
-    slots = state.cache.append_batch(batch)
-    kept = slots >= 0
-    state.cache.nl_scores[slots[kept]] = s_nl[kept]
-    state.cache.predictions[slots[kept]] = predictions[kept]
-
-
 def _regenerate(state: StreamState, client: GenerationClient) -> None:
     cfg = state.config
     n = len(state.cache)
@@ -165,7 +153,6 @@ def _regenerate(state: StreamState, client: GenerationClient) -> None:
         cfg.score.group_size,
         seed=state.rng_seed,
         epoch=state.epoch + 1,
-        len_min=cfg.sentence_len_min,
         len_max=cfg.sentence_len_max,
     )
     subset = mine_similar_classes(predictions, state.label_space, cfg.mining)
@@ -204,15 +191,15 @@ def process_batch(
     images = batch.images.data
     s_nl = grouped_scores_batch(images, state.label_space, state.nl_space, cfg.score)
     predictions = classify_batch(images, state.label_space)
-    if cfg.include_current_batch:
-        _cache_batch(state, batch, s_nl, predictions)
-    if cfg.adapt and len(state.cache) > 0 and state.epoch % cfg.regen_every == 0:
+    slots = state.cache.append_batch(batch)
+    kept = slots >= 0
+    state.cache.nl_scores[slots[kept]] = s_nl[kept]
+    state.cache.predictions[slots[kept]] = predictions[kept]
+    if cfg.adapt and len(state.cache) > 0:
         try:
             _regenerate(state, client)
         except (GenerationError, DataError):  # e.g. a non-finite embedding
             state.degraded = True
-    if not cfg.include_current_batch:
-        _cache_batch(state, batch, s_nl, predictions)
 
     override = cfg.score.lambda_override
     lam = state.lambda_ if override is None else float(override)
@@ -265,15 +252,13 @@ def _space_meta(space: NegativeSpace) -> dict:
 
 
 def save_checkpoint(state: StreamState, path) -> None:
-    """Single-file checkpoint: JSON header + embedded binary matrices."""
-    spaces = {
-        "nl": state.nl_space,
-        "ens": state.ens_space,
-        "vsnl": state.vsnl_space,
-    }
-    meta = {name: _space_meta(space) for name, space in spaces.items()}
-    blobs = [encode_nspc(space.features) for space in spaces.values()]
-    cache_matrix = state.cache.matrix().astype("<f4")
+    """Single-file checkpoint: JSON header, then one NSPC container per
+    matrix (labels, cache, nl, ens, vsnl)."""
+    spaces = {"nl": state.nl_space, "ens": state.ens_space, "vsnl": state.vsnl_space}
+    matrices = [state.label_space.features.data, state.cache.matrix()] + [
+        space.features.data for space in spaces.values()
+    ]
+    payloads = [encode_nspc(m) for m in matrices]
     header = {
         "epoch": state.epoch,
         "lambda": state.lambda_,
@@ -286,19 +271,9 @@ def save_checkpoint(state: StreamState, path) -> None:
         "label_ids": list(state.label_space.features.ids),
         "prompt_template": state.label_space.prompt_template,
         "cache": state.cache.state_dict(),
-        "cache_shape": list(cache_matrix.shape),
-        "spaces": meta,
-        "blob_sizes": [],
+        "spaces": {name: _space_meta(space) for name, space in spaces.items()},
+        "blob_sizes": [len(b) for b in payloads],
     }
-    label_blob = np.ascontiguousarray(
-        state.label_space.features.data, dtype="<f4"
-    ).tobytes()
-    payloads = [label_blob, cache_matrix.tobytes()] + blobs
-    header["label_shape"] = [
-        state.label_space.features.rows,
-        state.label_space.features.dim,
-    ]
-    header["blob_sizes"] = [len(b) for b in payloads]
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -324,39 +299,32 @@ def load_checkpoint(path) -> StreamState:
         raise FormatError(f"{path}: unreadable checkpoint header ({exc!r})") from exc
     if len(raw) != expected:
         raise FormatError(f"{path}: checkpoint size {len(raw)}, expected {expected}")
+    if len(header["blob_sizes"]) != len(CHECKPOINT_MATRICES):
+        raise FormatError(f"{path}: expected {len(CHECKPOINT_MATRICES)} matrices")
+    matrices = []
     cursor = 16 + header_len
-    payloads = []
-    for size in header["blob_sizes"]:
-        payloads.append(raw[cursor : cursor + size])
+    for name, size in zip(CHECKPOINT_MATRICES, header["blob_sizes"]):
+        matrices.append(decode_nspc(raw[cursor : cursor + size], f"{path} [{name}]"))
         cursor += size
-    label_rows, label_dim = header["label_shape"]
-    label_data = np.frombuffer(payloads[0], dtype="<f4").astype(np.float64)
-    label_features = EmbeddingMatrix.from_rows(
-        header["label_ids"], label_data.reshape(label_rows, label_dim)
-    )
+    label_data, cache_data, *space_data = matrices
     label_space = LabelSpace(
         labels=tuple(header["labels"]),
-        features=label_features,
+        features=with_ids(header["label_ids"], label_data, f"{path} [labels]"),
         prompt_template=header["prompt_template"],
     )
-    cache_rows, _ = header["cache_shape"]
-    cache_data = np.frombuffer(payloads[1], dtype="<f4").astype(np.float64)
-    n_ids = len(header["cache"]["ids"])
-    if cache_rows != n_ids or cache_data.size != cache_rows * label_dim:
+    # the cache rows stay a bare array: a stream may repeat an image id
+    if cache_data.shape != (len(header["cache"]["ids"]), label_space.features.dim):
         raise FormatError(f"{path}: cache rows do not match their ids and dim")
-    # an empty cache may have been saved as 0x0
-    cache_data = cache_data.reshape(cache_rows, label_dim)
     cache = HistoryCache.from_state(
         header["cache"], cache_data, header["rng_seed"]
     )
     spaces = {}
-    for i, name in enumerate(["nl", "ens", "vsnl"]):
+    for name, data in zip(CHECKPOINT_MATRICES[2:], space_data):
         meta = header["spaces"][name]
-        features = decode_nspc(payloads[2 + i], meta["ids"], f"{path} [{name}]")
         spaces[name] = NegativeSpace(
             kind=SpaceKind(meta["kind"]),
             texts=tuple(meta["texts"]),
-            features=features,
+            features=with_ids(meta["ids"], data, f"{path} [{name}]"),
             group_size=meta["group_size"],
             epoch=meta["epoch"],
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingMatrix, LabelSpace, NegativeSpace
-from .errors import ConfigError, DimError, InputError
+from .errors import ConfigError, DimError, InputError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,12 @@ class ScoreConfig:
     lambda_override: float | None = None  # None: the adaptive weight
 
     def __post_init__(self):
+        check_field_types(self)
         if self.temperature <= 0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if self.group_size < 1:
             raise ConfigError(f"group size must be >= 1, got {self.group_size}")
-        if self.lambda_override is not None and (
-            isinstance(self.lambda_override, bool)  # True would read as 1.0
-            or not 0.0 <= self.lambda_override <= 1.0
-        ):
+        if self.lambda_override is not None and not 0.0 <= self.lambda_override <= 1.0:
             raise ConfigError(
                 f"lambda override must lie in [0, 1], got {self.lambda_override}"
             )

@@ -101,13 +101,12 @@ def _word_pattern(label: str) -> re.Pattern:
 def _sentence_ok(
     sentence: str,
     excluded: re.Pattern,
-    len_min: int,
     len_max: int,
 ) -> tuple[bool, bool]:
     """Returns (length in window, excluded label absent)."""
     n_words = len(sentence.split())
     return (
-        len_min <= n_words <= len_max,
+        SENTENCE_MIN_WORDS <= n_words <= len_max,
         excluded.search(sentence) is None,
     )
 
@@ -117,24 +116,23 @@ def _request_sentence(
     image_id: str,
     exclude_label: str,
     excluded: re.Pattern,
-    len_min: int,
     len_max: int,
 ) -> str | None:
     """One validated sentence, or None when the excluded label sticks."""
     sentence = ""
     for _ in range(MAX_ATTEMPTS_PER_REQUEST):
         sentence = describe(image_id, exclude_label)
-        len_ok, label_ok = _sentence_ok(sentence, excluded, len_min, len_max)
+        len_ok, label_ok = _sentence_ok(sentence, excluded, len_max)
         if len_ok and label_ok:
             return sentence
     # length violations are recoverable by truncation; a lingering excluded
     # label is not
-    if not _sentence_ok(sentence, excluded, len_min, len_max)[1]:
+    if not _sentence_ok(sentence, excluded, len_max)[1]:
         return None
     words = sentence.split()
     if len(words) > len_max:
         return " ".join(words[:len_max])
-    return sentence if len(words) >= len_min else None
+    return sentence if len(words) >= SENTENCE_MIN_WORDS else None
 
 
 class _Stopped(Exception):
@@ -147,7 +145,6 @@ def _describe_wave(
     wave: list[str],
     predicted_labels: dict[str, str],
     patterns: dict[str, re.Pattern],
-    len_min: int,
     len_max: int,
 ) -> list[str | None]:
     """`_request_sentence` for each image of `wave`, results in wave order.
@@ -173,7 +170,7 @@ def _describe_wave(
                 label = predicted_labels[image_id]
                 out.append(
                     _request_sentence(
-                        describe, image_id, label, patterns[label], len_min, len_max
+                        describe, image_id, label, patterns[label], len_max
                     )
                 )
         except _Stopped:
@@ -201,7 +198,6 @@ def generate_ens(
     group_size: int,
     seed: int,
     epoch: int = 0,
-    len_min: int = SENTENCE_MIN_WORDS,
     len_max: int = SENTENCE_MAX_WORDS,
 ) -> NegativeSpace:
     """Descriptive sentences for the mined negative images.
@@ -226,7 +222,7 @@ def generate_ens(
         def request(wave: list[str]) -> int:
             """Appends the wave's admissible sentences; returns how many."""
             found = _describe_wave(
-                pool, client, wave, predicted_labels, patterns, len_min, len_max
+                pool, client, wave, predicted_labels, patterns, len_max
             )
             found = [s for s in found if s is not None]
             sentences.extend(found)

@@ -97,6 +97,7 @@ class TestRun:
                 **replay,
                 "corpus": {**manifest["corpus"], "words": "labels_no_features.json"},
             },
+            "config_not_object": {**manifest, "config": 5},
         }
         cases = [("run", bad, "--out", tmp_path / "o")]
         for name, spec in variants.items():
@@ -113,34 +114,53 @@ class TestRun:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
     def test_unknown_config_key_fails_with_one_line(self, world_dir, tmp_path, capsys):
-        # a config written while a `mode` field existed
         config = json.loads((world_dir / "config.json").read_text())
-        (world_dir / "config_with_mode.json").write_text(
-            json.dumps({**config, "mode": "adaptive"})
-        )
         manifest = json.loads((world_dir / "manifest.json").read_text())
-        with_mode = world_dir / "manifest_with_mode.json"
-        with_mode.write_text(json.dumps({**manifest, "config": "config_with_mode.json"}))
-        for argv in (
+        bad_configs = {
+            # keys of fields that were removed
+            "mode": {**config, "mode": "adaptive"},
+            "regen_every": {**config, "regen_every": 1},
+            # values whose type does not match the field
+            "capacity": {**config, "mining": {**config["mining"], "cache_capacity": 2.5}},
+            "negatives": {**config, "num_negatives": 200.0},
+            "group": {**config, "score": {**config["score"], "group_size": 25.0}},
+            # not a JSON object at all
+            "string": "abc",
+        }
+        argvs = [
             ("run", world_dir / "manifest.json", "--out", tmp_path / "o",
              "--set", "mining.bogus=1"),
-            ("run", with_mode, "--out", tmp_path / "o"),
-        ):
+        ]
+        for name, bad in bad_configs.items():
+            (world_dir / f"config_{name}.json").write_text(json.dumps(bad))
+            path = world_dir / f"manifest_config_{name}.json"
+            path.write_text(json.dumps({**manifest, "config": f"config_{name}.json"}))
+            argvs.append(("run", path, "--out", tmp_path / "o"))
+        argvs.append(("run", world_dir / "manifest_config_string.json",
+                      "--out", tmp_path / "o", "--set", "score.temperature=0.1"))
+        for argv in argvs:
             code = run_cli(*argv)
             assert code == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
     def test_bool_lambda_override_fails_with_one_line(self, world_dir, tmp_path, capsys):
+        # a JSON bool where a number is meant, and a number where a bool is
         out = tmp_path / "o"
-        code = run_cli(
-            "run", world_dir / "manifest.json", "--out", out,
-            "--set", "score.lambda_override=true",
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert not out.exists()
+        for setting in (
+            "score.lambda_override=true",
+            "score.group_size=true",
+            "score.temperature=true",
+            "mining.cache_capacity=true",
+            "adapt=0",
+        ):
+            code = run_cli(
+                "run", world_dir / "manifest.json", "--out", out, "--set", setting
+            )
+            assert code == 1, setting
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (setting, err)
+            assert not out.exists()
 
     def test_run_without_truth_leaves_tags_empty(self, world_dir, tmp_path):
         fixtures = tmp_path / "fx"

@@ -16,6 +16,7 @@ from negtext.pipeline import (
     save_checkpoint,
 )
 from negtext.scoring import ScoreConfig, fused_score, grouped_scores_batch
+from negtext.spaces import SENTENCE_MIN_WORDS
 from negtext.synthetic import (
     SyntheticWorld,
     scenario_pipeline_config,
@@ -38,16 +39,41 @@ class TestPipelineConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             PipelineConfig(num_negatives=10, score=ScoreConfig(group_size=100))
-        with pytest.raises(ConfigError):
-            PipelineConfig(regen_every=0)
-        with pytest.raises(ConfigError):
-            PipelineConfig.from_dict({"mode": "adaptive"})  # no such field
+        for removed in ("mode", "regen_every", "include_current_batch",
+                        "sentence_len_min"):
+            with pytest.raises(ConfigError):  # no such field
+                PipelineConfig.from_dict({removed: 1})
         with pytest.raises(ConfigError):
             PipelineConfig.from_dict({"score": {"lambda_override": 1.5}})
         with pytest.raises(ConfigError):
-            PipelineConfig(sentence_len_min=0)
-        with pytest.raises(ConfigError):
-            PipelineConfig(sentence_len_min=9, sentence_len_max=3)
+            PipelineConfig(sentence_len_max=SENTENCE_MIN_WORDS - 1)
+        PipelineConfig(sentence_len_max=SENTENCE_MIN_WORDS)
+        # each value's type must fit its field's annotation
+        for spec in (
+            {"adapt": 0},
+            {"adapt": "yes"},
+            {"num_negatives": 200.0},
+            {"num_negatives": True},
+            {"sentence_len_max": 4.0},
+            {"score": {"group_size": 25.0}},
+            {"score": {"group_size": True}},
+            {"score": {"temperature": True}},
+            {"score": {"temperature": "0.1"}},
+            {"score": {"lambda_override": True}},
+            {"mining": {"cache_capacity": 2.5}},
+            {"mining": {"cache_capacity": True}},
+            {"mining": {"class_ratio": False}},
+        ):
+            with pytest.raises(ConfigError, match="must be of type"):
+                PipelineConfig.from_dict(spec)
+
+    def test_float_fields_take_ints(self):
+        cfg = PipelineConfig.from_dict(
+            {"score": {"temperature": 1, "lambda_override": 0},
+             "mining": {"class_ratio": 1, "cache_capacity": np.int64(5)}}
+        )
+        assert cfg.score.temperature == 1 and cfg.score.lambda_override == 0
+        assert cfg.mining.cache_capacity == 5
 
     def test_dict_roundtrip_and_digest(self):
         cfg = PipelineConfig(
@@ -123,24 +149,6 @@ class TestRegenerationGating:
         )
         assert state.ens_space is state.nl_space
         assert state.lambda_history == [0.5, 0.5]
-
-    def test_regen_every_skips_intermediate_epochs(self):
-        world, batches = small_setup(per_side=150, n_batches=4)
-        _, state = run_stream(
-            batches, world.label_space, world.corpus, world.oracle_client(),
-            small_config(regen_every=2), seed=42,
-        )
-        # regeneration may only fire on epochs 0 and 2 -> space epochs 1 or 3
-        assert state.ens_space.epoch in (1, 3)
-
-    def test_exclude_current_batch_defers_first_regeneration(self):
-        world, batches = small_setup(per_side=150)
-        _, state = run_stream(
-            batches, world.label_space, world.corpus, world.oracle_client(),
-            small_config(include_current_batch=False), seed=42,
-        )
-        # epoch 0 saw an empty cache, so lambda stayed at its initial value
-        assert state.lambda_history[0] == 0.5
 
 
 class FailingClient:
@@ -223,13 +231,11 @@ def small_cache_config(**kw):
 
 
 class TestCacheColumns:
-    @pytest.mark.parametrize("include_current_batch", [True, False])
-    def test_columns_match_rescore_after_replacement(self, include_current_batch):
+    def test_columns_match_rescore_after_replacement(self):
         world, batches = small_setup(scenario="mixed", n_batches=4, per_side=40)
-        cfg = small_cache_config(include_current_batch=include_current_batch)
         _, state = run_stream(
             batches, world.label_space, world.corpus, world.oracle_client(),
-            cfg, seed=42,
+            small_cache_config(), seed=42,
         )
         assert state.cache.n_seen == 320 and len(state.cache) == 100
         assert_cache_columns_match_rescore(state)
@@ -246,6 +252,17 @@ class TestCacheColumns:
         loaded = load_checkpoint(path)
         assert len(loaded.cache) == 100
         assert_cache_columns_match_rescore(loaded)
+
+
+def assert_matrices_are_float32_rounding(loaded, state):
+    """The checkpoint stores every matrix as float32, so each loaded matrix
+    is exactly the float32 rounding of the saved one."""
+    pairs = [(loaded.cache.matrix(), state.cache.matrix())] + [
+        (getattr(loaded, name).features.data, getattr(state, name).features.data)
+        for name in ("nl_space", "ens_space", "vsnl_space", "label_space")
+    ]
+    for got, saved in pairs:
+        assert np.array_equal(got, saved.astype(np.float32).astype(np.float64))
 
 
 class TestCheckpoint:
@@ -268,7 +285,7 @@ class TestCheckpoint:
         assert loaded.ens_space.texts == state.ens_space.texts
         assert loaded.vsnl_space.texts == state.vsnl_space.texts
         assert loaded.cache.ids == state.cache.ids
-        assert np.allclose(loaded.cache.matrix(), state.cache.matrix(), atol=1e-6)
+        assert_matrices_are_float32_rounding(loaded, state)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "state.nckp"
@@ -288,24 +305,59 @@ class TestCheckpoint:
         save_checkpoint(state, path)
         return path
 
+    def test_version_1_rejected_with_its_path(self, tmp_path):
+        path = self._saved(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        with pytest.raises(FormatError, match=f"{path}: unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
+    def test_stream_repeating_image_ids_roundtrips(self, tmp_path):
+        world, batches = small_setup(scenario="mixed", n_batches=1, per_side=40)
+        # the same images twice: the cache holds each id in two slots
+        _, state = run_stream(
+            batches * 2, world.label_space, world.corpus, world.oracle_client(),
+            small_config(), seed=42,
+        )
+        assert len(state.cache) == 160 and len(set(state.cache.ids)) == 80
+        path = tmp_path / "state.nckp"
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+        assert loaded.cache.ids == state.cache.ids
+        assert_matrices_are_float32_rounding(loaded, state)
+        assert_cache_columns_match_rescore(loaded)
+
     def test_resave_is_byte_identical(self, tmp_path):
         path = self._saved(tmp_path)
         again = tmp_path / "again.nckp"
         save_checkpoint(load_checkpoint(path), again)
         assert again.read_bytes() == path.read_bytes()
 
-    def test_cache_ids_not_matching_rows_rejected(self, tmp_path):
-        path = self._saved(tmp_path)
+    def _edit_header(self, path, edit):
         raw = path.read_bytes()
         (header_len,) = struct.unpack("<Q", raw[8:16])
         header = json.loads(raw[16 : 16 + header_len])
-        header["cache"]["ids"].pop()
+        edit(header)
         new_header = json.dumps(header, sort_keys=True).encode("utf-8")
         path.write_bytes(
             raw[:8] + struct.pack("<Q", len(new_header)) + new_header
             + raw[16 + header_len :]
         )
+
+    def test_cache_ids_not_matching_rows_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        self._edit_header(path, lambda header: header["cache"]["ids"].pop())
         with pytest.raises(FormatError, match=str(path)):
+            load_checkpoint(path)
+
+    def test_wrong_matrix_count_rejected(self, tmp_path):
+        def merge_last_two(header):
+            sizes = header["blob_sizes"]
+            sizes[-2:] = [sizes[-2] + sizes[-1]]
+
+        path = self._saved(tmp_path)
+        self._edit_header(path, merge_last_two)
+        with pytest.raises(FormatError, match=f"{path}: expected 5 matrices"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("where", ["header", "cache blob", "last space blob"])

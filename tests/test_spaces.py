@@ -205,7 +205,7 @@ class TestGenerateEns:
         ids = make_label_space(n=1, dim=4, seed=10)
         space = generate_ens(
             mined(["i0"]), {"i0": "label_0"}, ids, client, 1, 1, seed=0,
-            len_min=1, len_max=4,
+            len_max=4,
         )
         assert space.texts == ("just two words ok",)
 
