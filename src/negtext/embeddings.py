@@ -9,7 +9,8 @@ from __future__ import annotations
 import enum
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,9 @@ _NORM_SKIP_TOL = 1e-6
 # overflow of the squared entries
 _NORM_SAFE_MIN = 2.0**-500
 _NORM_SAFE_MAX = 2.0**500
+# repeated negative rows are compared with their text's first row this many
+# at a time, which bounds the temporary arrays
+_MERGE_CHUNK = 512
 
 
 def _normalize_rows(data: np.ndarray) -> np.ndarray:
@@ -256,6 +260,35 @@ class NegativeSpace:
     def group_slices(self) -> list[slice]:
         g = self.group_size
         return [slice(i, min(i + g, self.size)) for i in range(0, self.size, g)]
+
+    @cached_property
+    def distinct_rows(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """`(rows, inverse)`: stored row i equals `rows[inverse[i]]`.
+
+        A row merges into the first row of the same text only when the two
+        are byte-equal, so the merge is exact for any embedding client.
+        With nothing to merge, `rows` is the stored matrix and `inverse`
+        is None.
+        """
+        firsts: dict[str, int] = {}
+        first = np.fromiter(
+            (firsts.setdefault(text, i) for i, text in enumerate(self.texts)),
+            dtype=np.intp,
+            count=self.size,
+        )
+        data = self.features.data
+        own = np.arange(self.size)
+        repeats = np.flatnonzero(first != own)
+        # compare bytes, not values: -0.0 and 0.0 stay apart
+        bits = np.ascontiguousarray(data, dtype=np.float64).view(np.uint64)
+        for start in range(0, repeats.size, _MERGE_CHUNK):
+            part = repeats[start : start + _MERGE_CHUNK]
+            differs = np.any(bits[part] != bits[first[part]], axis=1)
+            first[part[differs]] = part[differs]
+        kept = np.flatnonzero(first == own)
+        if kept.size == self.size:
+            return data, None
+        return data[kept], np.searchsorted(kept, first)
 
 
 def assert_disjoint(texts, label_space: LabelSpace) -> None:

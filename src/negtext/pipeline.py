@@ -32,7 +32,6 @@ from .errors import (
 from .mining import (
     HistoryCache,
     MiningConfig,
-    classify_batch,
     mine_negative_images,
     mine_similar_classes,
 )
@@ -41,7 +40,8 @@ from .scoring import (
     ScoreRecord,
     adaptive_lambda,
     fused_score,
-    grouped_scores_batch,
+    id_part,
+    negative_scores,
 )
 from .spaces import (
     SENTENCE_MAX_WORDS,
@@ -165,12 +165,9 @@ def _regenerate(state: StreamState, client: GenerationClient) -> None:
         epoch=state.epoch + 1,
     )
     neg_vectors = state.cache.matrix()[list(mined.indices)]
-    ens_scores = grouped_scores_batch(
-        neg_vectors, state.label_space, ens_space, cfg.score
-    )
-    vsnl_scores = grouped_scores_batch(
-        neg_vectors, state.label_space, vsnl_space, cfg.score
-    )
+    lse_id, _ = id_part(neg_vectors, state.label_space, cfg.score)
+    ens_scores = negative_scores(neg_vectors, lse_id, ens_space, cfg.score)
+    vsnl_scores = negative_scores(neg_vectors, lse_id, vsnl_space, cfg.score)
     state.ens_space = ens_space
     state.vsnl_space = vsnl_space
     state.lambda_ = adaptive_lambda(ens_scores, vsnl_scores)
@@ -187,10 +184,11 @@ def process_batch(
             f"{state.label_space.features.dim}"
         )
     # the NL space and the label space are fixed for the stream, so these
-    # serve both the batch's records and its rows in the cache
+    # serve both the batch's records and its rows in the cache; the ID part
+    # serves every space
     images = batch.images.data
-    s_nl = grouped_scores_batch(images, state.label_space, state.nl_space, cfg.score)
-    predictions = classify_batch(images, state.label_space)
+    lse_id, predictions = id_part(images, state.label_space, cfg.score)
+    s_nl = negative_scores(images, lse_id, state.nl_space, cfg.score)
     slots = state.cache.append_batch(batch)
     kept = slots >= 0
     state.cache.nl_scores[slots[kept]] = s_nl[kept]
@@ -203,10 +201,8 @@ def process_batch(
 
     override = cfg.score.lambda_override
     lam = state.lambda_ if override is None else float(override)
-    s_ens = grouped_scores_batch(images, state.label_space, state.ens_space, cfg.score)
-    s_vsnl = grouped_scores_batch(
-        images, state.label_space, state.vsnl_space, cfg.score
-    )
+    s_ens = negative_scores(images, lse_id, state.ens_space, cfg.score)
+    s_vsnl = negative_scores(images, lse_id, state.vsnl_space, cfg.score)
     records = [
         ScoreRecord(
             image_id=batch.images.ids[i],
@@ -331,10 +327,11 @@ def load_checkpoint(path) -> StreamState:
     config = PipelineConfig.from_dict(header["config"])
     # the per-row columns are not stored; rebuild them from the loaded rows
     n = len(cache)
-    cache.nl_scores[:n] = grouped_scores_batch(
-        cache_data, label_space, spaces["nl"], config.score
+    lse_id, predictions = id_part(cache_data, label_space, config.score)
+    cache.predictions[:n] = predictions
+    cache.nl_scores[:n] = negative_scores(
+        cache_data, lse_id, spaces["nl"], config.score
     )
-    cache.predictions[:n] = classify_batch(cache_data, label_space)
     return StreamState(
         label_space=label_space,
         config=config,

@@ -7,14 +7,19 @@ The core score is the temperature-scaled ratio
 evaluated with a max-shift so that small temperatures (tau = 0.01 gives
 exponents up to +-100) stay numerically safe. Negatives are partitioned
 into contiguous groups and per-group scores are averaged.
+
+The ID part (the log-sum-exp over the labels) depends only on the image
+rows, so it is computed once per scored matrix by `id_part` and shared by
+every space through `negative_scores`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, LabelSpace, NegativeSpace
+from .embeddings import LabelSpace, NegativeSpace
 from .errors import ConfigError, DimError, InputError, check_field_types
 
 
@@ -26,8 +31,7 @@ class ScoreConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.temperature}")
+        _check_temperature(self.temperature)
         if self.group_size < 1:
             raise ConfigError(f"group size must be >= 1, got {self.group_size}")
         if self.lambda_override is not None and not 0.0 <= self.lambda_override <= 1.0:
@@ -46,10 +50,15 @@ class ScoreRecord:
     predicted_class: int
 
 
+def _check_temperature(temperature) -> None:
+    # written so that NaN fails too
+    if not 0.0 < temperature < math.inf:
+        raise ConfigError(f"temperature must be finite and > 0, got {temperature}")
+
+
 def softmax_score(sim_id, sim_neg, temperature: float) -> float:
     """ID-mass fraction of the temperature-scaled softmax over ID + negatives."""
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
+    _check_temperature(temperature)
     sim_id = np.asarray(sim_id, dtype=np.float64)
     sim_neg = np.asarray(sim_neg, dtype=np.float64)
     if sim_id.size == 0:
@@ -68,6 +77,43 @@ def _logsumexp_rows(sims: np.ndarray, temperature: float) -> np.ndarray:
     return shift[:, 0] + np.log(np.sum(np.exp(scaled - shift), axis=1))
 
 
+def id_part(
+    images: np.ndarray, ids: LabelSpace, cfg: ScoreConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per image row: the log-sum-exp of the scaled ID similarities and the
+    nearest ID class (ties to the lowest index), from one product."""
+    if images.shape[1] != ids.features.dim:
+        raise DimError(
+            f"image dim {images.shape[1]} vs label dim {ids.features.dim}"
+        )
+    sim_id = images @ ids.features.data.T
+    return _logsumexp_rows(sim_id, cfg.temperature), np.argmax(sim_id, axis=1)
+
+
+def negative_scores(
+    images: np.ndarray,
+    lse_id: np.ndarray,
+    neg: NegativeSpace,
+    cfg: ScoreConfig,
+) -> np.ndarray:
+    """Grouped score per image row from its precomputed ID part; negatives
+    grouped in storage order, each distinct row multiplied once."""
+    if neg.features.dim != images.shape[1]:
+        raise DimError(
+            f"negative dim {neg.features.dim} vs image dim {images.shape[1]}"
+        )
+    rows, inverse = neg.distinct_rows
+    sim_neg = images @ rows.T
+    total = np.zeros(images.shape[0])
+    slices = neg.group_slices()
+    for sl in slices:
+        group = sim_neg[:, sl] if inverse is None else sim_neg[:, inverse[sl]]
+        lse_neg = _logsumexp_rows(group, cfg.temperature)
+        # per-group score = 1 / (1 + exp(lse_neg - lse_id))
+        total += 1.0 / (1.0 + np.exp(lse_neg - lse_id))
+    return total / len(slices)
+
+
 def grouped_scores_batch(
     images: np.ndarray,
     ids: LabelSpace,
@@ -75,24 +121,8 @@ def grouped_scores_batch(
     cfg: ScoreConfig,
 ) -> np.ndarray:
     """Grouped score per image row; negatives grouped in storage order."""
-    if images.shape[1] != ids.features.dim:
-        raise DimError(
-            f"image dim {images.shape[1]} vs label dim {ids.features.dim}"
-        )
-    if neg.features.dim != ids.features.dim:
-        raise DimError(
-            f"negative dim {neg.features.dim} vs label dim {ids.features.dim}"
-        )
-    sim_id = images @ ids.features.data.T
-    sim_neg = images @ neg.features.data.T
-    lse_id = _logsumexp_rows(sim_id, cfg.temperature)
-    total = np.zeros(images.shape[0])
-    slices = neg.group_slices()
-    for sl in slices:
-        lse_neg = _logsumexp_rows(sim_neg[:, sl], cfg.temperature)
-        # per-group score = 1 / (1 + exp(lse_neg - lse_id))
-        total += 1.0 / (1.0 + np.exp(lse_neg - lse_id))
-    return total / len(slices)
+    lse_id, _ = id_part(images, ids, cfg)
+    return negative_scores(images, lse_id, neg, cfg)
 
 
 def grouped_score(

@@ -151,6 +151,8 @@ class TestRun:
             "score.lambda_override=true",
             "score.group_size=true",
             "score.temperature=true",
+            "score.temperature=NaN",
+            "score.temperature=Infinity",
             "mining.cache_capacity=true",
             "adapt=0",
         ):

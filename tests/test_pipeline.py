@@ -5,7 +5,9 @@ import struct
 import numpy as np
 import pytest
 
+from negtext.embeddings import batches_truth
 from negtext.errors import ConfigError, FormatError, GenerationError
+from negtext.metrics import compute_report, split_scores
 from negtext.mining import MiningConfig, classify_batch
 from negtext.pipeline import (
     PipelineConfig,
@@ -22,6 +24,9 @@ from negtext.synthetic import (
     scenario_pipeline_config,
     scenario_world_config,
 )
+
+from test_acceptance import PINNED
+from test_scoring import full_product_scores
 
 
 def small_setup(scenario="far", n_batches=2, per_side=40, seed=42):
@@ -374,6 +379,42 @@ class TestCheckpoint:
         path.write_bytes(raw[:cut])
         with pytest.raises(FormatError, match=str(path)):
             load_checkpoint(path)
+
+
+class TestSimilarityPass:
+    def test_mixed_stream_matches_full_products_and_pins(self):
+        """The regression stream: each batch's scores against a full product
+        over the spaces it was scored with, and the pinned metrics and λ."""
+        world = SyntheticWorld(scenario_world_config("mixed", seed=42))
+        batches = world.make_batches(5, 400, 400)
+        cfg = scenario_pipeline_config()
+        state = init_stream(world.label_space, world.corpus, cfg, seed=42)
+        client = world.oracle_client()
+        records = []
+        merged = False
+        for batch in batches:
+            got = process_batch(state, batch, client)
+            images, ids = batch.images.data, state.label_space
+
+            def full(space):
+                return full_product_scores(images, ids, space, cfg.score)
+
+            assert np.array_equal([r.s_nl for r in got], full(state.nl_space))
+            assert np.array_equal([r.s_vsnl for r in got], full(state.vsnl_space))
+            assert np.allclose(
+                [r.s_ens for r in got], full(state.ens_space), rtol=0, atol=1e-12
+            )
+            assert np.array_equal(
+                [r.predicted_class for r in got], classify_batch(images, ids)
+            )
+            merged |= state.ens_space.distinct_rows[1] is not None
+            records.extend(got)
+        assert merged  # the sentence space repeats texts
+        report = compute_report(*split_scores(records, batches_truth(batches)))
+        pin = PINNED["mixed"]
+        assert report.auroc == pytest.approx(pin["adapted"][0], abs=1e-9)
+        assert report.fpr95 == pytest.approx(pin["adapted"][1], abs=1e-9)
+        assert state.lambda_history[-1] == pytest.approx(pin["lambda_final"], abs=1e-9)
 
 
 class TestCausality:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negtext.embeddings import EmbeddingMatrix, LabelSpace, NegativeSpace, SpaceKind
 from negtext.errors import ConfigError, InputError
+from negtext.mining import classify_batch
 from negtext.scoring import (
     ScoreConfig,
     adaptive_lambda,
@@ -13,6 +15,7 @@ from negtext.scoring import (
     fused_score,
     grouped_score,
     grouped_scores_batch,
+    id_part,
     softmax_score,
 )
 
@@ -45,6 +48,36 @@ def grouped_score_oracle(v, ids, neg, cfg):
     return float(np.mean(scores))
 
 
+def full_product_scores(images, ids, neg, cfg):
+    """The grouped score from one product over every stored negative row."""
+    tau = cfg.temperature
+
+    def lse(sims):
+        scaled = sims / tau
+        shift = np.max(scaled, axis=1, keepdims=True)
+        return shift[:, 0] + np.log(np.sum(np.exp(scaled - shift), axis=1))
+
+    lse_id = lse(images @ ids.features.data.T)
+    sim_neg = images @ neg.features.data.T
+    total = np.zeros(images.shape[0])
+    for sl in neg.group_slices():
+        total += 1.0 / (1.0 + np.exp(lse(sim_neg[:, sl]) - lse_id))
+    return total / neg.n_groups
+
+
+def space_of(texts, data, group_size=2):
+    """A negative space holding exactly these texts and rows."""
+    return NegativeSpace(
+        kind=SpaceKind.ENS,
+        texts=tuple(texts),
+        features=EmbeddingMatrix(
+            ids=tuple(f"n{i}" for i in range(len(texts))),
+            data=np.array(data, dtype=np.float64),
+        ),
+        group_size=group_size,
+    )
+
+
 class TestScoreConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -53,6 +86,9 @@ class TestScoreConfig:
             ScoreConfig(group_size=0)
         with pytest.raises(ConfigError):
             ScoreConfig(lambda_override=1.5)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="temperature must be finite"):
+                ScoreConfig(temperature=bad)
         ScoreConfig(lambda_override=0.0)
 
 
@@ -72,8 +108,9 @@ class TestSoftmaxScore:
             softmax_score([], [0.5], 0.01)
 
     def test_bad_temperature_rejected(self):
-        with pytest.raises(ConfigError):
-            softmax_score([0.5], [0.2], -1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                softmax_score([0.5], [0.2], bad)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -143,6 +180,84 @@ class TestGroupedScore:
         assert got == pytest.approx(
             grouped_score_oracle(v, ids, neg, cfg), rel=1e-9
         )
+
+
+class TestDistinctRows:
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_repeated_texts_match_longdouble_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        distinct = int(rng.integers(1, 8))
+        base = unit_rows(rng, distinct, 8)
+        counts = rng.integers(1, 6, distinct)
+        order = rng.permutation(np.repeat(np.arange(distinct), counts))
+        m = order.size
+        group_size = int(rng.integers(1, m + 2))
+        while m % group_size == 0:  # a ragged last group
+            group_size += 1
+        neg = NegativeSpace(
+            kind=SpaceKind.ENS,
+            texts=tuple(f"sentence {j}" for j in order),
+            features=EmbeddingMatrix.from_rows(
+                [f"n{i}" for i in range(m)], base[order]
+            ),
+            group_size=group_size,
+        )
+        rows, inverse = neg.distinct_rows
+        assert rows.shape[0] == distinct
+        assert (inverse is None) == (distinct == m)
+        if inverse is not None:
+            assert np.array_equal(rows[inverse], neg.features.data)
+        ids = make_label_space(n=int(rng.integers(1, 6)), dim=8, seed=seed)
+        cfg = ScoreConfig(
+            temperature=float(rng.choice([0.01, 0.1, 1.0])), group_size=group_size
+        )
+        images = unit_rows(rng, 3, 8)
+        got = grouped_scores_batch(images, ids, neg, cfg)
+        for v, score in zip(images, got):
+            assert score == pytest.approx(
+                grouped_score_oracle(v, ids, neg, cfg), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("data", [
+        [[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]],  # a different row
+        [[1.0, 0.0], [0.0, 1.0], [1.0, -0.0]],  # equal in value, not in bytes
+    ])
+    def test_repeated_text_with_a_different_row_is_not_merged(self, data):
+        neg = space_of(["a", "b", "a"], data)
+        rows, inverse = neg.distinct_rows
+        assert rows is neg.features.data and inverse is None
+
+    def test_only_byte_equal_repeats_merge(self):
+        neg = space_of(["a", "a", "b", "a"], [[1, 0], [1, 0], [0, 1], [0.6, 0.8]])
+        rows, inverse = neg.distinct_rows
+        assert np.array_equal(rows, [[1, 0], [0, 1], [0.6, 0.8]])
+        assert inverse.tolist() == [0, 0, 1, 2]
+
+    def test_all_distinct_space_keeps_stored_rows_and_full_product_scores(
+        self, label_space
+    ):
+        neg = make_negative_space(m=23, group_size=5, seed=21)
+        rows, inverse = neg.distinct_rows
+        assert rows is neg.features.data and inverse is None
+        images = unit_rows(np.random.default_rng(22), 7, 8)
+        cfg = ScoreConfig(group_size=5)
+        assert np.array_equal(
+            grouped_scores_batch(images, label_space, neg, cfg),
+            full_product_scores(images, label_space, neg, cfg),
+        )
+
+    def test_id_part_predictions_equal_classify_batch(self, label_space):
+        images = unit_rows(np.random.default_rng(23), 50, 8)
+        rows = label_space.features.data
+        tied = LabelSpace(  # labels 0 and 2 share a row: ties go to 0
+            labels=("a", "b", "c"),
+            features=EmbeddingMatrix(ids=("x", "y", "z"), data=rows[[1, 0, 1]]),
+        )
+        for ids in (label_space, tied):
+            _, predictions = id_part(images, ids, ScoreConfig())
+            assert np.array_equal(predictions, classify_batch(images, ids))
+        assert 0 in predictions and 2 not in predictions
 
 
 class TestAdaptiveLambda:
