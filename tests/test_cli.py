@@ -153,6 +153,7 @@ class TestRun:
             "score.temperature=true",
             "score.temperature=NaN",
             "score.temperature=Infinity",
+            "score.temperature=1e-320",
             "mining.cache_capacity=true",
             "adapt=0",
         ):

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from negtext import scoring
 from negtext.embeddings import batches_truth
 from negtext.errors import ConfigError, FormatError, GenerationError
 from negtext.metrics import compute_report, split_scores
@@ -415,6 +416,34 @@ class TestSimilarityPass:
         assert report.auroc == pytest.approx(pin["adapted"][0], abs=1e-9)
         assert report.fpr95 == pytest.approx(pin["adapted"][1], abs=1e-9)
         assert state.lambda_history[-1] == pytest.approx(pin["lambda_final"], abs=1e-9)
+
+
+    def test_mixed_stream_is_bit_equal_on_one_score_worker(self, monkeypatch):
+        """Split scoring (thresholds lowered so the regression stream's word
+        and lookalike products split) against one score worker."""
+        world = SyntheticWorld(scenario_world_config("mixed", seed=42))
+        batches = world.make_batches(5, 400, 400)
+        row_blocks = scoring._row_blocks
+        splits = []
+
+        def counted(*args):
+            blocks = row_blocks(*args)
+            splits.append(len(blocks) > 1)
+            return blocks
+
+        monkeypatch.setattr(scoring, "_row_blocks", counted)
+        monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
+        runs = []
+        for workers in (1, scoring.SCORE_WORKERS):
+            monkeypatch.setattr(scoring, "SCORE_WORKERS", workers)
+            splits.clear()
+            records, state = run_stream(
+                batches, world.label_space, world.corpus, world.oracle_client(),
+                scenario_pipeline_config(), seed=42,
+            )
+            runs.append((records, state.lambda_history, any(splits)))
+        assert runs[0][2] is False and runs[1][2] is True
+        assert runs[0][:2] == runs[1][:2]
 
 
 class TestCausality:

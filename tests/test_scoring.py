@@ -1,10 +1,14 @@
 """Score functions against extended-precision oracles and hand traces."""
+import threading
+import time
+
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from negtext import scoring
 from negtext.embeddings import EmbeddingMatrix, LabelSpace, NegativeSpace, SpaceKind
 from negtext.errors import ConfigError, InputError
 from negtext.mining import classify_batch
@@ -16,6 +20,7 @@ from negtext.scoring import (
     grouped_score,
     grouped_scores_batch,
     id_part,
+    negative_scores,
     softmax_score,
 )
 
@@ -86,7 +91,8 @@ class TestScoreConfig:
             ScoreConfig(group_size=0)
         with pytest.raises(ConfigError):
             ScoreConfig(lambda_override=1.5)
-        for bad in (float("nan"), float("inf")):
+        # 1e-320 is finite, but its reciprocal is not
+        for bad in (float("nan"), float("inf"), 1e-320):
             with pytest.raises(ConfigError, match="temperature must be finite"):
                 ScoreConfig(temperature=bad)
         ScoreConfig(lambda_override=0.0)
@@ -108,7 +114,7 @@ class TestSoftmaxScore:
             softmax_score([], [0.5], 0.01)
 
     def test_bad_temperature_rejected(self):
-        for bad in (-1.0, float("nan"), float("inf")):
+        for bad in (-1.0, float("nan"), float("inf"), 1e-320):
             with pytest.raises(ConfigError):
                 softmax_score([0.5], [0.2], bad)
 
@@ -258,6 +264,141 @@ class TestDistinctRows:
             _, predictions = id_part(images, ids, ScoreConfig())
             assert np.array_equal(predictions, classify_batch(images, ids))
         assert 0 in predictions and 2 not in predictions
+
+
+def repeated_space(rng, distinct, dim, group_size):
+    """A sentence-like space: `distinct` rows, each repeated 1-3 times."""
+    base = unit_rows(rng, distinct, dim)
+    order = rng.permutation(np.repeat(np.arange(distinct), rng.integers(1, 4, distinct)))
+    return NegativeSpace(
+        kind=SpaceKind.ENS,
+        texts=tuple(f"sentence {j}" for j in order),
+        features=EmbeddingMatrix.from_rows(
+            [f"n{i}" for i in range(order.size)], base[order]
+        ),
+        group_size=group_size,
+    )
+
+
+class TestRowBlocks:
+    """Scores split into row blocks across threads equal the one-block scores."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        n_classes=st.sampled_from([5, 64, 72, 131]),
+        distinct=st.sampled_from([7, 64, 80, 129, 203]),
+        repeats=st.booleans(),
+    )
+    @example(seed=0, n=3, n_classes=131, distinct=203, repeats=False)
+    @example(seed=1, n=300, n_classes=131, distinct=203, repeats=True)
+    @settings(max_examples=40, deadline=None)
+    def test_any_worker_count_gives_equal_scores(
+        self, seed, n, n_classes, distinct, repeats
+    ):
+        rng = np.random.default_rng(seed)
+        dim = 64  # at a small dim every split happens to round alike
+        ids = make_label_space(n=n_classes, dim=dim, seed=seed)
+        if repeats:  # the `inverse` path
+            neg = repeated_space(rng, distinct, dim, group_size=9)
+        else:
+            neg = make_negative_space(m=distinct, dim=dim, group_size=9, seed=seed)
+        cfg = ScoreConfig(temperature=float(rng.choice([0.01, 1.0])), group_size=9)
+        images = unit_rows(rng, n, dim)
+        results = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoring, "MIN_SPLIT_CELLS", 1)
+            for workers in (1, 2, 3):
+                mp.setattr(scoring, "SCORE_WORKERS", workers)
+                lse_id, predictions = id_part(images, ids, cfg)
+                results.append(
+                    (lse_id, predictions, negative_scores(images, lse_id, neg, cfg))
+                )
+        for got in results[1:]:
+            for a, b in zip(results[0], got):
+                assert np.array_equal(a, b)
+                assert a.dtype == b.dtype
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_no_block_below_the_minimum(self, monkeypatch, workers):
+        monkeypatch.setattr(scoring, "SCORE_WORKERS", workers)
+        big = scoring.MIN_SPLIT_CELLS
+        for n in range(0, 700):
+            for width in (8, 63, 64, 100, 1000):
+                for cells in (big - 1, big):
+                    blocks = scoring._row_blocks(n, width, cells)
+                    lows, highs = zip(*blocks)
+                    assert lows[0] == 0 and highs[-1] == n
+                    assert list(lows[1:]) == list(highs[:-1])
+                    assert len(blocks) <= workers
+                    splittable = cells >= big and width >= 64 and width % 8 == 0
+                    if len(blocks) > 1:
+                        assert splittable
+                        assert min(hi - lo for lo, hi in blocks) >= scoring.MIN_BLOCK_ROWS
+                    elif splittable and workers > 1:
+                        assert n < 2 * scoring.MIN_BLOCK_ROWS
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_failing_block_raises_its_exception_after_every_block_stops(
+        self, monkeypatch, failing
+    ):
+        monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
+        ids = make_label_space(n=64, dim=8, seed=31)
+        neg = make_negative_space(m=64, dim=8, group_size=8, seed=32)
+        images = unit_rows(np.random.default_rng(33), 200, 8)
+        cfg = ScoreConfig()
+        lse_id, _ = id_part(images, ids, cfg)
+        boom = RuntimeError("block failed")
+        finished = []
+        logsumexp = scoring._logsumexp_rows
+
+        def flaky(scaled):
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller == (failing == "caller"):
+                raise boom
+            time.sleep(0.05)  # the other block is still running when one fails
+            finished.append(threading.current_thread().name)
+            return logsumexp(scaled)
+
+        baseline = threading.active_count()
+        monkeypatch.setattr(scoring, "_logsumexp_rows", flaky)
+        for call in (
+            lambda: id_part(images, ids, cfg),
+            lambda: negative_scores(images, lse_id, neg, cfg),
+        ):
+            finished.clear()
+            with pytest.raises(RuntimeError) as excinfo:
+                call()
+            assert excinfo.value is boom
+            assert threading.active_count() == baseline
+            if failing == "caller":  # the worker's block ran to its end
+                assert finished and len(set(finished)) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("min_cells", [1, 2**62])
+    def test_tiny_temperature_scores_stay_in_range_silently(
+        self, monkeypatch, min_cells
+    ):
+        # with a negative row equal to an image row, exp(lse_neg - lse_id)
+        # overflows at tau = 1e-300; the group's share goes to its limit 0
+        monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", min_cells)
+        rng = np.random.default_rng(34)
+        images = unit_rows(rng, 150, 8)
+        ids = make_label_space(n=64, dim=8, seed=35)
+        neg = NegativeSpace(
+            kind=SpaceKind.NL,
+            texts=tuple(f"neg_{i}" for i in range(96)),
+            features=EmbeddingMatrix.from_rows(
+                [f"n{i}" for i in range(96)],
+                np.vstack([images[:48], unit_rows(rng, 48, 8)]),
+            ),
+            group_size=16,
+        )
+        assert len(scoring._row_blocks(150, 96, 150 * 96)) == (
+            2 if min_cells == 1 else 1
+        )
+        scores = grouped_scores_batch(images, ids, neg, ScoreConfig(temperature=1e-300))
+        assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 
 class TestAdaptiveLambda:
