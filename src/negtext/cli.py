@@ -248,8 +248,6 @@ def _build_client(manifest: Manifest, world=None) -> GenerationClient:
     client_spec = manifest.client_spec
     mode = client_spec["mode"]
     if mode == "synthetic":
-        if world is None:
-            raise ConfigError("synthetic client requires a scenario world")
         return world.oracle_client()
     if mode == "replay":
         fixtures = client_spec.get("fixtures")

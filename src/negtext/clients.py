@@ -1,15 +1,14 @@
-"""Generation-client boundary: HTTP, record/replay, and chat-style shim.
+"""Generation-client boundary: HTTP and record/replay.
 
 Wire protocol (JSON over POST):
 
     request  {"task": "describe"|"similar"|"embed",
-              "text": str?, "texts": [str]?, "image_b64": str?,
+              "text": str?, "texts": [str]?,
               "exclude": str?, "count": int?}
     response {"texts": [str]?, "vectors": [[float]]?}
 
-`describe` carries the image reference in `text` for embedding-only
-pipelines (no image decoding happens in this package); deployments that
-ship pixels use `image_b64`. Batch embedding uses the `texts` list.
+`describe` carries the image reference in `text` (no image decoding
+happens in this package). Batch embedding uses the `texts` list.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ class GenerationClient(Protocol):
     `describe_image` may be called from several threads at once (one ENS
     build keeps `spaces.DESCRIBE_WORKERS` requests in flight); the other
     two methods are called from one thread. The clients here allow it: the
-    HTTP ones share a `requests.Session`, whose pool of 10 connections
+    HTTP client shares a `requests.Session`, whose pool of 10 connections
     exceeds the workers, and `RecordingClient` writes one file per
     distinct request.
     """
@@ -51,37 +50,8 @@ def request_key(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _post_json(client, url: str, payload: dict, image_id: str | None = None) -> dict:
-    """POST `payload` with the client's session, headers, timeout and retries.
-
-    Connection errors, timeouts, 408, 429 and 5xx are retried with
-    exponential backoff; any other failure raises at once.
-    """
-    import requests
-
-    last = None
-    for attempt in range(client.retries):
-        try:
-            resp = client._session.post(
-                url, json=payload, headers=client._headers, timeout=client.timeout
-            )
-            if resp.status_code not in (408, 429) and resp.status_code < 500:
-                resp.raise_for_status()
-                return resp.json()
-            last = f"HTTP {resp.status_code}"
-        except (requests.ConnectionError, requests.Timeout) as exc:
-            last = exc
-        except (requests.RequestException, ValueError) as exc:
-            raise GenerationError(f"{url}: {exc}", image_id=image_id) from exc
-        if attempt + 1 < client.retries:
-            time.sleep(client.backoff * (2**attempt))
-    raise GenerationError(
-        f"{url} failed after {client.retries} attempts: {last}", image_id=image_id
-    )
-
-
 def _new_session() -> "requests.Session":
-    # importing `requests` adds ~8 MB and ~0.1 s; only HTTP clients need it
+    # importing `requests` adds ~8 MB and ~0.1 s; only the HTTP client needs it
     import requests
 
     return requests.Session()
@@ -108,10 +78,37 @@ class HttpGenerationClient:
         if auth_token:
             self._headers["Authorization"] = f"Bearer {auth_token}"
 
+    def _post(self, payload: dict, image_id: str | None = None) -> dict:
+        """POST `payload` with the session, headers, timeout and retries.
+
+        Connection errors, timeouts, 408, 429 and 5xx are retried with
+        exponential backoff; any other failure raises at once.
+        """
+        import requests
+
+        url = self.endpoint
+        last = None
+        for attempt in range(self.retries):
+            try:
+                resp = self._session.post(
+                    url, json=payload, headers=self._headers, timeout=self.timeout
+                )
+                if resp.status_code not in (408, 429) and resp.status_code < 500:
+                    resp.raise_for_status()
+                    return resp.json()
+                last = f"HTTP {resp.status_code}"
+            except (requests.ConnectionError, requests.Timeout) as exc:
+                last = exc
+            except (requests.RequestException, ValueError) as exc:
+                raise GenerationError(f"{url}: {exc}", image_id=image_id) from exc
+            if attempt + 1 < self.retries:
+                time.sleep(self.backoff * (2**attempt))
+        raise GenerationError(
+            f"{url} failed after {self.retries} attempts: {last}", image_id=image_id
+        )
+
     def describe_image(self, image_ref: str, exclude_label: str) -> str:
-        out = _post_json(
-            self,
-            self.endpoint,
+        out = self._post(
             {"task": "describe", "text": image_ref, "exclude": exclude_label},
             image_id=image_ref,
         )
@@ -121,91 +118,15 @@ class HttpGenerationClient:
         return texts[0]
 
     def similar_labels(self, class_name: str, count: int) -> list[str]:
-        out = _post_json(
-            self, self.endpoint, {"task": "similar", "text": class_name, "count": count}
-        )
+        out = self._post({"task": "similar", "text": class_name, "count": count})
         return list(out.get("texts") or [])
 
     def embed_texts(self, texts: list[str]) -> np.ndarray:
-        out = _post_json(self, self.endpoint, {"task": "embed", "texts": list(texts)})
+        out = self._post({"task": "embed", "texts": list(texts)})
         vectors = out.get("vectors")
         if not vectors or len(vectors) != len(texts):
             raise GenerationError("embed returned wrong vector count")
         return np.asarray(vectors, dtype=np.float64)
-
-
-class ChatCompletionShim:
-    """Adapter for OpenAI-style chat-completion + embedding endpoints.
-
-    Formats describe/similar tasks as chat prompts and parses one item per
-    line from the completion; embeddings go through `/embeddings`.
-    """
-
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        embedding_model: str,
-        auth_token: str | None = None,
-        retries: int = 3,
-        backoff: float = 0.5,
-        timeout: float = 60.0,
-        session: requests.Session | None = None,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self.embedding_model = embedding_model
-        self.retries = retries
-        self.backoff = backoff
-        self.timeout = timeout
-        self._session = session or _new_session()
-        self._headers = {"Content-Type": "application/json"}
-        if auth_token:
-            self._headers["Authorization"] = f"Bearer {auth_token}"
-
-    def _chat(self, prompt: str, image_id: str | None = None) -> str:
-        out = _post_json(
-            self,
-            f"{self.base_url}/chat/completions",
-            {
-                "model": self.model,
-                "messages": [{"role": "user", "content": prompt}],
-                "temperature": 0,
-            },
-            image_id=image_id,
-        )
-        try:
-            return out["choices"][0]["message"]["content"]
-        except (KeyError, IndexError) as exc:
-            raise GenerationError(f"malformed chat response: {exc}", image_id)
-
-    def describe_image(self, image_ref: str, exclude_label: str) -> str:
-        prompt = (
-            f"Describe the distinctive visual content of image {image_ref} "
-            f"in one short phrase; do not use the word '{exclude_label}'."
-        )
-        return self._chat(prompt, image_id=image_ref).strip().splitlines()[0]
-
-    def similar_labels(self, class_name: str, count: int) -> list[str]:
-        prompt = (
-            f"List {count} object categories that look visually similar to "
-            f"'{class_name}' but are different categories. One per line, "
-            "no numbering."
-        )
-        lines = self._chat(prompt).strip().splitlines()
-        return [ln.strip(" -*\t") for ln in lines if ln.strip()][:count]
-
-    def embed_texts(self, texts: list[str]) -> np.ndarray:
-        out = _post_json(
-            self,
-            f"{self.base_url}/embeddings",
-            {"model": self.embedding_model, "input": list(texts)},
-        )
-        try:
-            data = sorted(out["data"], key=lambda d: d["index"])
-            return np.asarray([d["embedding"] for d in data], dtype=np.float64)
-        except (KeyError, TypeError) as exc:
-            raise GenerationError(f"malformed embedding response: {exc}")
 
 
 class ReplayClient:

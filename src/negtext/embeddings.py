@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DimError, FormatError, InputError
+from .errors import DataError, DimError, FormatError
 
 MAGIC = b"NSPC"
 FORMAT_VERSION = 1
@@ -289,14 +289,6 @@ class NegativeSpace:
         if kept.size == self.size:
             return data, None
         return data[kept], np.searchsorted(kept, first)
-
-
-def assert_disjoint(texts, label_space: LabelSpace) -> None:
-    """Case-folded exact-match disjointness check against ID labels."""
-    id_canon = label_space.canon_labels()
-    clashes = [t for t in texts if _canon_label(t) in id_canon]
-    if clashes:
-        raise InputError(f"negative texts collide with ID labels: {clashes[:5]}")
 
 
 @dataclass(frozen=True)

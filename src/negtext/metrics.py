@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from .scoring import ScoreRecord
 
 HISTOGRAM_BINS = 50
 SCORE_FMT = "%.9g"  # 9 significant digits in every CSV
+TPR_TARGET = 0.95
 
 
 @dataclass(frozen=True)
@@ -28,18 +29,9 @@ class MetricReport:
     fpr95: float
     n_id: int
     n_ood: int
-    per_dataset: dict[str, dict[str, float]] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "auroc": self.auroc,
-            "fpr95": self.fpr95,
-            "n_id": self.n_id,
-            "n_ood": self.n_ood,
-        }
-        if self.per_dataset:
-            out["per_dataset"] = self.per_dataset
-        return out
+        return asdict(self)
 
 
 def _score_pair(id_scores, ood_scores) -> tuple[np.ndarray, np.ndarray]:
@@ -62,13 +54,13 @@ def auroc(id_scores, ood_scores) -> float:
     return u / (id_scores.size * ood_scores.size)
 
 
-def fpr95(id_scores, ood_scores, tpr_target: float = 0.95) -> float:
+def fpr95(id_scores, ood_scores) -> float:
     id_scores, ood_scores = _score_pair(id_scores, ood_scores)
-    # largest attained threshold with TPR(gamma) >= target; no interpolation
+    # largest attained threshold with TPR(gamma) >= TPR_TARGET; no interpolation
     candidates = np.unique(id_scores)  # ascending, so TPR falls along it
     n = id_scores.size
     at_or_above = n - np.searchsorted(np.sort(id_scores), candidates, side="left")
-    passing = np.flatnonzero(at_or_above / n >= tpr_target)
+    passing = np.flatnonzero(at_or_above / n >= TPR_TARGET)
     gamma = candidates[passing[-1]] if passing.size else candidates[0]
     return float(np.count_nonzero(ood_scores >= gamma) / ood_scores.size)
 

@@ -72,10 +72,13 @@ class ScoreRecord:
 
 
 def _check_temperature(temperature) -> None:
-    # written so that NaN fails too; the scores divide by the temperature
-    if not (0.0 < temperature < math.inf and math.isfinite(1.0 / temperature)):
+    # written so that NaN fails too; the scores divide by the temperature.
+    # Scaled unit-norm similarities span 2 / temperature, and rows are unit
+    # norm only to within _NORM_SKIP_TOL, so 4 / temperature must be finite
+    # for the max-shift in _logsumexp_rows not to overflow.
+    if not (0.0 < temperature < math.inf and math.isfinite(4.0 / temperature)):
         raise ConfigError(
-            f"temperature must be finite and > 0 with a finite reciprocal, "
+            f"temperature must be finite and > 0 with 4 / temperature finite, "
             f"got {temperature}"
         )
 
@@ -237,8 +240,3 @@ def fused_score(s_ens: float, s_vsnl: float, lam: float) -> float:
     if not 0.0 <= lam <= 1.0:
         raise InputError(f"lambda must lie in [0, 1], got {lam}")
     return lam * s_ens + (1.0 - lam) * s_vsnl
-
-
-def detect(score: float, gamma: float) -> str:
-    """Threshold detector: ID iff score >= gamma."""
-    return "ID" if score >= gamma else "OOD"

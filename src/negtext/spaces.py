@@ -23,7 +23,6 @@ from .embeddings import (
     NegativeSpace,
     SpaceKind,
     _canon_label,
-    assert_disjoint,
 )
 from .errors import GenerationError, InputError
 from .mining import MinedNegatives, SimilarClassSubset
@@ -282,7 +281,6 @@ def generate_vsnl(
     if not labels:
         raise GenerationError("no admissible lookalike labels generated")
     labels = labels[:m]
-    assert_disjoint(labels, ids)
     features = embed_space(
         labels, ids.prompt_template, client, id_prefix=f"vsnl{epoch}_"
     )

@@ -12,7 +12,7 @@ inventing plausible twins when none are close enough.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,9 +20,16 @@ from .embeddings import EmbeddingMatrix, LabelSpace, TestBatch, batches_truth
 from .errors import ConfigError
 from .metrics import MetricReport, compute_report, split_scores
 from .pipeline import PipelineConfig, run_stream
-from .scoring import ScoreConfig, ScoreRecord
+from .scoring import ScoreConfig
 from .mining import MiningConfig
 from .spaces import CorpusCandidates
+
+# settings every scenario shares
+NEAR_SPREAD = 0.30  # angular spread of near-OOD images around their concept
+CORPUS_WORD_NOISE = 0.70  # spread of near and far corpus words
+EXPRESSIVE_NOISE = 0.08  # spread of a far-OOD description around its cluster
+LOOKALIKE_ANGLE = 0.60  # angle of invented twins around their ID class
+SIMILAR_THRESHOLD = 0.75  # widest angle at which an OOD concept is a lookalike
 
 
 @dataclass(frozen=True)
@@ -34,7 +41,6 @@ class WorldConfig:
     # near-OOD classes, each attached to a parent ID class
     n_near_classes: int = 0
     near_offset: float = 0.45
-    near_spread: float = 0.25
     # far-OOD clusters, each anchored at (but far from) an ID prototype
     n_far_clusters: int = 0
     far_angle: float = 1.15
@@ -43,15 +49,8 @@ class WorldConfig:
     corpus_random: int = 400
     corpus_near_words: int = 0
     corpus_far_words: int = 0
-    corpus_confuser_words: int = 0  # false-negative words near ID prototypes
-    corpus_word_noise: float = 0.65
-    confuser_noise: float = 0.50
     # oracle behavior
     coarse_noise: float = 0.30
-    expressive_noise: float = 0.08
-    lookalike_angle: float = 0.45
-    similar_threshold: float = 0.75
-    describe_corruption: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -61,11 +60,9 @@ class WorldConfig:
             raise ConfigError(
                 "far clusters must sit farther out than the near-OOD offset"
             )
-        for name in ("id_spread", "near_spread", "far_spread", "text_noise"):
+        for name in ("id_spread", "far_spread", "text_noise"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if not 0.0 <= self.describe_corruption <= 1.0:
-            raise ConfigError("corruption probability must lie in [0, 1]")
 
 
 def _hash_seed(*parts) -> np.random.SeedSequence:
@@ -172,15 +169,11 @@ class SyntheticWorld:
         for i in range(cfg.corpus_near_words):
             concept = self.near_concepts[i % max(1, len(self.near_concepts))]
             words.append(f"nearword_{i:04d}")
-            vectors.append(_perturb(concept.proto, cfg.corpus_word_noise, rng))
+            vectors.append(_perturb(concept.proto, CORPUS_WORD_NOISE, rng))
         for i in range(cfg.corpus_far_words):
             concept = self.far_concepts[i % max(1, len(self.far_concepts))]
             words.append(f"farword_{i:04d}")
-            vectors.append(_perturb(concept.proto, cfg.corpus_word_noise, rng))
-        for i in range(cfg.corpus_confuser_words):
-            concept = self.id_concepts[i % cfg.n_id_classes]
-            words.append(f"confuser_{i:04d}")
-            vectors.append(_perturb(concept.proto, cfg.confuser_noise, rng))
+            vectors.append(_perturb(concept.proto, CORPUS_WORD_NOISE, rng))
         self.corpus = CorpusCandidates(
             words=tuple(words),
             features=EmbeddingMatrix.from_rows(
@@ -196,7 +189,7 @@ class SyntheticWorld:
     ) -> tuple[str, np.ndarray]:
         spread = {
             "id": self.cfg.id_spread,
-            "near": self.cfg.near_spread,
+            "near": NEAR_SPREAD,
             "far": self.cfg.far_spread,
         }[concept.role]
         image_id = f"img_{self._image_counter:06d}"
@@ -274,7 +267,7 @@ class OracleClient:
     def _describe_token(self, concept: Concept) -> str:
         if concept.role == "far":
             token = f"scene_{concept.name}"
-            self._register(token, concept.proto, self.cfg.expressive_noise, "desc")
+            self._register(token, concept.proto, EXPRESSIVE_NOISE, "desc")
         else:
             parent = (
                 self.world.id_concepts[concept.parent]
@@ -289,17 +282,7 @@ class OracleClient:
         concept_name = self.world.image_concepts.get(image_ref)
         if concept_name is None:
             return "an unidentifiable object on a plain background"
-        concept = self.world.concepts[concept_name]
-        if self.cfg.describe_corruption > 0.0:
-            rng = np.random.default_rng(
-                _hash_seed(self.cfg.seed, "corrupt", image_ref)
-            )
-            if rng.random() < self.cfg.describe_corruption:
-                names = sorted(self.world.concepts)
-                concept = self.world.concepts[
-                    names[rng.integers(len(names))]
-                ]
-        token = self._describe_token(concept)
+        token = self._describe_token(self.world.concepts[concept_name])
         return f"a photo of something resembling {token} in the scene"
 
     def similar_labels(self, class_name: str, count: int) -> list[str]:
@@ -317,7 +300,7 @@ class OracleClient:
             ),
         )
         close = [
-            name for angle, name in scored if angle <= self.cfg.similar_threshold
+            name for angle, name in scored if angle <= SIMILAR_THRESHOLD
         ]
         out = close[:count]
         # invented lookalikes cluster around the nearest confusable concept
@@ -328,7 +311,7 @@ class OracleClient:
             twin_angle = 0.2
         else:
             anchor = p
-            twin_angle = self.cfg.lookalike_angle
+            twin_angle = LOOKALIKE_ANGLE
         i = 0
         while len(out) < count:
             token = f"{class_name} twin {i}"
@@ -379,8 +362,6 @@ def scenario_world_config(name: str, seed: int = 42) -> WorldConfig:
             id_spread=0.25,
             corpus_random=200,
             corpus_far_words=24,
-            corpus_word_noise=0.70,
-            lookalike_angle=0.60,
             **base,
         )
     if name == "near":
@@ -390,13 +371,10 @@ def scenario_world_config(name: str, seed: int = 42) -> WorldConfig:
         return WorldConfig(
             n_near_classes=6,
             near_offset=0.50,
-            near_spread=0.30,
             id_spread=0.25,
             corpus_random=197,
             corpus_near_words=3,
-            corpus_word_noise=0.70,
             coarse_noise=0.55,
-            lookalike_angle=0.60,
             **base,
         )
     if name == "mixed":
@@ -408,14 +386,11 @@ def scenario_world_config(name: str, seed: int = 42) -> WorldConfig:
             far_angle=0.75,
             far_spread=0.30,
             near_offset=0.50,
-            near_spread=0.30,
             id_spread=0.25,
             corpus_random=192,
             corpus_near_words=6,
             corpus_far_words=2,
-            corpus_word_noise=0.70,
             coarse_noise=0.40,
-            lookalike_angle=0.60,
             **base,
         )
     raise ConfigError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
@@ -436,9 +411,6 @@ class ScenarioResult:
     baseline: MetricReport
     adapted: MetricReport
     lambda_history: tuple[float, ...]
-    baseline_records: list[ScoreRecord] = field(repr=False, default_factory=list)
-    adapted_records: list[ScoreRecord] = field(repr=False, default_factory=list)
-    ground_truth: dict[str, str] = field(repr=False, default_factory=dict)
 
 
 def run_scenario(
@@ -472,7 +444,4 @@ def run_scenario(
         baseline=base_report,
         adapted=full_report,
         lambda_history=tuple(state.lambda_history),
-        baseline_records=base_records,
-        adapted_records=full_records,
-        ground_truth=truth,
     )

@@ -154,6 +154,7 @@ class TestRun:
             "score.temperature=NaN",
             "score.temperature=Infinity",
             "score.temperature=1e-320",
+            "score.temperature=6e-309",
             "mining.cache_capacity=true",
             "adapt=0",
         ):

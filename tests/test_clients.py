@@ -6,7 +6,6 @@ import pytest
 import requests
 
 from negtext.clients import (
-    ChatCompletionShim,
     HttpGenerationClient,
     RecordingClient,
     ReplayClient,
@@ -118,54 +117,6 @@ class TestHttpGenerationClient:
         client, _ = self._client([FakeResponse({"vectors": [[1.0, 0.0]]})])
         with pytest.raises(GenerationError):
             client.embed_texts(["x", "y"])
-
-
-class TestChatCompletionShim:
-    def _client(self, responses):
-        session = FakeSession(responses)
-        shim = ChatCompletionShim(
-            "http://unit.test/v1/",
-            model="chat-model",
-            embedding_model="embed-model",
-            backoff=0.0,
-            session=session,
-        )
-        return shim, session
-
-    def _chat_payload(self, content):
-        return FakeResponse({"choices": [{"message": {"content": content}}]})
-
-    def test_describe_takes_first_line(self):
-        shim, session = self._client([self._chat_payload("a lone cactus\nextra")])
-        assert shim.describe_image("img_1", "fox") == "a lone cactus"
-        assert session.calls[0]["url"] == "http://unit.test/v1/chat/completions"
-        assert "fox" in session.calls[0]["json"]["messages"][0]["content"]
-
-    def test_similar_labels_parses_lines(self):
-        shim, _ = self._client([self._chat_payload(" - coyote\n* jackal\n\ndingo\n")])
-        assert shim.similar_labels("fox", 3) == ["coyote", "jackal", "dingo"]
-
-    def test_embeddings_sorted_by_index(self):
-        shim, session = self._client(
-            [
-                FakeResponse(
-                    {
-                        "data": [
-                            {"index": 1, "embedding": [0.0, 1.0]},
-                            {"index": 0, "embedding": [1.0, 0.0]},
-                        ]
-                    }
-                )
-            ]
-        )
-        out = shim.embed_texts(["a", "b"])
-        assert np.array_equal(out, [[1.0, 0.0], [0.0, 1.0]])
-        assert session.calls[0]["url"] == "http://unit.test/v1/embeddings"
-
-    def test_malformed_chat_response_raises(self):
-        shim, _ = self._client([FakeResponse({"choices": []})])
-        with pytest.raises(GenerationError):
-            shim.describe_image("img_1", "fox")
 
 
 class TestRecordReplay:

@@ -15,12 +15,11 @@ from negtext.embeddings import (
     NegativeSpace,
     SpaceKind,
     TestBatch,
-    assert_disjoint,
     cosine,
     load_embeddings,
     save_embeddings,
 )
-from negtext.errors import DataError, DimError, FormatError, InputError
+from negtext.errors import DataError, DimError, FormatError
 
 from conftest import make_label_space, make_negative_space, unit_rows
 
@@ -234,11 +233,6 @@ class TestNegativeSpace:
         covered = [i for sl in slices for i in range(*sl.indices(m))]
         assert covered == list(range(m))
         assert all(sl.stop - sl.start <= g for sl in slices)
-
-    def test_disjointness_check(self, label_space):
-        with pytest.raises(InputError):
-            assert_disjoint(["ok", " Label_0 "], label_space)
-        assert_disjoint(["ok", "label zero"], label_space)
 
 
 class TestTestBatch:

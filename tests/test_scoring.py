@@ -15,7 +15,6 @@ from negtext.mining import classify_batch
 from negtext.scoring import (
     ScoreConfig,
     adaptive_lambda,
-    detect,
     fused_score,
     grouped_score,
     grouped_scores_batch,
@@ -91,8 +90,9 @@ class TestScoreConfig:
             ScoreConfig(group_size=0)
         with pytest.raises(ConfigError):
             ScoreConfig(lambda_override=1.5)
-        # 1e-320 is finite, but its reciprocal is not
-        for bad in (float("nan"), float("inf"), 1e-320):
+        # 1e-320 is finite, but its reciprocal is not; 6e-309 has a finite
+        # reciprocal, but the scaled similarities' span 2 / 6e-309 is not
+        for bad in (float("nan"), float("inf"), 1e-320, 6e-309):
             with pytest.raises(ConfigError, match="temperature must be finite"):
                 ScoreConfig(temperature=bad)
         ScoreConfig(lambda_override=0.0)
@@ -114,7 +114,7 @@ class TestSoftmaxScore:
             softmax_score([], [0.5], 0.01)
 
     def test_bad_temperature_rejected(self):
-        for bad in (-1.0, float("nan"), float("inf"), 1e-320):
+        for bad in (-1.0, float("nan"), float("inf"), 1e-320, 6e-309):
             with pytest.raises(ConfigError):
                 softmax_score([0.5], [0.2], bad)
 
@@ -451,9 +451,3 @@ class TestFusedScore:
     def test_out_of_range_lambda_rejected(self):
         with pytest.raises(InputError):
             fused_score(0.5, 0.5, 1.5)
-
-
-class TestDetect:
-    def test_threshold_rule(self):
-        assert detect(0.9, 0.9) == "ID"
-        assert detect(0.89999, 0.9) == "OOD"

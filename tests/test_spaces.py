@@ -243,7 +243,7 @@ class TestGenerateVsnl:
     def test_id_label_candidates_removed(self):
         ids = make_label_space(n=2, dim=4, seed=14)
         client = ScriptedClient(
-            dim=4, similars={"label_0": ["coyote", "Label_1", "dingo"]}
+            dim=4, similars={"label_0": ["coyote", " Label_1 ", "dingo"]}
         )
         space = generate_vsnl(self._subset([0], 2), ids, client, 3, 2)
         assert space.texts == ("coyote", "dingo")

@@ -26,10 +26,6 @@ class TestWorldConfig:
         with pytest.raises(ConfigError):
             WorldConfig(id_spread=-0.1)
 
-    def test_corruption_probability_range(self):
-        with pytest.raises(ConfigError):
-            WorldConfig(describe_corruption=1.5)
-
 
 class TestWorldDeterminism:
     def test_fixed_seed_is_bit_identical(self):
