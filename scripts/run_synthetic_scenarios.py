@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Run the three synthetic scenarios and print baseline-vs-adaptive metrics.
 
-Each scenario streams the same batches twice: once with the negative
-spaces frozen at the initial word selection (the baseline), once with
-full per-batch adaptation. Use --full for the 5x(400+400) regression
-scale; the default is a quick desk-scale pass.
+Each scenario streams its batches once, with full per-batch adaptation.
+The baseline is the same stream's s_nl column: the score against the
+negative spaces frozen at the initial word selection. Use --full for the
+5x(400+400) regression scale; the default is a quick desk-scale pass.
 """
 import argparse
 import json

@@ -30,6 +30,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,7 @@ from .metrics import (
     split_scores,
 )
 from .pipeline import PipelineConfig, run_stream, save_checkpoint
+from .scoring import fused_score
 from .spaces import CorpusCandidates
 from .synthetic import (
     SCENARIOS,
@@ -75,12 +77,19 @@ def _whole_number(value: float) -> int:
     return int(value)
 
 
-# sweep axis -> the config overrides that set it to a value
+def _fusion_weight(value: float) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise InputError(f"lambda must lie in [0, 1], got {value:g}")
+    return value
+
+
+# sweep axis -> (the config overrides that set it to a value, and the fixed
+# fusion weight that re-fuses the stream's records or None)
 SWEEP_AXES = {
-    "delta": lambda v: {"mining.class_ratio": v},
-    "lambda": lambda v: {"score.lambda_override": v},
-    "eta": lambda v: {"mining.selection_ratio": v},
-    "length": lambda v: {"sentence_len_max": _whole_number(v)},
+    "delta": lambda v: ({"mining.class_ratio": v}, None),
+    "lambda": lambda v: ({}, _fusion_weight(v)),
+    "eta": lambda v: ({"mining.selection_ratio": v}, None),
+    "length": lambda v: ({"sentence_len_max": _whole_number(v)}, None),
 }
 
 ENV_ENDPOINT = "NEGTEXT_ENDPOINT"
@@ -189,10 +198,10 @@ def _read_json(path: Path, what: str):
 
 
 def _int_entry(spec: dict, key: str, default: int) -> int:
-    try:
-        return int(spec.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"manifest {key!r} must be an integer ({exc})") from exc
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"manifest {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _apply_override(spec: dict, dotted_key: str, value) -> None:
@@ -236,12 +245,13 @@ def _save_truth_csv(truth: dict[str, str], path) -> None:
 
 
 class RunInputs:
-    def __init__(self, label_space, corpus, batches, truth, client):
+    def __init__(self, label_space, corpus, batches, truth, client, world=None):
         self.label_space = label_space
         self.corpus = corpus
         self.batches = batches
         self.truth = truth  # dict image_id -> tag, possibly empty
         self.client = client
+        self.world = world  # the synthetic world, in synthetic mode
 
 
 def _build_client(manifest: Manifest, world=None) -> GenerationClient:
@@ -285,7 +295,8 @@ def _assemble_inputs(manifest: Manifest, client_override=None, world=None) -> Ru
         )
         client = client_override or _build_client(manifest, world)
         return RunInputs(
-            world.label_space, world.corpus, batches, batches_truth(batches), client
+            world.label_space, world.corpus, batches, batches_truth(batches), client,
+            world,
         )
 
     for key in ("labels", "corpus", "batches"):
@@ -365,35 +376,42 @@ def cmd_sweep(args) -> int:
         raise InputError("sweep needs at least two values")
     manifest = Manifest.load(args.manifest)
     base_overrides = _parse_set_flags(args.set)
-    # every value is checked before the CSV is opened
-    configs = [
-        manifest.pipeline_config({**base_overrides, **SWEEP_AXES[args.axis](value)})
-        for value in values
-    ]
+    # every value is checked and the inputs are loaded before the CSV is opened
+    points = []
+    for value in values:
+        overrides, lam = SWEEP_AXES[args.axis](value)
+        config = manifest.pipeline_config({**base_overrides, **overrides})
+        points.append((value, config, lam))
+    inputs = _assemble_inputs(manifest)
+    if not inputs.truth:
+        raise InputError("sweep requires ground truth")
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     degraded = False
+    digest = records = None
     with out_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.axis, "auroc", "fpr95", "n_id", "n_ood"])
         fh.flush()
-        for value, config in zip(values, configs):
-            inputs = _assemble_inputs(manifest)
-            if not inputs.truth:
-                raise InputError("sweep requires ground truth")
-            records, state = run_stream(
-                inputs.batches,
-                inputs.label_space,
-                inputs.corpus,
-                inputs.client,
-                config,
-                seed=manifest.seed,
-            )
-            degraded = degraded or state.degraded
+        for value, config, lam in points:
+            # a value whose config equals the previous one's reuses its stream
+            if config.digest() != digest:
+                if digest is not None:  # each stream gets a fresh client
+                    inputs.client = _build_client(manifest, inputs.world)
+                records = None  # hold one stream's records at a time
+                records, state = run_stream(
+                    inputs.batches, inputs.label_space, inputs.corpus, inputs.client,
+                    config, seed=manifest.seed,
+                )
+                digest = config.digest()
+                degraded = degraded or state.degraded
+            scored = records if lam is None else [
+                replace(r, s_ada=fused_score(r.s_ens, r.s_vsnl, lam)) for r in records
+            ]
             # quantize like the records exporter so sweep rows agree with
             # the report a plain run of the same config would produce
             report = compute_report(
-                *split_scores(records, inputs.truth, quantized=True)
+                *split_scores(scored, inputs.truth, quantized=True)
             )
             writer.writerow(
                 ["%g" % value, "%.9g" % report.auroc, "%.9g" % report.fpr95,

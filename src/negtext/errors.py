@@ -35,21 +35,17 @@ class GenerationError(NegtextError):
         self.image_id = image_id
 
 
-_FIELD_TYPES = {"bool": bool, "int": numbers.Integral, "float": numbers.Real}
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real}
 
 
 def check_field_types(config) -> None:
     """Raise ConfigError where a dataclass field's value does not fit its
-    annotation: an `int` takes no bool or float, a `float` takes an int but
-    no bool, a `bool` takes only a bool, and `X | None` also takes None.
-    Annotations are read as strings, as `from __future__ import annotations`
-    leaves them."""
+    annotation: an `int` takes no bool or float, and a `float` takes an int
+    but no bool. Annotations are read as strings, as `from __future__ import
+    annotations` leaves them."""
     for f in dataclasses.fields(config):
-        name, _, rest = f.type.partition(" | ")
         value = getattr(config, f.name)
-        if name not in _FIELD_TYPES or (value is None and rest == "None"):
-            continue
-        if not isinstance(value, _FIELD_TYPES[name]) or (
-            isinstance(value, bool) != (name == "bool")
+        if f.type in _FIELD_TYPES and (
+            isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type])
         ):
-            raise ConfigError(f"{f.name} must be of type {name}, got {value!r}")
+            raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")

@@ -63,7 +63,6 @@ class PipelineConfig:
     score: ScoreConfig = field(default_factory=ScoreConfig)
     mining: MiningConfig = field(default_factory=MiningConfig)
     num_negatives: int = 10000
-    adapt: bool = True  # False freezes both spaces at initialization
     sentence_len_max: int = SENTENCE_MAX_WORDS
 
     def __post_init__(self):
@@ -193,14 +192,12 @@ def process_batch(
     kept = slots >= 0
     state.cache.nl_scores[slots[kept]] = s_nl[kept]
     state.cache.predictions[slots[kept]] = predictions[kept]
-    if cfg.adapt and len(state.cache) > 0:
+    if len(state.cache) > 0:
         try:
             _regenerate(state, client)
         except (GenerationError, DataError):  # e.g. a non-finite embedding
             state.degraded = True
 
-    override = cfg.score.lambda_override
-    lam = state.lambda_ if override is None else float(override)
     s_ens = negative_scores(images, lse_id, state.ens_space, cfg.score)
     s_vsnl = negative_scores(images, lse_id, state.vsnl_space, cfg.score)
     records = [
@@ -209,13 +206,13 @@ def process_batch(
             s_nl=float(s_nl[i]),
             s_ens=float(s_ens[i]),
             s_vsnl=float(s_vsnl[i]),
-            s_ada=fused_score(float(s_ens[i]), float(s_vsnl[i]), lam),
+            s_ada=fused_score(float(s_ens[i]), float(s_vsnl[i]), state.lambda_),
             predicted_class=int(predictions[i]),
         )
         for i in range(batch.images.rows)
     ]
     state.epoch += 1
-    state.lambda_history.append(lam)
+    state.lambda_history.append(state.lambda_)
     return records
 
 

@@ -48,17 +48,12 @@ MIN_SPLIT_CELLS = 1 << 18
 class ScoreConfig:
     temperature: float = 0.01
     group_size: int = 100
-    lambda_override: float | None = None  # None: the adaptive weight
 
     def __post_init__(self):
         check_field_types(self)
         _check_temperature(self.temperature)
         if self.group_size < 1:
             raise ConfigError(f"group size must be >= 1, got {self.group_size}")
-        if self.lambda_override is not None and not 0.0 <= self.lambda_override <= 1.0:
-            raise ConfigError(
-                f"lambda override must lie in [0, 1], got {self.lambda_override}"
-            )
 
 
 @dataclass(frozen=True)

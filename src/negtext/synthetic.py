@@ -421,27 +421,19 @@ def run_scenario(
     ood_per_batch: int = 400,
     seed: int = 42,
 ) -> ScenarioResult:
-    """Run the identical stream frozen at initialization and fully adaptive."""
+    """Run one adaptive stream. The frozen baseline is its `s_nl` column:
+    spaces that never regenerate fuse two copies of the initial word space."""
     cfg = pipeline_cfg or scenario_pipeline_config()
-    world_cfg = scenario_world_config(name, seed=seed)
-
-    def one_run(adapt: bool):
-        world = SyntheticWorld(world_cfg)
-        batches = world.make_batches(n_batches, id_per_batch, ood_per_batch)
-        truth = batches_truth(batches)
-        run_cfg = replace(cfg, adapt=adapt)
-        records, state = run_stream(
-            batches, world.label_space, world.corpus,
-            world.oracle_client(), run_cfg, seed=seed,
-        )
-        return records, state, truth
-
-    base_records, _, truth = one_run(adapt=False)
-    full_records, state, _ = one_run(adapt=True)
-    base_report = compute_report(*split_scores(base_records, truth))
-    full_report = compute_report(*split_scores(full_records, truth))
+    world = SyntheticWorld(scenario_world_config(name, seed=seed))
+    batches = world.make_batches(n_batches, id_per_batch, ood_per_batch)
+    truth = batches_truth(batches)
+    records, state = run_stream(
+        batches, world.label_space, world.corpus, world.oracle_client(), cfg,
+        seed=seed,
+    )
+    frozen = [replace(r, s_ada=r.s_nl) for r in records]
     return ScenarioResult(
-        baseline=base_report,
-        adapted=full_report,
+        baseline=compute_report(*split_scores(frozen, truth)),
+        adapted=compute_report(*split_scores(records, truth)),
         lambda_history=tuple(state.lambda_history),
     )

@@ -20,10 +20,11 @@ import pytest
 
 from negtext.metrics import auroc, fpr95
 from negtext.mining import MiningConfig, mine_negative_images
-from negtext.pipeline import PipelineConfig, run_stream
+from negtext.pipeline import run_stream
 from negtext.scoring import (
     ScoreConfig,
     adaptive_lambda,
+    fused_score,
     grouped_scores_batch,
     softmax_score,
 )
@@ -162,25 +163,19 @@ def test_metric_oracle_equivalence():
     _passed("metric-oracle equivalence: 1000 instances within 1e-12 abs")
 
 
-def _scenario_stream(lambda_override, seed=42):
-    world = SyntheticWorld(scenario_world_config("mixed", seed=seed))
-    batches = world.make_batches(3, 150, 150)
-    base = scenario_pipeline_config().to_dict()
-    base["score"]["lambda_override"] = lambda_override
-    cfg = PipelineConfig.from_dict(base)
-    records, _ = run_stream(
-        batches, world.label_space, world.corpus, world.oracle_client(),
-        cfg, seed=seed,
-    )
-    return records
-
-
 def test_endpoint_identities():
     """Fixed weight 1 (resp. 0) reproduces the sentence (resp. label) score bitwise."""
-    ens_records = _scenario_stream(1.0)
-    assert ens_records and all(r.s_ada == r.s_ens for r in ens_records)
-    vsnl_records = _scenario_stream(0.0)
-    assert vsnl_records and all(r.s_ada == r.s_vsnl for r in vsnl_records)
+    world = SyntheticWorld(scenario_world_config("mixed", seed=42))
+    batches = world.make_batches(3, 150, 150)
+    records, _ = run_stream(
+        batches, world.label_space, world.corpus, world.oracle_client(),
+        scenario_pipeline_config(), seed=42,
+    )
+    assert records and all(
+        fused_score(r.s_ens, r.s_vsnl, 1.0) == r.s_ens
+        and fused_score(r.s_ens, r.s_vsnl, 0.0) == r.s_vsnl
+        for r in records
+    )
     _passed("endpoint identities: fixed weight 0/1 bitwise across a full stream")
 
 

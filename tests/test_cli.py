@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,8 @@ import pytest
 
 from negtext.cli import main
 from negtext.embeddings import load_embeddings
-from negtext.metrics import load_records_csv
+from negtext.metrics import compute_report, load_records_csv, split_scores
 from negtext.pipeline import load_checkpoint
-from negtext.scoring import fused_score
 
 
 def run_cli(*argv):
@@ -85,8 +86,21 @@ class TestRun:
         (world_dir / "broken.json").write_text('{"labels": [')
         variants = {
             "seed": {**manifest, "seed": "abc"},
+            # only a JSON integer: no float is truncated, no bool taken for 0 or 1
+            "seed_float": {**manifest, "seed": 42.9},
+            "seed_bool": {**manifest, "seed": True},
+            "seed_string": {**manifest, "seed": "42"},
             "n_batches": {
                 **manifest, "client": {**manifest["client"], "n_batches": "x"}
+            },
+            "n_batches_float": {
+                **manifest, "client": {**manifest["client"], "n_batches": 2.0}
+            },
+            "id_per_batch_bool": {
+                **manifest, "client": {**manifest["client"], "id_per_batch": True}
+            },
+            "ood_per_batch_float": {
+                **manifest, "client": {**manifest["client"], "ood_per_batch": 150.5}
             },
             "no_features": {**replay, "labels": "labels_no_features.json"},
             "broken_labels": {**replay, "labels": "broken.json"},
@@ -120,6 +134,10 @@ class TestRun:
             # keys of fields that were removed
             "mode": {**config, "mode": "adaptive"},
             "regen_every": {**config, "regen_every": 1},
+            "adapt": {**config, "adapt": False},
+            "lambda_override": {
+                **config, "score": {**config["score"], "lambda_override": 0.5}
+            },
             # values whose type does not match the field
             "capacity": {**config, "mining": {**config["mining"], "cache_capacity": 2.5}},
             "negatives": {**config, "num_negatives": 200.0},
@@ -149,6 +167,7 @@ class TestRun:
         out = tmp_path / "o"
         for setting in (
             "score.lambda_override=true",
+            "score.lambda_override=0.5",
             "score.group_size=true",
             "score.temperature=true",
             "score.temperature=NaN",
@@ -157,6 +176,7 @@ class TestRun:
             "score.temperature=6e-309",
             "mining.cache_capacity=true",
             "adapt=0",
+            "adapt=false",
         ):
             code = run_cli(
                 "run", world_dir / "manifest.json", "--out", out, "--set", setting
@@ -188,25 +208,10 @@ class TestRun:
         out = tmp_path / "run"
         code = run_cli(
             "run", world_dir / "manifest.json", "--out", out,
-            "--set", "score.lambda_override=0",
+            "--set", "score.temperature=0.02",
         )
         assert code == 0
-        records, _ = load_records_csv(out / "records.csv")
-        assert all(r.s_ada == r.s_vsnl for r in records)
-
-    def test_lambda_override_alone_fixes_the_weight(self, world_dir, tmp_path):
-        out = tmp_path / "run"
-        assert run_cli(
-            "run", world_dir / "manifest.json", "--out", out,
-            "--set", "score.lambda_override=0.3",
-        ) == 0
-        records, _ = load_records_csv(out / "records.csv")
-        # records.csv holds 9 significant digits
-        assert records and all(
-            r.s_ada == pytest.approx(fused_score(r.s_ens, r.s_vsnl, 0.3), abs=1e-8)
-            for r in records
-        )
-        assert load_checkpoint(out / "checkpoint.nckp").lambda_history == [0.3, 0.3]
+        assert load_checkpoint(out / "checkpoint.nckp").config.score.temperature == 0.02
 
 
 class TestFixtures:
@@ -330,6 +335,26 @@ class TestEval:
         assert direct + flipped == pytest.approx(1.0, abs=1e-9)
 
 
+class CountingClient:
+    """Delegates to `inner` and appends each request to `calls`."""
+
+    def __init__(self, inner, calls):
+        self.inner = inner
+        self.calls = calls
+
+    def describe_image(self, image_ref, exclude_label):
+        self.calls.append(("describe", image_ref, exclude_label))
+        return self.inner.describe_image(image_ref, exclude_label)
+
+    def similar_labels(self, class_name, count):
+        self.calls.append(("similar", class_name, count))
+        return self.inner.similar_labels(class_name, count)
+
+    def embed_texts(self, texts):
+        self.calls.append(("embed", tuple(texts)))
+        return self.inner.embed_texts(texts)
+
+
 class TestSweep:
     def test_lambda_endpoints_match_single_space_modes(self, world_dir, tmp_path):
         sweep_csv = tmp_path / "sweep.csv"
@@ -338,17 +363,39 @@ class TestSweep:
             "--values", "0,0.5,1", "-o", sweep_csv,
         ) == 0
         rows = list(csv.DictReader(sweep_csv.open()))
-        assert len(rows) == 3
+        assert [row["lambda"] for row in rows] == ["0", "0.5", "1"]
 
-        for value, row in (("0", rows[0]), ("1", rows[2])):
-            out = tmp_path / f"lambda_{value}"
-            assert run_cli(
-                "run", world_dir / "manifest.json", "--out", out,
-                "--set", f"score.lambda_override={value}",
-            ) == 0
-            report = json.loads((out / "report.json").read_text())
-            assert float(row["auroc"]) == pytest.approx(report["auroc"], abs=1e-9)
-            assert float(row["fpr95"]) == pytest.approx(report["fpr95"], abs=1e-9)
+        # a fixed weight of 0 (resp. 1) scores with the lookalike (resp.
+        # sentence) space alone: the s_vsnl (resp. s_ens) column of a run
+        out = tmp_path / "run"
+        assert run_cli("run", world_dir / "manifest.json", "--out", out) == 0
+        records, truth = load_records_csv(out / "records.csv")
+        for column, row in (("s_vsnl", rows[0]), ("s_ens", rows[2])):
+            single = [replace(r, s_ada=getattr(r, column)) for r in records]
+            report = compute_report(*split_scores(single, truth))
+            assert row["auroc"] == "%.9g" % report.auroc
+            assert row["fpr95"] == "%.9g" % report.fpr95
+
+    def test_lambda_sweep_makes_the_client_calls_of_one_run(
+        self, world_dir, tmp_path, monkeypatch
+    ):
+        import negtext.cli
+
+        calls = []
+        build_client = negtext.cli._build_client
+        monkeypatch.setattr(
+            negtext.cli, "_build_client",
+            lambda *a: CountingClient(build_client(*a), calls),
+        )
+        assert run_cli("run", world_dir / "manifest.json", "--out", tmp_path / "o") == 0
+        run_calls = calls.copy()
+        calls.clear()
+        assert run_cli(
+            "sweep", "lambda", world_dir / "manifest.json",
+            "--values", "0,0.25,0.5,1", "-o", tmp_path / "s.csv",
+        ) == 0
+        # describe requests run concurrently, so compare the calls as a multiset
+        assert run_calls and Counter(calls) == Counter(run_calls)
 
     @pytest.mark.parametrize(
         "axis,values",
@@ -360,6 +407,18 @@ class TestSweep:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_missing_truth_fails_before_writing(self, world_dir, tmp_path, capsys):
+        manifest = json.loads((world_dir / "manifest.json").read_text())
+        del manifest["truth"]
+        manifest["client"] = {"mode": "replay", "fixtures": "."}
+        path = world_dir / "manifest_sweep_no_truth.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "lambda", path, "--values", "0,1", "-o", out) == 1
+        err = capsys.readouterr().err
+        assert err == "error: sweep requires ground truth\n"
         assert not out.exists()
 
     def test_single_value_is_usage_error(self, world_dir, tmp_path):

@@ -12,8 +12,6 @@ from hypothesis.extra.numpy import arrays
 from negtext.embeddings import (
     EmbeddingMatrix,
     LabelSpace,
-    NegativeSpace,
-    SpaceKind,
     TestBatch,
     cosine,
     load_embeddings,

@@ -88,14 +88,11 @@ class TestScoreConfig:
             ScoreConfig(temperature=0.0)
         with pytest.raises(ConfigError):
             ScoreConfig(group_size=0)
-        with pytest.raises(ConfigError):
-            ScoreConfig(lambda_override=1.5)
         # 1e-320 is finite, but its reciprocal is not; 6e-309 has a finite
         # reciprocal, but the scaled similarities' span 2 / 6e-309 is not
         for bad in (float("nan"), float("inf"), 1e-320, 6e-309):
             with pytest.raises(ConfigError, match="temperature must be finite"):
                 ScoreConfig(temperature=bad)
-        ScoreConfig(lambda_override=0.0)
 
 
 class TestSoftmaxScore:

@@ -5,7 +5,6 @@ import pytest
 from negtext.errors import ConfigError
 from negtext.mining import MiningConfig, classify_batch, mine_similar_classes
 from negtext.pipeline import init_stream
-from negtext.scoring import ScoreConfig
 from negtext.spaces import generate_vsnl
 from negtext.synthetic import (
     SCENARIOS,
