@@ -162,7 +162,10 @@ class Manifest:
 
     @property
     def seed(self) -> int:
-        return _int_entry(self.spec, "seed", 0)
+        seed = _int_entry(self.spec, "seed", 0)
+        if seed < 0:
+            raise ConfigError(f"manifest 'seed' must be >= 0, got {seed}")
+        return seed
 
     def output_dir(self, override=None) -> Path:
         out = override or self.spec.get("output_dir")
@@ -465,10 +468,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth_world(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     world = SyntheticWorld(scenario_world_config(args.scenario, seed=args.seed))
     batches = world.make_batches(args.batches, args.id_per_batch, args.ood_per_batch)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     world.label_space.save_manifest(out_dir / "labels.json", "labels.nspc")
     save_embeddings(world.corpus.features, out_dir / "corpus.nspc")

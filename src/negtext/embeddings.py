@@ -10,7 +10,6 @@ import enum
 import json
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +32,13 @@ _NORM_SAFE_MAX = 2.0**500
 _MERGE_CHUNK = 512
 
 
-def _normalize_rows(data: np.ndarray) -> np.ndarray:
+def _normalize_rows(data) -> np.ndarray:
+    """A unit-norm float64 copy of a 2-D array of finite values."""
     out = np.array(data, dtype=np.float64, copy=True)
+    if out.ndim != 2:
+        raise DataError("expected a 2-D array")
+    if not np.all(np.isfinite(out)):
+        raise DataError("non-finite entries in embedding matrix")
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(out, axis=1)
     extreme = ~(norms >= _NORM_SAFE_MIN) | (norms > _NORM_SAFE_MAX)
@@ -73,11 +77,6 @@ class EmbeddingMatrix:
 
     @classmethod
     def from_rows(cls, ids, data) -> "EmbeddingMatrix":
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2:
-            raise DataError("expected a 2-D array")
-        if not np.all(np.isfinite(data)):
-            raise DataError("non-finite entries in embedding matrix")
         return cls(ids=tuple(ids), data=_normalize_rows(data))
 
     @property
@@ -87,13 +86,6 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
-
-    def select(self, indices) -> "EmbeddingMatrix":
-        idx = list(indices)
-        return EmbeddingMatrix(
-            ids=tuple(self.ids[i] for i in idx),
-            data=np.array(self.data[idx], dtype=np.float64),
-        )
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -233,19 +225,23 @@ class SpaceKind(enum.Enum):
 
 @dataclass(frozen=True)
 class NegativeSpace:
-    """A named set of negative texts partitioned into scoring groups."""
+    """A named set of negative texts partitioned into scoring groups.
+
+    `rows` holds the space's distinct unit rows: text i's row is
+    `rows[inverse[i]]`, or `rows[i]` when `inverse` is None. Build a space
+    with `from_rows`, which stores a repeated text's row once.
+    """
 
     kind: SpaceKind
     texts: tuple[str, ...]
-    features: EmbeddingMatrix
+    rows: np.ndarray  # (distinct rows, dim) float64, read-only
+    inverse: np.ndarray | None  # (texts,) index into `rows`
     group_size: int
     epoch: int = 0
 
     def __post_init__(self):
         if len(self.texts) < 1:
             raise DataError("negative space must be non-empty")
-        if self.features.rows != len(self.texts):
-            raise DataError("feature rows do not match texts")
         if self.group_size < 1:
             raise DataError("group size must be >= 1")
 
@@ -253,42 +249,48 @@ class NegativeSpace:
     def size(self) -> int:
         return len(self.texts)
 
-    @property
-    def n_groups(self) -> int:
-        return -(-self.size // self.group_size)
-
     def group_slices(self) -> list[slice]:
         g = self.group_size
         return [slice(i, min(i + g, self.size)) for i in range(0, self.size, g)]
 
-    @cached_property
-    def distinct_rows(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """`(rows, inverse)`: stored row i equals `rows[inverse[i]]`.
+    @classmethod
+    def from_rows(
+        cls, kind: SpaceKind, texts, data, group_size: int, epoch: int = 0
+    ) -> "NegativeSpace":
+        """The space of `texts` with one row of `data` per text, normalized.
 
         A row merges into the first row of the same text only when the two
         are byte-equal, so the merge is exact for any embedding client.
-        With nothing to merge, `rows` is the stored matrix and `inverse`
-        is None.
         """
+        texts = tuple(texts)
+        data = _normalize_rows(data)
+        if data.shape[0] != len(texts):
+            raise DataError("feature rows do not match texts")
         firsts: dict[str, int] = {}
         first = np.fromiter(
-            (firsts.setdefault(text, i) for i, text in enumerate(self.texts)),
+            (firsts.setdefault(text, i) for i, text in enumerate(texts)),
             dtype=np.intp,
-            count=self.size,
+            count=len(texts),
         )
-        data = self.features.data
-        own = np.arange(self.size)
+        own = np.arange(len(texts))
         repeats = np.flatnonzero(first != own)
         # compare bytes, not values: -0.0 and 0.0 stay apart
-        bits = np.ascontiguousarray(data, dtype=np.float64).view(np.uint64)
+        bits = data.view(np.uint64)
         for start in range(0, repeats.size, _MERGE_CHUNK):
             part = repeats[start : start + _MERGE_CHUNK]
             differs = np.any(bits[part] != bits[first[part]], axis=1)
             first[part[differs]] = part[differs]
         kept = np.flatnonzero(first == own)
-        if kept.size == self.size:
-            return data, None
-        return data[kept], np.searchsorted(kept, first)
+        inverse = None
+        if kept.size < len(texts):
+            data, inverse = data[kept], np.searchsorted(kept, first)
+            inverse.setflags(write=False)
+        data.setflags(write=False)
+        return cls(kind, texts, data, inverse, group_size, epoch)
+
+    def stored_rows(self) -> np.ndarray:
+        """One row per text, in text order."""
+        return self.rows if self.inverse is None else self.rows[self.inverse]
 
 
 @dataclass(frozen=True)

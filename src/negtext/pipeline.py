@@ -238,7 +238,6 @@ def _space_meta(space: NegativeSpace) -> dict:
     return {
         "kind": space.kind.value,
         "texts": list(space.texts),
-        "ids": list(space.features.ids),
         "group_size": space.group_size,
         "epoch": space.epoch,
     }
@@ -249,7 +248,7 @@ def save_checkpoint(state: StreamState, path) -> None:
     matrix (labels, cache, nl, ens, vsnl)."""
     spaces = {"nl": state.nl_space, "ens": state.ens_space, "vsnl": state.vsnl_space}
     matrices = [state.label_space.features.data, state.cache.matrix()] + [
-        space.features.data for space in spaces.values()
+        space.stored_rows() for space in spaces.values()
     ]
     payloads = [encode_nspc(m) for m in matrices]
     header = {
@@ -314,12 +313,9 @@ def load_checkpoint(path) -> StreamState:
     spaces = {}
     for name, data in zip(CHECKPOINT_MATRICES[2:], space_data):
         meta = header["spaces"][name]
-        spaces[name] = NegativeSpace(
-            kind=SpaceKind(meta["kind"]),
-            texts=tuple(meta["texts"]),
-            features=with_ids(meta["ids"], data, f"{path} [{name}]"),
-            group_size=meta["group_size"],
-            epoch=meta["epoch"],
+        spaces[name] = NegativeSpace.from_rows(
+            SpaceKind(meta["kind"]), meta["texts"], data, meta["group_size"],
+            meta["epoch"],
         )
     config = PipelineConfig.from_dict(header["config"])
     # the per-row columns are not stored; rebuild them from the loaded rows

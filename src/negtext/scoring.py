@@ -167,11 +167,9 @@ def negative_scores(
 ) -> np.ndarray:
     """Grouped score per image row from its precomputed ID part; negatives
     grouped in storage order, each distinct row multiplied once."""
-    if neg.features.dim != images.shape[1]:
-        raise DimError(
-            f"negative dim {neg.features.dim} vs image dim {images.shape[1]}"
-        )
-    rows, inverse = neg.distinct_rows
+    rows, inverse = neg.rows, neg.inverse
+    if rows.shape[1] != images.shape[1]:
+        raise DimError(f"negative dim {rows.shape[1]} vs image dim {images.shape[1]}")
     n, width = images.shape[0], rows.shape[0]
     sim_neg = np.empty((n, width))
     scores = np.zeros(n)

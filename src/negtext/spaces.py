@@ -61,13 +61,11 @@ def select_initial_nls(
     max_sim = np.max(sims, axis=1)
     order = np.argsort(max_sim, kind="stable")[:m]
     chosen = [keep[i] for i in order]
-    texts = tuple(corpus.words[i] for i in chosen)
-    return NegativeSpace(
-        kind=SpaceKind.NL,
-        texts=texts,
-        features=corpus.features.select(chosen),
-        group_size=group_size,
-        epoch=0,
+    return NegativeSpace.from_rows(
+        SpaceKind.NL,
+        [corpus.words[i] for i in chosen],
+        corpus.features.data[chosen],
+        group_size,
     )
 
 
@@ -75,9 +73,9 @@ def embed_space(
     texts,
     template: str | None,
     client: GenerationClient,
-    id_prefix: str = "t",
-) -> EmbeddingMatrix:
-    """Embed texts, applying the label prompt template when one is given."""
+) -> np.ndarray:
+    """One embedding row per text, applying the label prompt template when
+    one is given."""
     texts = list(texts)
     if not texts:
         raise InputError("no texts to embed")
@@ -88,8 +86,7 @@ def embed_space(
     vectors = np.asarray(client.embed_texts(request_texts), dtype=np.float64)
     if vectors.shape[0] != len(texts):
         raise GenerationError("embedding count does not match text count")
-    ids = tuple(f"{id_prefix}{i:05d}" for i in range(len(texts)))
-    return EmbeddingMatrix.from_rows(ids, vectors)
+    return vectors
 
 
 def _word_pattern(label: str) -> re.Pattern:
@@ -245,13 +242,9 @@ def generate_ens(
                 )
     id_canon = ids.canon_labels()
     sentences = [s for s in sentences if _canon_label(s) not in id_canon]
-    features = embed_space(sentences, None, client, id_prefix=f"ens{epoch}_")
-    return NegativeSpace(
-        kind=SpaceKind.ENS,
-        texts=tuple(sentences),
-        features=features,
-        group_size=group_size,
-        epoch=epoch,
+    vectors = embed_space(sentences, None, client)
+    return NegativeSpace.from_rows(
+        SpaceKind.ENS, sentences, vectors, group_size, epoch
     )
 
 
@@ -281,13 +274,7 @@ def generate_vsnl(
     if not labels:
         raise GenerationError("no admissible lookalike labels generated")
     labels = labels[:m]
-    features = embed_space(
-        labels, ids.prompt_template, client, id_prefix=f"vsnl{epoch}_"
-    )
-    return NegativeSpace(
-        kind=SpaceKind.VSNL,
-        texts=tuple(labels),
-        features=features,
-        group_size=group_size,
-        epoch=epoch,
+    vectors = embed_space(labels, ids.prompt_template, client)
+    return NegativeSpace.from_rows(
+        SpaceKind.VSNL, labels, vectors, group_size, epoch
     )

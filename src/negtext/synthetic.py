@@ -54,6 +54,8 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"world seed must be >= 0, got {self.seed}")
         if self.dim < 2 or self.n_id_classes < 1:
             raise ConfigError("world needs dim >= 2 and at least one ID class")
         if self.n_far_clusters > 0 and self.far_angle <= self.near_offset:
@@ -200,6 +202,12 @@ class SyntheticWorld:
     def make_batches(
         self, n_batches: int, id_per_batch: int, ood_per_batch: int
     ) -> list[TestBatch]:
+        counts = (n_batches, id_per_batch, ood_per_batch)
+        if min(counts) < 0 or id_per_batch + ood_per_batch == 0:
+            raise ConfigError(
+                "batch counts must be >= 0 with at least one image per batch, "
+                "got {} batches of {} ID and {} OOD images".format(*counts)
+            )
         if ood_per_batch > 0 and not self.ood_concepts:
             raise ConfigError("world has no OOD concepts to sample from")
         rng = np.random.default_rng(_hash_seed(self.cfg.seed, "stream"))

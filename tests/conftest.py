@@ -42,13 +42,8 @@ def make_negative_space(
     kind: SpaceKind = SpaceKind.NL,
 ) -> NegativeSpace:
     rng = np.random.default_rng(seed)
-    return NegativeSpace(
-        kind=kind,
-        texts=tuple(f"neg_{i}" for i in range(m)),
-        features=EmbeddingMatrix.from_rows(
-            [f"n{i}" for i in range(m)], unit_rows(rng, m, dim)
-        ),
-        group_size=group_size,
+    return NegativeSpace.from_rows(
+        kind, [f"neg_{i}" for i in range(m)], unit_rows(rng, m, dim), group_size
     )
 
 

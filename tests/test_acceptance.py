@@ -84,7 +84,7 @@ def test_single_group_reduction():
         neg = make_negative_space(m=m, dim=8, group_size=m, seed=20_000 + k)
         v = unit_rows(rng, 1, 8)[0]
         direct = softmax_score(
-            ids.features.data @ v, neg.features.data @ v, 0.01
+            ids.features.data @ v, neg.stored_rows() @ v, 0.01
         )
         got = grouped_scores_batch(
             v[None, :], ids, neg, ScoreConfig(group_size=m)

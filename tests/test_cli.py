@@ -50,6 +50,20 @@ class TestSynthWorld:
         assert all(i in truth for i in images.ids)
         assert set(truth.values()) == {"ID", "OOD"}
 
+    @pytest.mark.parametrize("flags", [
+        ("--seed", -1),
+        ("--id-per-batch", -3),
+        ("--ood-per-batch", -1),
+        ("--batches", -2),
+        ("--id-per-batch", 0, "--ood-per-batch", 0),
+    ])
+    def test_bad_seed_or_count_fails_before_writing(self, tmp_path, capsys, flags):
+        out = tmp_path / "world"
+        assert run_cli("synth-world", "far", "-o", out, *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
 
 class TestRun:
     def test_happy_path_writes_report(self, world_dir, tmp_path):
@@ -88,6 +102,7 @@ class TestRun:
             "seed": {**manifest, "seed": "abc"},
             # only a JSON integer: no float is truncated, no bool taken for 0 or 1
             "seed_float": {**manifest, "seed": 42.9},
+            "seed_negative": {**manifest, "seed": -1},
             "seed_bool": {**manifest, "seed": True},
             "seed_string": {**manifest, "seed": "42"},
             "n_batches": {
@@ -101,6 +116,13 @@ class TestRun:
             },
             "ood_per_batch_float": {
                 **manifest, "client": {**manifest["client"], "ood_per_batch": 150.5}
+            },
+            "id_per_batch_negative": {
+                **manifest, "client": {**manifest["client"], "id_per_batch": -5}
+            },
+            "empty_batch": {
+                **manifest,
+                "client": {**manifest["client"], "id_per_batch": 0, "ood_per_batch": 0},
             },
             "no_features": {**replay, "labels": "labels_no_features.json"},
             "broken_labels": {**replay, "labels": "broken.json"},
@@ -118,6 +140,15 @@ class TestRun:
             path = world_dir / f"manifest_bad_{name}.json"
             path.write_text(json.dumps(spec))
             cases.append(("run", path, "--out", tmp_path / "o"))
+        for name in ("id_per_batch_negative", "empty_batch"):
+            path = world_dir / f"manifest_bad_{name}.json"
+            cases.append((
+                "sweep", "lambda", path, "--values", "0,1", "-o", tmp_path / "s.csv",
+            ))
+            cases.append((
+                "fixtures", "record", path, "--fixtures", tmp_path / "fx",
+                "--out", tmp_path / "o",
+            ))
         cases.append((
             "sweep", "lambda", world_dir / "manifest.json",
             "--values", "a,b", "-o", tmp_path / "s.csv",

@@ -251,9 +251,9 @@ def assert_matrices_are_float32_rounding(loaded, state):
     """The checkpoint stores every matrix as float32, so each loaded matrix
     is exactly the float32 rounding of the saved one."""
     pairs = [(loaded.cache.matrix(), state.cache.matrix())] + [
-        (getattr(loaded, name).features.data, getattr(state, name).features.data)
-        for name in ("nl_space", "ens_space", "vsnl_space", "label_space")
-    ]
+        (getattr(loaded, name).stored_rows(), getattr(state, name).stored_rows())
+        for name in ("nl_space", "ens_space", "vsnl_space")
+    ] + [(loaded.label_space.features.data, state.label_space.features.data)]
     for got, saved in pairs:
         assert np.array_equal(got, saved.astype(np.float32).astype(np.float64))
 
@@ -319,6 +319,28 @@ class TestCheckpoint:
         assert loaded.cache.ids == state.cache.ids
         assert_matrices_are_float32_rounding(loaded, state)
         assert_cache_columns_match_rescore(loaded)
+
+    def test_sentence_space_stores_each_text_once_and_roundtrips(self, tmp_path):
+        world, batches = small_setup(scenario="mixed", n_batches=3, per_side=40)
+        _, state = run_stream(
+            batches, world.label_space, world.corpus, world.oracle_client(),
+            small_config(), seed=42,
+        )
+        ens = state.ens_space
+        assert ens.rows.shape[0] == len(set(ens.texts)) < ens.size
+        assert not ens.rows.flags.writeable
+        path, again = tmp_path / "state.nckp", tmp_path / "again.nckp"
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+        # the checkpoint stores float32 rows
+        assert np.array_equal(
+            loaded.ens_space.rows, ens.rows.astype(np.float32).astype(np.float64)
+        )
+        assert np.array_equal(loaded.ens_space.inverse, ens.inverse)
+        save_checkpoint(loaded, again)
+        reloaded = load_checkpoint(again).ens_space
+        assert np.array_equal(reloaded.rows, loaded.ens_space.rows)
+        assert np.array_equal(reloaded.inverse, loaded.ens_space.inverse)
 
     def test_resave_is_byte_identical(self, tmp_path):
         path = self._saved(tmp_path)
@@ -395,7 +417,7 @@ class TestSimilarityPass:
             assert np.array_equal(
                 [r.predicted_class for r in got], classify_batch(images, ids)
             )
-            merged |= state.ens_space.distinct_rows[1] is not None
+            merged |= state.ens_space.inverse is not None
             records.extend(got)
         assert merged  # the sentence space repeats texts
         report = compute_report(*split_scores(records, batches_truth(batches)))

@@ -39,7 +39,7 @@ def softmax_score_oracle(sim_id, sim_neg, temperature):
 def grouped_score_oracle(v, ids, neg, cfg):
     """Longdouble brute force: mean of per-group softmax ratios."""
     sim_id = (ids.features.data @ v).astype(np.longdouble)
-    sim_neg = (neg.features.data @ v).astype(np.longdouble)
+    sim_neg = (neg.stored_rows() @ v).astype(np.longdouble)
     tau = np.longdouble(cfg.temperature)
     num = np.sum(np.exp(sim_id / tau - np.max(sim_id) / tau))
     scores = []
@@ -62,24 +62,17 @@ def full_product_scores(images, ids, neg, cfg):
         return shift[:, 0] + np.log(np.sum(np.exp(scaled - shift), axis=1))
 
     lse_id = lse(images @ ids.features.data.T)
-    sim_neg = images @ neg.features.data.T
+    sim_neg = images @ neg.stored_rows().T
     total = np.zeros(images.shape[0])
-    for sl in neg.group_slices():
+    slices = neg.group_slices()
+    for sl in slices:
         total += 1.0 / (1.0 + np.exp(lse(sim_neg[:, sl]) - lse_id))
-    return total / neg.n_groups
+    return total / len(slices)
 
 
 def space_of(texts, data, group_size=2):
-    """A negative space holding exactly these texts and rows."""
-    return NegativeSpace(
-        kind=SpaceKind.ENS,
-        texts=tuple(texts),
-        features=EmbeddingMatrix(
-            ids=tuple(f"n{i}" for i in range(len(texts))),
-            data=np.array(data, dtype=np.float64),
-        ),
-        group_size=group_size,
-    )
+    """A negative space of these texts with these unit rows."""
+    return NegativeSpace.from_rows(SpaceKind.ENS, texts, data, group_size)
 
 
 class TestScoreConfig:
@@ -147,7 +140,7 @@ class TestGroupedScore:
         rng = np.random.default_rng(12)
         v = unit_rows(rng, 1, 8)[0]
         direct = softmax_score(
-            label_space.features.data @ v, neg.features.data @ v, 0.01
+            label_space.features.data @ v, neg.stored_rows() @ v, 0.01
         )
         got = grouped_score(v, label_space, neg, ScoreConfig(group_size=5))
         assert got == pytest.approx(direct, abs=1e-12)
@@ -198,19 +191,12 @@ class TestDistinctRows:
         group_size = int(rng.integers(1, m + 2))
         while m % group_size == 0:  # a ragged last group
             group_size += 1
-        neg = NegativeSpace(
-            kind=SpaceKind.ENS,
-            texts=tuple(f"sentence {j}" for j in order),
-            features=EmbeddingMatrix.from_rows(
-                [f"n{i}" for i in range(m)], base[order]
-            ),
-            group_size=group_size,
+        neg = NegativeSpace.from_rows(
+            SpaceKind.ENS, [f"sentence {j}" for j in order], base[order], group_size
         )
-        rows, inverse = neg.distinct_rows
-        assert rows.shape[0] == distinct
-        assert (inverse is None) == (distinct == m)
-        if inverse is not None:
-            assert np.array_equal(rows[inverse], neg.features.data)
+        assert neg.rows.shape[0] == distinct
+        assert (neg.inverse is None) == (distinct == m)
+        assert np.array_equal(neg.stored_rows(), base[order])
         ids = make_label_space(n=int(rng.integers(1, 6)), dim=8, seed=seed)
         cfg = ScoreConfig(
             temperature=float(rng.choice([0.01, 0.1, 1.0])), group_size=group_size
@@ -228,21 +214,19 @@ class TestDistinctRows:
     ])
     def test_repeated_text_with_a_different_row_is_not_merged(self, data):
         neg = space_of(["a", "b", "a"], data)
-        rows, inverse = neg.distinct_rows
-        assert rows is neg.features.data and inverse is None
+        assert neg.inverse is None
+        assert neg.rows.tobytes() == np.array(data).tobytes()
 
     def test_only_byte_equal_repeats_merge(self):
         neg = space_of(["a", "a", "b", "a"], [[1, 0], [1, 0], [0, 1], [0.6, 0.8]])
-        rows, inverse = neg.distinct_rows
-        assert np.array_equal(rows, [[1, 0], [0, 1], [0.6, 0.8]])
-        assert inverse.tolist() == [0, 0, 1, 2]
+        assert np.array_equal(neg.rows, [[1, 0], [0, 1], [0.6, 0.8]])
+        assert neg.inverse.tolist() == [0, 0, 1, 2]
 
     def test_all_distinct_space_keeps_stored_rows_and_full_product_scores(
         self, label_space
     ):
         neg = make_negative_space(m=23, group_size=5, seed=21)
-        rows, inverse = neg.distinct_rows
-        assert rows is neg.features.data and inverse is None
+        assert neg.inverse is None and neg.rows.shape[0] == 23
         images = unit_rows(np.random.default_rng(22), 7, 8)
         cfg = ScoreConfig(group_size=5)
         assert np.array_equal(
@@ -267,13 +251,8 @@ def repeated_space(rng, distinct, dim, group_size):
     """A sentence-like space: `distinct` rows, each repeated 1-3 times."""
     base = unit_rows(rng, distinct, dim)
     order = rng.permutation(np.repeat(np.arange(distinct), rng.integers(1, 4, distinct)))
-    return NegativeSpace(
-        kind=SpaceKind.ENS,
-        texts=tuple(f"sentence {j}" for j in order),
-        features=EmbeddingMatrix.from_rows(
-            [f"n{i}" for i in range(order.size)], base[order]
-        ),
-        group_size=group_size,
+    return NegativeSpace.from_rows(
+        SpaceKind.ENS, [f"sentence {j}" for j in order], base[order], group_size
     )
 
 
@@ -382,13 +361,10 @@ class TestRowBlocks:
         rng = np.random.default_rng(34)
         images = unit_rows(rng, 150, 8)
         ids = make_label_space(n=64, dim=8, seed=35)
-        neg = NegativeSpace(
-            kind=SpaceKind.NL,
-            texts=tuple(f"neg_{i}" for i in range(96)),
-            features=EmbeddingMatrix.from_rows(
-                [f"n{i}" for i in range(96)],
-                np.vstack([images[:48], unit_rows(rng, 48, 8)]),
-            ),
+        neg = NegativeSpace.from_rows(
+            SpaceKind.NL,
+            [f"neg_{i}" for i in range(96)],
+            np.vstack([images[:48], unit_rows(rng, 48, 8)]),
             group_size=16,
         )
         assert len(scoring._row_blocks(150, 96, 150 * 96)) == (

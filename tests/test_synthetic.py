@@ -108,7 +108,7 @@ class TestOracleFidelity:
         ]
         sentences = [client.describe_image(i, "class_00") for i in far_ids[:50]]
         ens_vectors = client.embed_texts(sentences)
-        nl_mean = float(np.mean(far_images @ state.nl_space.features.data.T))
+        nl_mean = float(np.mean(far_images @ state.nl_space.stored_rows().T))
         ens_mean = float(np.mean(far_images @ ens_vectors.T))
         assert ens_mean > nl_mean
 
@@ -146,8 +146,8 @@ class TestOracleFidelity:
                 and int(world.image_concepts[image_id].split("_")[1]) not in parents
             ]
         )
-        near_sim = float(np.mean(np.max(near_images @ space.features.data.T, axis=1)))
-        id_sim = float(np.mean(np.max(non_parent_id @ space.features.data.T, axis=1)))
+        near_sim = float(np.mean(np.max(near_images @ space.rows.T, axis=1)))
+        id_sim = float(np.mean(np.max(non_parent_id @ space.rows.T, axis=1)))
         assert near_sim > id_sim
 
 
