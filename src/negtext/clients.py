@@ -178,9 +178,10 @@ class RecordingClient:
     def __init__(self, inner: GenerationClient, fixtures_dir):
         self.inner = inner
         self.fixtures_dir = Path(fixtures_dir)
-        self.fixtures_dir.mkdir(parents=True, exist_ok=True)
 
     def _store(self, payload: dict, response: dict) -> None:
+        # made with the first fixture, so a run that fails first leaves none
+        self.fixtures_dir.mkdir(parents=True, exist_ok=True)
         path = self.fixtures_dir / f"{request_key(payload)}.json"
         path.write_text(
             json.dumps({"request": payload, "response": response}, indent=2),

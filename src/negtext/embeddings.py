@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -165,13 +165,15 @@ class LabelSpace:
     labels: tuple[str, ...]
     features: EmbeddingMatrix
     prompt_template: str = "The nice <label>."
+    _canon: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) < 1:
             raise DataError("label space needs at least one class")
-        canon = [_canon_label(l) for l in self.labels]
-        if len(set(canon)) != len(canon):
+        canon = frozenset(_canon_label(l) for l in self.labels)
+        if len(canon) != len(self.labels):
             raise DataError("labels collide after case folding")
+        object.__setattr__(self, "_canon", canon)
         if self.features.rows != len(self.labels):
             raise DataError(
                 f"{self.features.rows} feature rows for {len(self.labels)} labels"
@@ -184,7 +186,7 @@ class LabelSpace:
         return len(self.labels)
 
     def canon_labels(self) -> frozenset[str]:
-        return frozenset(_canon_label(l) for l in self.labels)
+        return self._canon
 
     @classmethod
     def from_manifest(cls, path) -> "LabelSpace":
@@ -260,10 +262,13 @@ class NegativeSpace:
         """The space of `texts` with one row of `data` per text, normalized.
 
         A row merges into the first row of the same text only when the two
-        are byte-equal, so the merge is exact for any embedding client.
+        are byte-equal as given, so the merge is exact for any embedding
+        client; only the distinct rows are then normalized.
         """
         texts = tuple(texts)
-        data = _normalize_rows(data)
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        if data.ndim != 2:
+            raise DataError("expected a 2-D array")
         if data.shape[0] != len(texts):
             raise DataError("feature rows do not match texts")
         firsts: dict[str, int] = {}
@@ -285,6 +290,7 @@ class NegativeSpace:
         if kept.size < len(texts):
             data, inverse = data[kept], np.searchsorted(kept, first)
             inverse.setflags(write=False)
+        data = _normalize_rows(data)
         data.setflags(write=False)
         return cls(kind, texts, data, inverse, group_size, epoch)
 

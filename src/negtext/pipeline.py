@@ -299,25 +299,35 @@ def load_checkpoint(path) -> StreamState:
         matrices.append(decode_nspc(raw[cursor : cursor + size], f"{path} [{name}]"))
         cursor += size
     label_data, cache_data, *space_data = matrices
-    label_space = LabelSpace(
-        labels=tuple(header["labels"]),
-        features=with_ids(header["label_ids"], label_data, f"{path} [labels]"),
-        prompt_template=header["prompt_template"],
-    )
-    # the cache rows stay a bare array: a stream may repeat an image id
-    if cache_data.shape != (len(header["cache"]["ids"]), label_space.features.dim):
-        raise FormatError(f"{path}: cache rows do not match their ids and dim")
-    cache = HistoryCache.from_state(
-        header["cache"], cache_data, header["rng_seed"]
-    )
-    spaces = {}
-    for name, data in zip(CHECKPOINT_MATRICES[2:], space_data):
-        meta = header["spaces"][name]
-        spaces[name] = NegativeSpace.from_rows(
-            SpaceKind(meta["kind"]), meta["texts"], data, meta["group_size"],
-            meta["epoch"],
+    try:  # a header that parses may still miss a field or hold a bad one
+        label_space = LabelSpace(
+            labels=tuple(header["labels"]),
+            features=with_ids(header["label_ids"], label_data, f"{path} [labels]"),
+            prompt_template=header["prompt_template"],
         )
-    config = PipelineConfig.from_dict(header["config"])
+        # the cache rows stay a bare array: a stream may repeat an image id
+        if cache_data.shape != (len(header["cache"]["ids"]), label_space.features.dim):
+            raise FormatError(f"{path}: cache rows do not match their ids and dim")
+        cache = HistoryCache.from_state(
+            header["cache"], cache_data, header["rng_seed"]
+        )
+        spaces = {}
+        for name, data in zip(CHECKPOINT_MATRICES[2:], space_data):
+            meta = header["spaces"][name]
+            spaces[name] = NegativeSpace.from_rows(
+                SpaceKind(meta["kind"]), meta["texts"], data, meta["group_size"],
+                meta["epoch"],
+            )
+        config = PipelineConfig.from_dict(header["config"])
+        scalars = {
+            "lambda_": header["lambda"],
+            "epoch": header["epoch"],
+            "rng_seed": header["rng_seed"],
+            "degraded": header["degraded"],
+            "lambda_history": list(header["lambda_history"]),
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad checkpoint header field ({exc!r})") from exc
     # the per-row columns are not stored; rebuild them from the loaded rows
     n = len(cache)
     lse_id, predictions = id_part(cache_data, label_space, config.score)
@@ -332,9 +342,5 @@ def load_checkpoint(path) -> StreamState:
         nl_space=spaces["nl"],
         ens_space=spaces["ens"],
         vsnl_space=spaces["vsnl"],
-        lambda_=header["lambda"],
-        epoch=header["epoch"],
-        rng_seed=header["rng_seed"],
-        degraded=header["degraded"],
-        lambda_history=list(header["lambda_history"]),
+        **scalars,
     )

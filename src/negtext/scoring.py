@@ -12,11 +12,13 @@ The ID part (the log-sum-exp over the labels) depends only on the image
 rows, so it is computed once per scored matrix by `id_part` and shared by
 every space through `negative_scores`.
 
-Each image row's score depends on that row alone, so both functions cut a
-large matrix into contiguous row blocks: the calling thread scores the
-first and a worker thread the second. Every block runs the same BLAS
-product and row-wise numpy as the unsplit matrix, and the scores keep
-every bit.
+Three products share the row-block rules below: the ID part of `id_part`,
+each space's product in `negative_scores`, and the word-space selection's
+product in `max_label_similarity`. Each row's result depends on that row
+alone, so each function cuts a large matrix into contiguous row blocks: the
+calling thread takes the first and a worker thread the second. Every block
+runs the same BLAS product and row-wise numpy as the unsplit matrix, and
+the results keep every bit.
 """
 from __future__ import annotations
 
@@ -42,6 +44,9 @@ MIN_BLOCK_ROWS = 64
 WIDTH_MULTIPLE = 8
 # below this many score cells a worker costs more than it saves
 MIN_SPLIT_CELLS = 1 << 18
+# `max_label_similarity` walks each worker's rows in blocks of about this many
+# product cells (8 MB of float64), so the product is never held whole
+BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -157,6 +162,50 @@ def id_part(
 
     _by_row_blocks(fill, _row_blocks(n, width, n * width))
     return lse_id, predictions
+
+
+def _walk(lo: int, hi: int, step: int) -> list[int]:
+    """Bounds of blocks of `step` rows from `lo` to `hi`; a tail shorter than
+    MIN_BLOCK_ROWS joins the block before it."""
+    bounds = list(range(lo, hi, step)) + [hi]
+    if len(bounds) > 2 and hi - bounds[-2] < MIN_BLOCK_ROWS:
+        del bounds[-2]
+    return bounds
+
+
+def max_label_similarity(rows: np.ndarray, ids: LabelSpace) -> np.ndarray:
+    """Per row: its largest similarity to the ID labels, bit for bit
+    `np.max(rows @ labels.T, axis=1)`.
+
+    Each score worker walks its row block in blocks of at least
+    MIN_BLOCK_ROWS rows and about BLOCK_CELLS cells, each block's product
+    into one buffer the caller owns per worker. A label count the rules
+    above do not let a block round like the whole product keeps the one
+    product.
+    """
+    if rows.shape[1] != ids.features.dim:
+        raise DimError(f"row dim {rows.shape[1]} vs label dim {ids.features.dim}")
+    labels = ids.features.data
+    n, width = rows.shape[0], labels.shape[0]
+    if width < MIN_BLOCK_ROWS or width % WIDTH_MULTIPLE:
+        return np.max(rows @ labels.T, axis=1)
+    step = max(MIN_BLOCK_ROWS, BLOCK_CELLS // width)
+    blocks = _row_blocks(n, width, n * width)
+    walks = {lo: _walk(lo, hi, step) for lo, hi in blocks}
+    buffers = {
+        lo: np.empty((np.diff(bounds).max(initial=0), width))
+        for lo, bounds in walks.items()
+    }
+    max_sim = np.empty(n)
+
+    def fill(lo: int, hi: int) -> None:
+        bounds, buffer = walks[lo], buffers[lo]
+        for a, b in zip(bounds, bounds[1:]):
+            sims = np.matmul(rows[a:b], labels.T, out=buffer[: b - a])
+            np.max(sims, axis=1, out=max_sim[a:b])
+
+    _by_row_blocks(fill, blocks)
+    return max_sim
 
 
 def negative_scores(

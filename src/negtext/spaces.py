@@ -26,6 +26,7 @@ from .embeddings import (
 )
 from .errors import GenerationError, InputError
 from .mining import MinedNegatives, SimilarClassSubset
+from .scoring import max_label_similarity
 
 SENTENCE_MIN_WORDS = 3
 SENTENCE_MAX_WORDS = 15
@@ -52,19 +53,23 @@ def select_initial_nls(
 ) -> NegativeSpace:
     """Pick the M corpus words most dissimilar to every ID text feature."""
     id_canon = ids.canon_labels()
-    keep = [i for i, w in enumerate(corpus.words) if _canon_label(w) not in id_canon]
-    if len(keep) < m:
+    keep = np.array(
+        [i for i, w in enumerate(corpus.words) if _canon_label(w) not in id_canon],
+        dtype=np.intp,
+    )
+    if keep.size < m:
         raise InputError(
-            f"corpus holds {len(keep)} usable words, {m} requested"
+            f"corpus holds {keep.size} usable words, {m} requested"
         )
-    sims = corpus.features.data[keep] @ ids.features.data.T
-    max_sim = np.max(sims, axis=1)
-    order = np.argsort(max_sim, kind="stable")[:m]
-    chosen = [keep[i] for i in order]
+    data = corpus.features.data
+    # most corpora hold no ID label: then the corpus rows need no copy
+    rows = data if keep.size == corpus.features.rows else data[keep]
+    order = np.argsort(max_label_similarity(rows, ids), kind="stable")[:m]
+    chosen = keep[order]
     return NegativeSpace.from_rows(
         SpaceKind.NL,
         [corpus.words[i] for i in chosen],
-        corpus.features.data[chosen],
+        data[chosen],
         group_size,
     )
 
@@ -241,7 +246,9 @@ def generate_ens(
                     image_id=sources[0],
                 )
     id_canon = ids.canon_labels()
-    sentences = [s for s in sentences if _canon_label(s) not in id_canon]
+    # most sentences repeat: test each distinct one once
+    admitted = {s: _canon_label(s) not in id_canon for s in dict.fromkeys(sentences)}
+    sentences = [s for s in sentences if admitted[s]]
     vectors = embed_space(sentences, None, client)
     return NegativeSpace.from_rows(
         SpaceKind.ENS, sentences, vectors, group_size, epoch

@@ -286,6 +286,20 @@ class TestFixtures:
         for name in ("records.csv", "report.json", "checkpoint.nckp"):
             assert (rec_out / name).read_bytes() == (run_out / name).read_bytes()
 
+    def test_record_with_bad_batch_counts_leaves_no_fixtures_dir(
+        self, world_dir, tmp_path, capsys
+    ):
+        manifest = json.loads((world_dir / "manifest.json").read_text())
+        manifest["client"]["id_per_batch"] = -5
+        path = world_dir / "manifest_record_negative.json"
+        path.write_text(json.dumps(manifest))
+        assert run_cli(
+            "fixtures", "record", path,
+            "--fixtures", tmp_path / "fx", "--out", tmp_path / "o",
+        ) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "fx").exists()
+
     def test_replay_without_fixtures_fails(self, world_dir, tmp_path):
         assert run_cli(
             "fixtures", "replay", world_dir / "manifest.json",

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from negtext import embeddings
 from negtext.embeddings import (
     EmbeddingMatrix,
     LabelSpace,
@@ -202,6 +203,18 @@ class TestLabelSpace:
                 features=EmbeddingMatrix.from_rows(["a"], np.array([[1.0, 0.0]])),
                 prompt_template="no placeholder",
             )
+
+    def test_canonical_labels_built_once(self, monkeypatch):
+        calls = []
+        canon = embeddings._canon_label
+        monkeypatch.setattr(
+            embeddings, "_canon_label", lambda label: calls.append(label) or canon(label)
+        )
+        space = make_label_space(n=3, dim=4, seed=9)
+        assert len(calls) == 3
+        for _ in range(3):
+            assert space.canon_labels() == {"label_0", "label_1", "label_2"}
+        assert len(calls) == 3
 
     def test_manifest_roundtrip(self, tmp_path):
         space = make_label_space(n=3, dim=6, seed=8)

@@ -365,6 +365,22 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=str(path)):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda header: header["spaces"]["ens"].update(kind="bogus"),
+        lambda header: header.pop("spaces"),
+        lambda header: header.pop("cache"),
+        lambda header: header.pop("labels"),
+        lambda header: header["spaces"].pop("vsnl"),
+        lambda header: header.update(lambda_history=5),
+    ], ids=["bogus-kind", "no-spaces", "no-cache", "no-labels", "no-vsnl",
+            "history-not-list"])
+    def test_bad_header_field_rejected_with_one_line(self, tmp_path, edit):
+        path = self._saved(tmp_path)
+        self._edit_header(path, edit)
+        with pytest.raises(FormatError, match=f"{path}: bad checkpoint header field") as excinfo:
+            load_checkpoint(path)
+        assert "\n" not in str(excinfo.value)
+
     def test_wrong_matrix_count_rejected(self, tmp_path):
         def merge_last_two(header):
             sizes = header["blob_sizes"]

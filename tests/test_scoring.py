@@ -1,6 +1,7 @@
 """Score functions against extended-precision oracles and hand traces."""
 import threading
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from negtext import scoring
 from negtext.embeddings import EmbeddingMatrix, LabelSpace, NegativeSpace, SpaceKind
-from negtext.errors import ConfigError, InputError
+from negtext.errors import ConfigError, DimError, InputError
 from negtext.mining import classify_batch
 from negtext.scoring import (
     ScoreConfig,
@@ -19,6 +20,7 @@ from negtext.scoring import (
     grouped_score,
     grouped_scores_batch,
     id_part,
+    max_label_similarity,
     negative_scores,
     softmax_score,
 )
@@ -222,6 +224,28 @@ class TestDistinctRows:
         assert np.array_equal(neg.rows, [[1, 0], [0, 1], [0.6, 0.8]])
         assert neg.inverse.tolist() == [0, 0, 1, 2]
 
+    def test_rows_differing_only_in_scale_stay_apart_with_unchanged_scores(
+        self, label_space
+    ):
+        rng = np.random.default_rng(24)
+        v, w = rng.standard_normal((2, 8))  # not unit norm
+        # 2v normalizes to v's unit row byte for byte, yet as given the rows
+        # differ: it keeps its own row, and only the byte-equal repeat merges
+        neg = space_of(["a", "b", "a", "a"], [v, w, 2 * v, v])
+        assert neg.rows.shape[0] == 3
+        assert neg.inverse.tolist() == [0, 1, 2, 0]
+        assert neg.rows[0].tobytes() == neg.rows[2].tobytes()
+        merged = NegativeSpace(
+            SpaceKind.ENS, neg.texts, neg.rows[:2], np.array([0, 1, 0, 0]), 2
+        )
+        assert neg.stored_rows().tobytes() == merged.stored_rows().tobytes()
+        images = unit_rows(rng, 9, 8)
+        cfg = ScoreConfig(group_size=2)
+        assert np.array_equal(
+            grouped_scores_batch(images, label_space, neg, cfg),
+            grouped_scores_batch(images, label_space, merged, cfg),
+        )
+
     def test_all_distinct_space_keeps_stored_rows_and_full_product_scores(
         self, label_space
     ):
@@ -372,6 +396,84 @@ class TestRowBlocks:
         )
         scores = grouped_scores_batch(images, ids, neg, ScoreConfig(temperature=1e-300))
         assert np.all((scores >= 0.0) & (scores <= 1.0))
+
+
+class TestMaxLabelSimilarity:
+    """The word-space selection's product, walked in blocks on the workers,
+    equals the one product bit for bit and is never held whole."""
+
+    # 100 rows per block at 72 labels: with 777 rows, three workers' blocks
+    # of 259 rows end in a 59-row tail that joins the block before it
+    CELLS = 100 * 72
+
+    @pytest.mark.parametrize("n_classes", [72, 75])
+    @pytest.mark.parametrize("n", [1, 63, 64, 130, 777])
+    def test_equals_the_one_product(self, monkeypatch, n_classes, n):
+        monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
+        monkeypatch.setattr(scoring, "BLOCK_CELLS", self.CELLS)
+        ids = make_label_space(n=n_classes, dim=64, seed=41)
+        rows = unit_rows(np.random.default_rng(42), n, 64)
+        expected = np.max(rows @ ids.features.data.T, axis=1)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(scoring, "SCORE_WORKERS", workers)
+            got = max_label_similarity(rows, ids)
+            assert got.tobytes() == expected.tobytes(), workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_blocks_keep_the_minimum_and_hold_one_block(self, monkeypatch, workers):
+        monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
+        monkeypatch.setattr(scoring, "BLOCK_CELLS", self.CELLS)
+        monkeypatch.setattr(scoring, "SCORE_WORKERS", workers)
+        n, width = 777, 72
+        step = self.CELLS // width
+        ids = make_label_space(n=width, dim=64, seed=43)
+        rows = unit_rows(np.random.default_rng(44), n, 64)
+        products, buffers = [], []
+        matmul = np.matmul
+
+        def recorded(a, b, out):
+            products.append(out.shape[0])
+            buffers.append(out.base.shape)
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        tracemalloc.start()
+        try:
+            max_label_similarity(rows, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(products) == n and len(buffers) > workers
+        assert min(products) >= scoring.MIN_BLOCK_ROWS
+        assert max(products) < step + scoring.MIN_BLOCK_ROWS
+        assert len(set(buffers)) <= workers
+        assert all(shape[0] < step + scoring.MIN_BLOCK_ROWS for shape in buffers)
+        if workers == 3:
+            assert step < max(products)  # a short tail joined its block
+        # one block's product per worker; the whole product is never allocated
+        assert peak < n * width * 8
+
+    @pytest.mark.parametrize("n_classes", [56, 75])
+    def test_label_count_the_rules_cannot_split_keeps_one_product(
+        self, monkeypatch, n_classes
+    ):
+        # a block of a ragged-width or narrow product can round otherwise
+        monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
+        monkeypatch.setattr(scoring, "BLOCK_CELLS", self.CELLS)
+        walked = []
+        matmul = np.matmul
+        monkeypatch.setattr(
+            np, "matmul", lambda a, b, out: walked.append(out.shape) or matmul(a, b, out=out)
+        )
+        ids = make_label_space(n=n_classes, dim=64, seed=46)
+        rows = unit_rows(np.random.default_rng(47), 777, 64)
+        assert max_label_similarity(rows, ids).shape == (777,)
+        assert walked == []
+
+    def test_dim_mismatch_rejected(self):
+        ids = make_label_space(n=64, dim=8, seed=45)
+        with pytest.raises(DimError):
+            max_label_similarity(np.zeros((3, 4)), ids)
 
 
 class TestAdaptiveLambda:

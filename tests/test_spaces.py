@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negtext.embeddings import EmbeddingMatrix, SpaceKind
+from negtext import scoring, spaces
+from negtext.embeddings import EmbeddingMatrix, LabelSpace, SpaceKind
 from negtext.errors import GenerationError, InputError
 from negtext.mining import MinedNegatives, SimilarClassSubset
+from negtext.pipeline import PipelineConfig, init_stream
+from negtext.scoring import ScoreConfig
 from negtext.spaces import (
     CorpusCandidates,
     _word_pattern,
@@ -72,6 +75,32 @@ class TestSelectInitialNls:
         }
         expected = sorted(words, key=lambda w: max_sim[w])[:5]
         assert list(space.texts) == expected
+
+
+    @pytest.mark.parametrize("excluded", [False, True], ids=["all-words", "id-word"])
+    def test_stream_word_space_equal_at_one_and_two_workers(self, monkeypatch, excluded):
+        # 64 labels and blocks of 70 rows: the selection's product splits
+        # between two workers and each walks several blocks
+        monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
+        monkeypatch.setattr(scoring, "BLOCK_CELLS", 64 * 70)
+        ids = make_label_space(n=64, dim=64, seed=11)
+        words = [f"w{i}" for i in range(500)]
+        if excluded:
+            words[7] = " LABEL_3"
+        corpus = make_corpus(words, unit_rows(np.random.default_rng(12), 500, 64))
+        cfg = PipelineConfig(score=ScoreConfig(group_size=10), num_negatives=300)
+        spaces_at = []
+        for workers in (1, 2):
+            monkeypatch.setattr(scoring, "SCORE_WORKERS", workers)
+            spaces_at.append(init_stream(ids, corpus, cfg, seed=0).nl_space)
+        one, two = spaces_at
+        assert one.texts == two.texts and (" LABEL_3" in one.texts) is False
+        assert one.rows.tobytes() == two.rows.tobytes()
+        assert one.inverse is None and two.inverse is None
+        keep = [i for i, w in enumerate(words) if w != " LABEL_3"]
+        max_sim = np.max(corpus.features.data[keep] @ ids.features.data.T, axis=1)
+        order = np.argsort(max_sim, kind="stable")[:300]
+        assert one.texts == tuple(words[keep[i]] for i in order)
 
 
 class TestEmbedSpace:
@@ -192,6 +221,29 @@ class TestGenerateEns:
         assert [c for c in client.describe_calls if c[0] == "i0"][:3] == [
             ("i0", "label_0")
         ] * 3
+
+    def test_id_label_sentence_dropped_testing_each_distinct_sentence_once(
+        self, monkeypatch
+    ):
+        calls = []
+        canon = spaces._canon_label
+        monkeypatch.setattr(
+            spaces, "_canon_label", lambda text: calls.append(text) or canon(text)
+        )
+        ids = LabelSpace(
+            labels=("a big cat", "label_1"),
+            features=EmbeddingMatrix.from_rows(
+                ["t0", "t1"], unit_rows(np.random.default_rng(13), 2, 4)
+            ),
+        )
+        client = ScriptedClient(
+            dim=4, descriptions={"i0": ["A big  CAT"], "i1": ["a small red thing"]}
+        )
+        labels = {"i0": "label_1", "i1": "label_1"}
+        # round-robin: each image is described three times
+        space = generate_ens(mined(["i0", "i1"]), labels, ids, client, 6, 2, seed=0)
+        assert space.texts == ("a small red thing",) * 3
+        assert sorted(calls) == ["A big  CAT", "a small red thing"]
 
     def test_overlong_sentence_truncated(self):
         long = " ".join(f"w{k}" for k in range(30))
