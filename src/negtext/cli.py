@@ -127,6 +127,8 @@ class Manifest:
         return manifest
 
     def _resolve(self, rel) -> Path:
+        if not isinstance(rel, str):
+            raise InputError(f"manifest paths must be strings, got {rel!r}")
         return (self.base_dir / rel).resolve()
 
     def referenced_paths(self) -> list[Path]:
@@ -138,13 +140,16 @@ class Manifest:
             if self.spec.get(key):
                 paths.append(self._resolve(self.spec[key]))
         corpus = self.spec.get("corpus") or {}
+        batches = self.spec.get("batches") or []
+        if not isinstance(corpus, dict) or not isinstance(batches, list):
+            raise InputError("manifest 'corpus' must be an object, 'batches' a list")
         for key in ("embeddings", "words"):
             if corpus.get(key):
                 paths.append(self._resolve(corpus[key]))
-        for entry in self.spec.get("batches") or []:
+        for entry in batches:
             paths.append(self._resolve(entry))
-        client = self.spec.get("client") or {}
-        if client.get("mode") == "replay" and client.get("fixtures"):
+        client = self.client_spec
+        if client["mode"] == "replay" and client.get("fixtures"):
             paths.append(self._resolve(client["fixtures"]))
         return paths
 
@@ -171,7 +176,7 @@ class Manifest:
         out = override or self.spec.get("output_dir")
         if not out:
             raise ConfigError("no output directory (manifest output_dir or --out)")
-        return (self.base_dir / out).resolve() if override is None else Path(out)
+        return self._resolve(out) if override is None else Path(out)
 
     def pipeline_config(self, overrides=None) -> PipelineConfig:
         config = self.spec.get("config")
@@ -307,13 +312,13 @@ def _assemble_inputs(manifest: Manifest, client_override=None, world=None) -> Ru
             raise ConfigError(f"manifest needs {key!r} outside synthetic mode")
     label_space = LabelSpace.from_manifest(manifest._resolve(manifest.spec["labels"]))
     corpus_spec = manifest.spec["corpus"]
-    words_path = manifest._resolve(corpus_spec["words"])
+    words_path = manifest._resolve(corpus_spec.get("words"))
     words = _read_json(words_path, "corpus words")
     if not isinstance(words, list):
         raise InputError(f"{words_path}: corpus words must be a JSON list")
     corpus = CorpusCandidates(
         words=tuple(words),
-        features=load_embeddings(manifest._resolve(corpus_spec["embeddings"])),
+        features=load_embeddings(manifest._resolve(corpus_spec.get("embeddings"))),
     )
     truth = (
         _load_truth_csv(manifest._resolve(manifest.spec["truth"]))

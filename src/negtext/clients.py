@@ -16,7 +16,7 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
@@ -26,7 +26,6 @@ if TYPE_CHECKING:  # imported where an HTTP client is built or posts
     import requests
 
 
-@runtime_checkable
 class GenerationClient(Protocol):
     """What the pipeline asks of a generation backend.
 
@@ -36,6 +35,12 @@ class GenerationClient(Protocol):
     HTTP client shares a `requests.Session`, whose pool of 10 connections
     exceeds the workers, and `RecordingClient` writes one file per
     distinct request.
+
+    The pipeline checks each answer where it receives it: a description
+    is a `str`, lookalike labels are a list or tuple of `str`, and an
+    embedding is an array-like of `len(texts)` finite rows of the label
+    dim. Any other answer, like a raised `GenerationError`, degrades the
+    batch: its negative spaces stay as they were.
     """
 
     def describe_image(self, image_ref: str, exclude_label: str) -> str: ...
@@ -50,14 +55,32 @@ def request_key(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _new_session() -> "requests.Session":
-    # importing `requests` adds ~8 MB and ~0.1 s; only the HTTP client needs it
-    import requests
+class _WireClient:
+    """The wire protocol's three requests, each answered by `_answer` and
+    checked to be an object whose `texts` or `vectors` entry is a list."""
 
-    return requests.Session()
+    def _entry(self, payload: dict, key: str, image_id: str | None = None) -> list:
+        answer = self._answer(payload, image_id)
+        entry = answer.get(key) if isinstance(answer, dict) else None
+        if not isinstance(entry, list) or (not entry and payload["task"] == "describe"):
+            raise GenerationError(
+                f"{payload['task']} answer holds no usable {key!r} list", image_id
+            )
+        return entry
+
+    def describe_image(self, image_ref: str, exclude_label: str) -> str:
+        payload = {"task": "describe", "text": image_ref, "exclude": exclude_label}
+        return self._entry(payload, "texts", image_id=image_ref)[0]
+
+    def similar_labels(self, class_name: str, count: int) -> list[str]:
+        payload = {"task": "similar", "text": class_name, "count": count}
+        return self._entry(payload, "texts")
+
+    def embed_texts(self, texts: list[str]) -> list[list[float]]:
+        return self._entry({"task": "embed", "texts": list(texts)}, "vectors")
 
 
-class HttpGenerationClient:
+class HttpGenerationClient(_WireClient):
     """Task-based JSON client with bounded retries and exponential backoff."""
 
     def __init__(
@@ -73,12 +96,16 @@ class HttpGenerationClient:
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
-        self._session = session or _new_session()
+        if session is None:
+            import requests  # ~8 MB and ~0.1 s that only this client needs
+
+            session = requests.Session()
+        self._session = session
         self._headers = {"Content-Type": "application/json"}
         if auth_token:
             self._headers["Authorization"] = f"Bearer {auth_token}"
 
-    def _post(self, payload: dict, image_id: str | None = None) -> dict:
+    def _answer(self, payload: dict, image_id: str | None) -> object:
         """POST `payload` with the session, headers, timeout and retries.
 
         Connection errors, timeouts, 408, 429 and 5xx are retried with
@@ -107,107 +134,61 @@ class HttpGenerationClient:
             f"{url} failed after {self.retries} attempts: {last}", image_id=image_id
         )
 
-    def describe_image(self, image_ref: str, exclude_label: str) -> str:
-        out = self._post(
-            {"task": "describe", "text": image_ref, "exclude": exclude_label},
-            image_id=image_ref,
-        )
-        texts = out.get("texts") or []
-        if not texts:
-            raise GenerationError("describe returned no text", image_id=image_ref)
-        return texts[0]
 
-    def similar_labels(self, class_name: str, count: int) -> list[str]:
-        out = self._post({"task": "similar", "text": class_name, "count": count})
-        return list(out.get("texts") or [])
-
-    def embed_texts(self, texts: list[str]) -> np.ndarray:
-        out = self._post({"task": "embed", "texts": list(texts)})
-        vectors = out.get("vectors")
-        if not vectors or len(vectors) != len(texts):
-            raise GenerationError("embed returned wrong vector count")
-        return np.asarray(vectors, dtype=np.float64)
-
-
-class ReplayClient:
+class ReplayClient(_WireClient):
     """Serves responses verbatim from fixture files keyed by request hash."""
 
     def __init__(self, fixtures_dir):
         self.fixtures_dir = Path(fixtures_dir)
 
-    def _lookup(self, payload: dict, key: str, image_id: str | None = None):
-        """The fixture's `response[key]`; a missing or malformed fixture
-        is a generation failure."""
+    def _answer(self, payload: dict, image_id: str | None) -> object:
+        """The fixture's response; a missing or unreadable fixture is a
+        generation failure."""
         path = self.fixtures_dir / f"{request_key(payload)}.json"
         if not path.exists():
             raise GenerationError(
                 f"no fixture for request {payload!r}", image_id=image_id
             )
         try:
-            return json.loads(path.read_text(encoding="utf-8"))["response"][key]
+            return json.loads(path.read_text(encoding="utf-8"))["response"]
         except (ValueError, KeyError, TypeError) as exc:
             raise GenerationError(
                 f"malformed fixture {path}: {exc!r}", image_id=image_id
             ) from exc
 
-    def describe_image(self, image_ref: str, exclude_label: str) -> str:
-        texts = self._lookup(
-            {"task": "describe", "text": image_ref, "exclude": exclude_label},
-            "texts",
-            image_id=image_ref,
-        )
-        if not texts:
-            raise GenerationError("fixture holds no description", image_ref)
-        return texts[0]
 
-    def similar_labels(self, class_name: str, count: int) -> list[str]:
-        payload = {"task": "similar", "text": class_name, "count": count}
-        return list(self._lookup(payload, "texts"))
-
-    def embed_texts(self, texts: list[str]) -> np.ndarray:
-        vectors = self._lookup({"task": "embed", "texts": list(texts)}, "vectors")
-        try:
-            return np.asarray(vectors, dtype=np.float64)
-        except (ValueError, TypeError) as exc:  # ragged or non-numeric rows
-            raise GenerationError(f"malformed embedding fixture: {exc}") from exc
+def _json_array(value):
+    """numpy arrays and scalars as JSON lists and numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON")
 
 
-class RecordingClient:
-    """Wraps a live client and writes replayable fixtures for each request."""
+class RecordingClient(_WireClient):
+    """Wraps a live client and writes a replayable fixture for each request;
+    an answer is returned as stored, so a recording sees what its replay will."""
 
     def __init__(self, inner: GenerationClient, fixtures_dir):
         self.inner = inner
         self.fixtures_dir = Path(fixtures_dir)
 
-    def _store(self, payload: dict, response: dict) -> None:
+    def _answer(self, payload: dict, image_id: str | None) -> object:
+        task, text, inner = payload["task"], payload.get("text"), self.inner
+        if task == "describe":
+            response = {"texts": [inner.describe_image(text, payload["exclude"])]}
+        elif task == "similar":
+            response = {"texts": inner.similar_labels(text, payload["count"])}
+        else:
+            response = {"vectors": inner.embed_texts(payload["texts"])}
+        try:
+            stored = json.dumps(
+                {"request": payload, "response": response}, indent=2,
+                default=_json_array,
+            )
+        except TypeError as exc:
+            raise GenerationError(f"{task} answer not JSON: {exc}", image_id) from exc
         # made with the first fixture, so a run that fails first leaves none
         self.fixtures_dir.mkdir(parents=True, exist_ok=True)
         path = self.fixtures_dir / f"{request_key(payload)}.json"
-        path.write_text(
-            json.dumps({"request": payload, "response": response}, indent=2),
-            encoding="utf-8",
-        )
-
-    def describe_image(self, image_ref: str, exclude_label: str) -> str:
-        text = self.inner.describe_image(image_ref, exclude_label)
-        self._store(
-            {"task": "describe", "text": image_ref, "exclude": exclude_label},
-            {"texts": [text]},
-        )
-        return text
-
-    def similar_labels(self, class_name: str, count: int) -> list[str]:
-        labels = self.inner.similar_labels(class_name, count)
-        self._store(
-            {"task": "similar", "text": class_name, "count": count},
-            {"texts": list(labels)},
-        )
-        return labels
-
-    def embed_texts(self, texts: list[str]) -> np.ndarray:
-        vectors = self.inner.embed_texts(texts)
-        self._store(
-            {"task": "embed", "texts": list(texts)},
-            {"vectors": [list(map(float, row)) for row in vectors]},
-        )
-        return vectors
+        path.write_text(stored, encoding="utf-8")
+        return json.loads(stored)["response"]

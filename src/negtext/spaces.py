@@ -77,10 +77,11 @@ def select_initial_nls(
 def embed_space(
     texts,
     template: str | None,
+    ids: LabelSpace,
     client: GenerationClient,
 ) -> np.ndarray:
-    """One embedding row per text, applying the label prompt template when
-    one is given."""
+    """One embedding row of the label dim per text, applying the label
+    prompt template when one is given."""
     texts = list(texts)
     if not texts:
         raise InputError("no texts to embed")
@@ -88,9 +89,13 @@ def embed_space(
         request_texts = [template.replace("<label>", t) for t in texts]
     else:
         request_texts = texts
-    vectors = np.asarray(client.embed_texts(request_texts), dtype=np.float64)
-    if vectors.shape[0] != len(texts):
-        raise GenerationError("embedding count does not match text count")
+    try:
+        vectors = np.asarray(client.embed_texts(request_texts), dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged or non-numeric
+        raise GenerationError(f"embedding is not numeric rows: {exc}") from exc
+    expected = (len(texts), ids.features.dim)
+    if vectors.shape != expected:
+        raise GenerationError(f"embedding shape {vectors.shape}, expected {expected}")
     return vectors
 
 
@@ -162,7 +167,10 @@ def _describe_wave(
     def describe(image_id: str, exclude_label: str) -> str:
         if failed.is_set():
             raise _Stopped
-        return client.describe_image(image_id, exclude_label)
+        sentence = client.describe_image(image_id, exclude_label)
+        if isinstance(sentence, str):
+            return sentence
+        raise GenerationError(f"description is a {type(sentence).__name__}", image_id)
 
     def run(chunk: list[str]) -> list[str | None]:
         out: list[str | None] = []
@@ -249,7 +257,7 @@ def generate_ens(
     # most sentences repeat: test each distinct one once
     admitted = {s: _canon_label(s) not in id_canon for s in dict.fromkeys(sentences)}
     sentences = [s for s in sentences if admitted[s]]
-    vectors = embed_space(sentences, None, client)
+    vectors = embed_space(sentences, None, ids, client)
     return NegativeSpace.from_rows(
         SpaceKind.ENS, sentences, vectors, group_size, epoch
     )
@@ -272,7 +280,12 @@ def generate_vsnl(
     seen: set[str] = set()
     for class_index in subset.class_indices:
         class_name = ids.labels[class_index]
-        for candidate in client.similar_labels(class_name, per_class):
+        candidates = client.similar_labels(class_name, per_class)
+        if not isinstance(candidates, (list, tuple)) or not all(
+            isinstance(c, str) for c in candidates
+        ):
+            raise GenerationError(f"lookalikes of {class_name!r} are not a list of str")
+        for candidate in candidates:
             canon = _canon_label(candidate)
             if canon in seen or canon in id_canon:
                 continue
@@ -281,7 +294,7 @@ def generate_vsnl(
     if not labels:
         raise GenerationError("no admissible lookalike labels generated")
     labels = labels[:m]
-    vectors = embed_space(labels, ids.prompt_template, client)
+    vectors = embed_space(labels, ids.prompt_template, ids, client)
     return NegativeSpace.from_rows(
         SpaceKind.VSNL, labels, vectors, group_size, epoch
     )

@@ -134,6 +134,12 @@ class TestRun:
                 "corpus": {**manifest["corpus"], "words": "labels_no_features.json"},
             },
             "config_not_object": {**manifest, "config": 5},
+            # entries of the wrong JSON type
+            "corpus_string": {**manifest, "corpus": "corpus.nspc"},
+            "batches_number": {**manifest, "batches": 5},
+            "labels_number": {**manifest, "labels": 7},
+            "truth_list": {**manifest, "truth": ["a"]},
+            "fixtures_number": {**manifest, "client": {"mode": "replay", "fixtures": 3}},
         }
         cases = [("run", bad, "--out", tmp_path / "o")]
         for name, spec in variants.items():
@@ -153,6 +159,9 @@ class TestRun:
             "sweep", "lambda", world_dir / "manifest.json",
             "--values", "a,b", "-o", tmp_path / "s.csv",
         ))
+        path = world_dir / "manifest_bad_output_dir_number.json"
+        path.write_text(json.dumps({**manifest, "output_dir": 5}))
+        cases.append(("run", path))
         for argv in cases:
             assert run_cli(*argv) == 1, argv
             err = capsys.readouterr().err
@@ -299,6 +308,28 @@ class TestFixtures:
         ) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "fx").exists()
+
+    def test_replay_of_a_null_description_degrades(self, world_dir, tmp_path, capsys):
+        fixtures = tmp_path / "fx"
+        assert run_cli(
+            "fixtures", "record", world_dir / "manifest.json",
+            "--fixtures", fixtures, "--out", tmp_path / "rec",
+        ) == 0
+        path = next(
+            p for p in sorted(fixtures.iterdir())
+            if json.loads(p.read_text())["request"]["task"] == "describe"
+        )
+        stored = json.loads(path.read_text())
+        stored["response"]["texts"] = [None]
+        path.write_text(json.dumps(stored))
+        capsys.readouterr()
+        assert run_cli(
+            "fixtures", "replay", world_dir / "manifest.json",
+            "--fixtures", fixtures, "--out", tmp_path / "rep",
+        ) == 2
+        assert capsys.readouterr().err == (
+            "warning: generation degraded; stale negative spaces were used\n"
+        )
 
     def test_replay_without_fixtures_fails(self, world_dir, tmp_path):
         assert run_cli(

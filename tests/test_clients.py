@@ -1,5 +1,7 @@
-"""Client boundary: request hashing, HTTP retries, record/replay fixtures."""
+"""Client boundary: request hashing, HTTP retries, record/replay fixtures,
+and junk answers, which degrade the stream whichever client returns them."""
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -12,8 +14,10 @@ from negtext.clients import (
     request_key,
 )
 from negtext.errors import GenerationError
+from negtext.pipeline import run_stream
 
 from conftest import ScriptedClient
+from test_pipeline import small_config, small_setup
 
 
 class TestRequestKey:
@@ -110,13 +114,10 @@ class TestHttpGenerationClient:
         assert client.similar_labels("fox", 2) == ["a", "b"]
         assert session.calls[0]["json"] == {"task": "similar", "text": "fox", "count": 2}
 
-    def test_embed_round_trip_and_count_check(self):
+    def test_embed_round_trip(self):
         client, _ = self._client([FakeResponse({"vectors": [[1.0, 0.0]]})])
         out = client.embed_texts(["x"])
         assert np.array_equal(out, [[1.0, 0.0]])
-        client, _ = self._client([FakeResponse({"vectors": [[1.0, 0.0]]})])
-        with pytest.raises(GenerationError):
-            client.embed_texts(["x", "y"])
 
 
 class TestRecordReplay:
@@ -152,9 +153,7 @@ class TestRecordReplay:
             replay.describe_image("img_9", "fox")
         assert err.value.image_id == "img_9"
 
-    @pytest.mark.parametrize(
-        "response", [{}, {"texts": []}, {"vectors": [[1.0, 0.0], [1.0]]}, None]
-    )
+    @pytest.mark.parametrize("response", [{}, {"texts": []}, None])
     def test_malformed_fixture_raises_generation_error(self, tmp_path, response):
         for payload in (
             {"task": "describe", "text": "img_1", "exclude": "fox"},
@@ -168,3 +167,163 @@ class TestRecordReplay:
             replay.describe_image("img_1", "fox")
         with pytest.raises(GenerationError):
             replay.embed_texts(["alpha", "beta"])
+
+
+def oracle_answer(oracle, payload):
+    """The oracle's answer to a wire payload, as a server would send it."""
+    task = payload["task"]
+    if task == "describe":
+        return {"texts": [oracle.describe_image(payload["text"], payload["exclude"])]}
+    if task == "similar":
+        return {"texts": oracle.similar_labels(payload["text"], payload["count"])}
+    return {"vectors": oracle.embed_texts(payload["texts"]).tolist()}
+
+
+class ServerSession:
+    """A session whose server answers each posted payload with `answer`."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def post(self, url, **request):
+        # the answer crosses the wire as JSON text
+        return FakeResponse(json.loads(json.dumps(self.answer(request["json"]))))
+
+
+def http_client(answer):
+    return HttpGenerationClient(
+        "http://unit.test/api", retries=1, backoff=0.0, session=ServerSession(answer)
+    )
+
+
+# name: (task whose every answer is junk, the junk wire answer made from the
+# clean one, the junk typed answer made from the clean one)
+JUNK = {
+    "body-not-object": ("describe", lambda a: a["texts"], lambda t: [t]),
+    "texts-not-list": (
+        "describe", lambda a: {"texts": {"0": a["texts"][0]}}, lambda t: {"0": t}
+    ),
+    "null-description": ("describe", lambda a: {"texts": [None]}, lambda t: None),
+    "lookalike-string": ("similar", lambda a: {"texts": "abc"}, lambda t: "abc"),
+    "lookalike-non-string": (
+        "similar", lambda a: {"texts": [*a["texts"], 7]}, lambda t: [*t, 7]
+    ),
+    "ragged-vectors": (
+        "embed",
+        lambda a: {"vectors": [a["vectors"][0][:-1], *a["vectors"][1:]]},
+        lambda v: [v[0][:-1], *v[1:]],
+    ),
+    "vectors-too-narrow": (
+        "embed",
+        lambda a: {"vectors": [row[:-1] for row in a["vectors"]]},
+        lambda v: v[:, :-1],
+    ),
+    "vectors-too-few": (
+        "embed", lambda a: {"vectors": a["vectors"][:-1]}, lambda v: v[:-1]
+    ),
+}
+
+
+class JunkTypedClient:
+    """Answers like `inner`, but every answer to `task` is `junk(answer)`."""
+
+    def __init__(self, inner, task, junk):
+        self.inner, self.task, self.junk = inner, task, junk
+
+    def _answer(self, task, answer):
+        return self.junk(answer) if task == self.task else answer
+
+    def describe_image(self, image_ref, exclude_label):
+        return self._answer(
+            "describe", self.inner.describe_image(image_ref, exclude_label)
+        )
+
+    def similar_labels(self, class_name, count):
+        return self._answer("similar", self.inner.similar_labels(class_name, count))
+
+    def embed_texts(self, texts):
+        return self._answer("embed", self.inner.embed_texts(texts))
+
+
+@pytest.fixture(scope="module")
+def mixed_fixtures(tmp_path_factory):
+    """The mixed world's stream, and the fixtures a recording of it wrote."""
+    world, batches = small_setup(scenario="mixed", n_batches=3, per_side=100)
+    fixtures = tmp_path_factory.mktemp("mixed_fx")
+    records, _ = run_stream(
+        batches, world.label_space, world.corpus,
+        RecordingClient(world.oracle_client(), fixtures), small_config(), seed=42,
+    )
+    return world, batches, fixtures, records
+
+
+class TestJunkAnswers:
+    @pytest.mark.parametrize("client_kind", ["http", "replay", "typed", "recording"])
+    @pytest.mark.parametrize("case", JUNK)
+    def test_junk_answer_degrades_the_stream(
+        self, mixed_fixtures, tmp_path, case, client_kind
+    ):
+        world, batches, recorded, _ = mixed_fixtures
+        task, wire_junk, typed_junk = JUNK[case]
+        oracle = world.oracle_client()
+        if client_kind == "http":
+
+            def answer(payload):
+                clean = oracle_answer(oracle, payload)
+                return wire_junk(clean) if payload["task"] == task else clean
+
+            client = http_client(answer)
+        elif client_kind == "replay":
+            fixtures = shutil.copytree(recorded, tmp_path / "fx")
+            for path in fixtures.iterdir():
+                stored = json.loads(path.read_text())
+                if stored["request"]["task"] == task:
+                    stored["response"] = wire_junk(stored["response"])
+                    path.write_text(json.dumps(stored))
+            client = ReplayClient(fixtures)
+        elif client_kind == "typed":
+            client = JunkTypedClient(oracle, task, typed_junk)
+        else:
+            client = RecordingClient(
+                JunkTypedClient(oracle, task, typed_junk), tmp_path / "fx"
+            )
+        records, state = run_stream(
+            batches, world.label_space, world.corpus, client, small_config(), seed=42
+        )
+        assert state.degraded
+        assert [r.image_id for r in records] == [
+            i for b in batches for i in b.images.ids
+        ]
+        assert all(0.0 <= r.s_ada <= 1.0 for r in records)
+
+    def test_answer_json_cannot_hold_degrades_a_recording(
+        self, mixed_fixtures, tmp_path
+    ):
+        world, batches, _, _ = mixed_fixtures
+        inner = JunkTypedClient(world.oracle_client(), "describe", str.encode)
+        records, state = run_stream(
+            batches, world.label_space, world.corpus,
+            RecordingClient(inner, tmp_path / "fx"), small_config(), seed=42,
+        )
+        assert state.degraded
+        assert len(records) == sum(b.images.rows for b in batches)
+
+    def test_clean_http_and_recorded_answers_equal_the_oracle_run(
+        self, mixed_fixtures
+    ):
+        world, batches, _, recorded_records = mixed_fixtures
+        oracle = world.oracle_client()
+        runs = [
+            run_stream(
+                batches, world.label_space, world.corpus, client,
+                small_config(), seed=42,
+            )
+            for client in (
+                oracle, http_client(lambda payload: oracle_answer(oracle, payload))
+            )
+        ]
+        (oracle_records, oracle_state), (http_records, http_state) = runs
+        assert not oracle_state.degraded and not http_state.degraded
+        assert http_records == oracle_records
+        assert recorded_records == oracle_records
+        assert http_state.lambda_history == oracle_state.lambda_history

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negtext import scoring, spaces
+from negtext.clients import HttpGenerationClient
 from negtext.embeddings import EmbeddingMatrix, LabelSpace, SpaceKind
 from negtext.errors import GenerationError, InputError
 from negtext.mining import MinedNegatives, SimilarClassSubset
@@ -20,6 +21,7 @@ from negtext.spaces import (
 )
 
 from conftest import ScriptedClient, make_label_space, unit_rows
+from test_clients import FakeResponse, FakeSession
 
 
 def make_corpus(words, vectors):
@@ -106,17 +108,17 @@ class TestSelectInitialNls:
 class TestEmbedSpace:
     def test_template_substitution_reaches_client(self):
         client = ScriptedClient(dim=4)
-        embed_space(["coyote"], "The nice <label>.", client)
+        embed_space(["coyote"], "The nice <label>.", make_label_space(dim=4), client)
         assert client.embed_calls == [["The nice coyote."]]
 
     def test_no_template_embeds_verbatim(self):
         client = ScriptedClient(dim=4)
-        embed_space(["a full sentence"], None, client)
+        embed_space(["a full sentence"], None, make_label_space(dim=4), client)
         assert client.embed_calls == [["a full sentence"]]
 
     def test_empty_texts_rejected(self):
         with pytest.raises(InputError):
-            embed_space([], None, ScriptedClient())
+            embed_space([], None, make_label_space(), ScriptedClient())
 
     def test_vector_count_mismatch_rejected(self):
         class BadClient(ScriptedClient):
@@ -124,7 +126,39 @@ class TestEmbedSpace:
                 return super().embed_texts(texts)[:-1]
 
         with pytest.raises(GenerationError):
-            embed_space(["a", "b"], None, BadClient(dim=4))
+            embed_space(["a", "b"], None, make_label_space(dim=4), BadClient(dim=4))
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [[1.0, 0.0], [1.0]],
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            [[1.0, 0.0]] * 3,
+            [[1.0, "x"], [0.0, 1.0]],
+            [[10**400, 0.0], [0.0, 1.0]],
+            {"a": 1.0},
+            None,
+        ],
+        ids=[
+            "ragged", "width-long", "count-long", "string",
+            "int-overflow", "object", "none",
+        ],
+    )
+    def test_malformed_answer_rejected(self, vectors):
+        """What any client returns is checked here."""
+
+        class Client(ScriptedClient):
+            def embed_texts(self, texts):
+                return vectors
+
+        with pytest.raises(GenerationError):
+            embed_space(["a", "b"], None, make_label_space(dim=2), Client(dim=2))
+
+    def test_http_answer_of_wrong_count_rejected(self):
+        session = FakeSession([FakeResponse({"vectors": [[1.0, 0.0]]})])
+        client = HttpGenerationClient("http://unit.test/api", session=session)
+        with pytest.raises(GenerationError):
+            embed_space(["x", "y"], None, make_label_space(dim=2), client)
 
 
 class TestContainsWord:
