@@ -32,6 +32,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -262,6 +263,16 @@ class RunInputs:
         self.world = world  # the synthetic world, in synthetic mode
 
 
+def _is_http_url(endpoint) -> bool:
+    if not isinstance(endpoint, str):
+        return False
+    try:
+        parts = urlsplit(endpoint)
+    except ValueError:  # e.g. an unclosed IPv6 bracket
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
 def _build_client(manifest: Manifest, world=None) -> GenerationClient:
     client_spec = manifest.client_spec
     mode = client_spec["mode"]
@@ -277,6 +288,11 @@ def _build_client(manifest: Manifest, world=None) -> GenerationClient:
         if not endpoint:
             raise ConfigError(
                 f"http client needs an endpoint ({ENV_ENDPOINT} or manifest)"
+            )
+        if not _is_http_url(endpoint):
+            raise ConfigError(
+                f"http client endpoint must be an http(s) URL with a host, "
+                f"got {endpoint!r}"
             )
         token = client_spec.get("auth_token") or os.environ.get(ENV_AUTH_TOKEN)
         return HttpGenerationClient(endpoint, auth_token=token)
@@ -320,15 +336,17 @@ def _assemble_inputs(manifest: Manifest, client_override=None, world=None) -> Ru
         words=tuple(words),
         features=load_embeddings(manifest._resolve(corpus_spec.get("embeddings"))),
     )
-    truth = (
-        _load_truth_csv(manifest._resolve(manifest.spec["truth"]))
-        if manifest.spec.get("truth")
-        else {}
-    )
+    truth_path = manifest.spec.get("truth")
+    if truth_path:
+        truth_path = manifest._resolve(truth_path)
+    truth = _load_truth_csv(truth_path) if truth_path else {}
     batches = []
     for entry in manifest.spec["batches"]:
         images = load_embeddings(manifest._resolve(entry))
-        tags = tuple(truth[i] for i in images.ids) if truth else None
+        try:
+            tags = tuple(truth[i] for i in images.ids) if truth else None
+        except KeyError as exc:
+            raise InputError(f"{truth_path}: no tag for image {exc.args[0]!r}") from exc
         batches.append(TestBatch(images=images, ground_truth=tags))
     client = client_override or _build_client(manifest)
     return RunInputs(label_space, corpus, batches, truth, client)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
@@ -33,8 +34,8 @@ class GenerationClient(Protocol):
     build keeps `spaces.DESCRIBE_WORKERS` requests in flight); the other
     two methods are called from one thread. The clients here allow it: the
     HTTP client shares a `requests.Session`, whose pool of 10 connections
-    exceeds the workers, and `RecordingClient` writes one file per
-    distinct request.
+    exceeds the workers, and `RecordingClient` asks its live client and
+    writes a file once per distinct request.
 
     The pipeline checks each answer where it receives it: a description
     is a `str`, lookalike labels are a list or tuple of `str`, and an
@@ -165,14 +166,34 @@ def _json_array(value):
 
 
 class RecordingClient(_WireClient):
-    """Wraps a live client and writes a replayable fixture for each request;
-    an answer is returned as stored, so a recording sees what its replay will."""
+    """Wraps a live client and writes a replayable fixture for each distinct
+    request. A repeat gets the first stored answer, with no call to the live
+    client and no write; every answer is returned as stored, so a recording
+    sees what its replay will."""
 
     def __init__(self, inner: GenerationClient, fixtures_dir):
         self.inner = inner
         self.fixtures_dir = Path(fixtures_dir)
+        self._lock = threading.Lock()
+        self._key_locks: dict[str, threading.Lock] = {}
+        self._recorded: set[str] = set()
 
     def _answer(self, payload: dict, image_id: str | None) -> object:
+        key = request_key(payload)
+        path = self.fixtures_dir / f"{key}.json"
+        with self._lock:
+            key_lock = self._key_locks.setdefault(key, threading.Lock())
+        # a repeat in flight waits for the first; a failed first stores nothing
+        with key_lock:
+            if key in self._recorded:
+                stored = path.read_text(encoding="utf-8")
+            else:
+                stored = self._record(payload, path, image_id)
+                self._recorded.add(key)
+        return json.loads(stored)["response"]
+
+    def _record(self, payload: dict, path: Path, image_id: str | None) -> str:
+        """The live client's answer, written to `path` as fixture text."""
         task, text, inner = payload["task"], payload.get("text"), self.inner
         if task == "describe":
             response = {"texts": [inner.describe_image(text, payload["exclude"])]}
@@ -189,6 +210,5 @@ class RecordingClient(_WireClient):
             raise GenerationError(f"{task} answer not JSON: {exc}", image_id) from exc
         # made with the first fixture, so a run that fails first leaves none
         self.fixtures_dir.mkdir(parents=True, exist_ok=True)
-        path = self.fixtures_dir / f"{request_key(payload)}.json"
         path.write_text(stored, encoding="utf-8")
-        return json.loads(stored)["response"]
+        return stored

@@ -227,38 +227,29 @@ class SpaceKind(enum.Enum):
 
 @dataclass(frozen=True)
 class NegativeSpace:
-    """A named set of negative texts partitioned into scoring groups.
+    """A named, ordered set of negative texts with their unit rows.
 
     `rows` holds the space's distinct unit rows: text i's row is
     `rows[inverse[i]]`, or `rows[i]` when `inverse` is None. Build a space
-    with `from_rows`, which stores a repeated text's row once.
+    with `from_rows`, which stores a repeated text's row once. Scoring cuts
+    the texts, in this order, into groups of `ScoreConfig.group_size`.
     """
 
     kind: SpaceKind
     texts: tuple[str, ...]
     rows: np.ndarray  # (distinct rows, dim) float64, read-only
     inverse: np.ndarray | None  # (texts,) index into `rows`
-    group_size: int
-    epoch: int = 0
 
     def __post_init__(self):
         if len(self.texts) < 1:
             raise DataError("negative space must be non-empty")
-        if self.group_size < 1:
-            raise DataError("group size must be >= 1")
 
     @property
     def size(self) -> int:
         return len(self.texts)
 
-    def group_slices(self) -> list[slice]:
-        g = self.group_size
-        return [slice(i, min(i + g, self.size)) for i in range(0, self.size, g)]
-
     @classmethod
-    def from_rows(
-        cls, kind: SpaceKind, texts, data, group_size: int, epoch: int = 0
-    ) -> "NegativeSpace":
+    def from_rows(cls, kind: SpaceKind, texts, data) -> "NegativeSpace":
         """The space of `texts` with one row of `data` per text, normalized.
 
         A row merges into the first row of the same text only when the two
@@ -292,7 +283,7 @@ class NegativeSpace:
             inverse.setflags(write=False)
         data = _normalize_rows(data)
         data.setflags(write=False)
-        return cls(kind, texts, data, inverse, group_size, epoch)
+        return cls(kind, texts, data, inverse)
 
     def stored_rows(self) -> np.ndarray:
         """One row per text, in text order."""

@@ -114,9 +114,7 @@ def init_stream(
     seed: int,
 ) -> StreamState:
     """Fresh state: both adaptive spaces alias the initial NL selection."""
-    nl_space = select_initial_nls(
-        corpus, ids, cfg.num_negatives, cfg.score.group_size
-    )
+    nl_space = select_initial_nls(corpus, ids, cfg.num_negatives)
     return StreamState(
         label_space=ids,
         config=cfg,
@@ -149,20 +147,12 @@ def _regenerate(state: StreamState, client: GenerationClient) -> None:
         state.label_space,
         client,
         cfg.num_negatives,
-        cfg.score.group_size,
         seed=state.rng_seed,
         epoch=state.epoch + 1,
         len_max=cfg.sentence_len_max,
     )
     subset = mine_similar_classes(predictions, state.label_space, cfg.mining)
-    vsnl_space = generate_vsnl(
-        subset,
-        state.label_space,
-        client,
-        cfg.num_negatives,
-        cfg.score.group_size,
-        epoch=state.epoch + 1,
-    )
+    vsnl_space = generate_vsnl(subset, state.label_space, client, cfg.num_negatives)
     neg_vectors = state.cache.matrix()[list(mined.indices)]
     lse_id, _ = id_part(neg_vectors, state.label_space, cfg.score)
     ens_scores = negative_scores(neg_vectors, lse_id, ens_space, cfg.score)
@@ -234,15 +224,6 @@ def run_stream(
     return records, state
 
 
-def _space_meta(space: NegativeSpace) -> dict:
-    return {
-        "kind": space.kind.value,
-        "texts": list(space.texts),
-        "group_size": space.group_size,
-        "epoch": space.epoch,
-    }
-
-
 def save_checkpoint(state: StreamState, path) -> None:
     """Single-file checkpoint: JSON header, then one NSPC container per
     matrix (labels, cache, nl, ens, vsnl)."""
@@ -263,7 +244,7 @@ def save_checkpoint(state: StreamState, path) -> None:
         "label_ids": list(state.label_space.features.ids),
         "prompt_template": state.label_space.prompt_template,
         "cache": state.cache.state_dict(),
-        "spaces": {name: _space_meta(space) for name, space in spaces.items()},
+        "spaces": {name: {"texts": list(s.texts)} for name, s in spaces.items()},
         "blob_sizes": [len(b) for b in payloads],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -311,13 +292,12 @@ def load_checkpoint(path) -> StreamState:
         cache = HistoryCache.from_state(
             header["cache"], cache_data, header["rng_seed"]
         )
-        spaces = {}
-        for name, data in zip(CHECKPOINT_MATRICES[2:], space_data):
-            meta = header["spaces"][name]
-            spaces[name] = NegativeSpace.from_rows(
-                SpaceKind(meta["kind"]), meta["texts"], data, meta["group_size"],
-                meta["epoch"],
+        spaces = {
+            name: NegativeSpace.from_rows(
+                SpaceKind(name), header["spaces"][name]["texts"], data
             )
+            for name, data in zip(CHECKPOINT_MATRICES[2:], space_data)
+        }
         config = PipelineConfig.from_dict(header["config"])
         scalars = {
             "lambda_": header["lambda"],

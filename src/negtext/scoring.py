@@ -215,14 +215,16 @@ def negative_scores(
     cfg: ScoreConfig,
 ) -> np.ndarray:
     """Grouped score per image row from its precomputed ID part; negatives
-    grouped in storage order, each distinct row multiplied once."""
+    cut in storage order into groups of `cfg.group_size`, each distinct row
+    multiplied once."""
     rows, inverse = neg.rows, neg.inverse
     if rows.shape[1] != images.shape[1]:
         raise DimError(f"negative dim {rows.shape[1]} vs image dim {images.shape[1]}")
     n, width = images.shape[0], rows.shape[0]
     sim_neg = np.empty((n, width))
     scores = np.zeros(n)
-    slices = neg.group_slices()
+    g = cfg.group_size
+    slices = [slice(i, i + g) for i in range(0, neg.size, g)]
 
     def fill(lo: int, hi: int) -> None:
         sims = np.matmul(images[lo:hi], rows.T, out=sim_neg[lo:hi])

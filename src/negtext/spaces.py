@@ -49,7 +49,6 @@ def select_initial_nls(
     corpus: CorpusCandidates,
     ids: LabelSpace,
     m: int,
-    group_size: int,
 ) -> NegativeSpace:
     """Pick the M corpus words most dissimilar to every ID text feature."""
     id_canon = ids.canon_labels()
@@ -67,10 +66,7 @@ def select_initial_nls(
     order = np.argsort(max_label_similarity(rows, ids), kind="stable")[:m]
     chosen = keep[order]
     return NegativeSpace.from_rows(
-        SpaceKind.NL,
-        [corpus.words[i] for i in chosen],
-        data[chosen],
-        group_size,
+        SpaceKind.NL, [corpus.words[i] for i in chosen], data[chosen]
     )
 
 
@@ -204,7 +200,6 @@ def generate_ens(
     ids: LabelSpace,
     client: GenerationClient,
     m: int,
-    group_size: int,
     seed: int,
     epoch: int = 0,
     len_max: int = SENTENCE_MAX_WORDS,
@@ -258,9 +253,7 @@ def generate_ens(
     admitted = {s: _canon_label(s) not in id_canon for s in dict.fromkeys(sentences)}
     sentences = [s for s in sentences if admitted[s]]
     vectors = embed_space(sentences, None, ids, client)
-    return NegativeSpace.from_rows(
-        SpaceKind.ENS, sentences, vectors, group_size, epoch
-    )
+    return NegativeSpace.from_rows(SpaceKind.ENS, sentences, vectors)
 
 
 def generate_vsnl(
@@ -268,8 +261,6 @@ def generate_vsnl(
     ids: LabelSpace,
     client: GenerationClient,
     m: int,
-    group_size: int,
-    epoch: int = 0,
 ) -> NegativeSpace:
     """Lookalike labels for the mined ID-class subset."""
     if len(subset.class_indices) == 0:
@@ -295,6 +286,4 @@ def generate_vsnl(
         raise GenerationError("no admissible lookalike labels generated")
     labels = labels[:m]
     vectors = embed_space(labels, ids.prompt_template, ids, client)
-    return NegativeSpace.from_rows(
-        SpaceKind.VSNL, labels, vectors, group_size, epoch
-    )
+    return NegativeSpace.from_rows(SpaceKind.VSNL, labels, vectors)

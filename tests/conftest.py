@@ -37,13 +37,12 @@ def make_label_space(n: int = 4, dim: int = 8, seed: int = 0) -> LabelSpace:
 def make_negative_space(
     m: int = 12,
     dim: int = 8,
-    group_size: int = 4,
     seed: int = 1,
     kind: SpaceKind = SpaceKind.NL,
 ) -> NegativeSpace:
     rng = np.random.default_rng(seed)
     return NegativeSpace.from_rows(
-        kind, [f"neg_{i}" for i in range(m)], unit_rows(rng, m, dim), group_size
+        kind, [f"neg_{i}" for i in range(m)], unit_rows(rng, m, dim)
     )
 
 

@@ -56,7 +56,7 @@ def test_score_oracle_equivalence():
         g = int(rng.integers(1, 16))
         tau = float(rng.choice([0.01, 0.1, 1.0]))
         ids = make_label_space(n=n_id, dim=8, seed=checked)
-        neg = make_negative_space(m=m, dim=8, group_size=g, seed=checked + 1)
+        neg = make_negative_space(m=m, dim=8, seed=checked + 1)
         cfg = ScoreConfig(temperature=tau, group_size=g)
         images = unit_rows(rng, block, 8)
         got = grouped_scores_batch(images, ids, neg, cfg)
@@ -81,7 +81,7 @@ def test_single_group_reduction():
         n_id = int(rng.integers(1, 6))
         m = int(rng.integers(1, 20))
         ids = make_label_space(n=n_id, dim=8, seed=10_000 + k)
-        neg = make_negative_space(m=m, dim=8, group_size=m, seed=20_000 + k)
+        neg = make_negative_space(m=m, dim=8, seed=20_000 + k)
         v = unit_rows(rng, 1, 8)[0]
         direct = softmax_score(
             ids.features.data @ v, neg.stored_rows() @ v, 0.01

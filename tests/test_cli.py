@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from negtext.cli import main
+from negtext.cli import Manifest, _build_client, main
 from negtext.embeddings import load_embeddings
 from negtext.metrics import compute_report, load_records_csv, split_scores
 from negtext.pipeline import load_checkpoint
@@ -91,13 +91,18 @@ class TestRun:
         for name in ("records.csv", "report.json", "histogram.csv", "checkpoint.nckp"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_malformed_manifest_fails_with_one_line(self, world_dir, tmp_path, capsys):
+    def test_malformed_manifest_fails_with_one_line(
+        self, world_dir, tmp_path, capsys, monkeypatch
+    ):
         bad = tmp_path / "manifest.json"
         bad.write_text('{"client": {"mode": ')
         manifest = json.loads((world_dir / "manifest.json").read_text())
         replay = {**manifest, "client": {"mode": "replay", "fixtures": "."}}
         (world_dir / "labels_no_features.json").write_text('{"labels": ["a"]}')
         (world_dir / "broken.json").write_text('{"labels": [')
+        truth_lines = (world_dir / "truth.csv").read_text().splitlines(keepends=True)
+        dropped = truth_lines.pop(2).split(",")[0]  # the second image of batch 0
+        (world_dir / "truth_missing_image.csv").write_text("".join(truth_lines))
         variants = {
             "seed": {**manifest, "seed": "abc"},
             # only a JSON integer: no float is truncated, no bool taken for 0 or 1
@@ -140,7 +145,13 @@ class TestRun:
             "labels_number": {**manifest, "labels": 7},
             "truth_list": {**manifest, "truth": ["a"]},
             "fixtures_number": {**manifest, "client": {"mode": "replay", "fixtures": 3}},
+            "truth_missing_image": {**replay, "truth": "truth_missing_image.csv"},
+            "endpoint_not_url": {
+                **manifest, "client": {"mode": "http", "endpoint": "not-a-url"}
+            },
+            "env_endpoint_not_http": {**manifest, "client": {"mode": "http"}},
         }
+        monkeypatch.setenv("NEGTEXT_ENDPOINT", "ftp://example.test/api")
         cases = [("run", bad, "--out", tmp_path / "o")]
         for name, spec in variants.items():
             path = world_dir / f"manifest_bad_{name}.json"
@@ -166,6 +177,23 @@ class TestRun:
             assert run_cli(*argv) == 1, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        for name, message in (
+            ("truth_missing_image", f"missing_image.csv: no tag for image {dropped!r}"),
+            ("endpoint_not_url", "must be an http(s) URL with a host, got 'not-a-url'"),
+            ("env_endpoint_not_http", "got 'ftp://example.test/api'"),
+        ):
+            path = world_dir / f"manifest_bad_{name}.json"
+            assert run_cli("run", path, "--out", tmp_path / "o") == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["http://localhost:8000/v1", "https://example.test", "HTTPS://[::1]:9"],
+    )
+    def test_http_endpoint_takes_an_http_url(self, tmp_path, endpoint):
+        spec = {"client": {"mode": "http", "endpoint": endpoint}}
+        assert _build_client(Manifest(spec, tmp_path)).endpoint == endpoint
 
     def test_unknown_config_key_fails_with_one_line(self, world_dir, tmp_path, capsys):
         config = json.loads((world_dir / "config.json").read_text())

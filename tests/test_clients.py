@@ -2,11 +2,15 @@
 and junk answers, which degrade the stream whichever client returns them."""
 import json
 import shutil
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 import requests
 
+from negtext import clients
 from negtext.clients import (
     HttpGenerationClient,
     RecordingClient,
@@ -167,6 +171,102 @@ class TestRecordReplay:
             replay.describe_image("img_1", "fox")
         with pytest.raises(GenerationError):
             replay.embed_texts(["alpha", "beta"])
+
+
+class SamplingClient:
+    """Answers like `inner`, but each description ends in the number of the
+    call, so a repeated request gets a new answer; counts its calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self._lock = threading.Lock()  # describe runs on several threads
+
+    def _count(self) -> int:
+        with self._lock:
+            self.calls += 1
+            return self.calls
+
+    def describe_image(self, image_ref, exclude_label):
+        call = self._count()
+        return f"{self.inner.describe_image(image_ref, exclude_label)} take {call}"
+
+    def similar_labels(self, class_name, count):
+        self._count()
+        return self.inner.similar_labels(class_name, count)
+
+    def embed_texts(self, texts):
+        self._count()
+        return self.inner.embed_texts(texts)
+
+
+class TestRecordingRepeats:
+    def test_a_repeat_gets_the_first_stored_answer(self, tmp_path, monkeypatch):
+        world, batches = small_setup(scenario="mixed", n_batches=3, per_side=40)
+        sampler = SamplingClient(world.oracle_client())
+        keys, writes = [], []
+        request_key, write_text = clients.request_key, Path.write_text
+
+        def counted_key(payload):
+            key = request_key(payload)
+            keys.append(key)
+            return key
+
+        def counted_write(path, *args, **kwargs):
+            writes.append(path.name)
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(clients, "request_key", counted_key)
+        monkeypatch.setattr(Path, "write_text", counted_write)
+        fixtures = tmp_path / "fx"
+        recorded, recorded_state = run_stream(
+            batches, world.label_space, world.corpus,
+            RecordingClient(sampler, fixtures), small_config(), seed=42,
+        )
+        distinct = set(keys)
+        assert len(keys) > len(distinct)  # the stream repeats requests
+        assert sorted(writes) == sorted(f"{key}.json" for key in distinct)
+        assert sampler.calls == len(distinct)
+        replayed, replayed_state = run_stream(
+            batches, world.label_space, world.corpus, ReplayClient(fixtures),
+            small_config(), seed=42,
+        )
+        assert not recorded_state.degraded and not replayed_state.degraded
+        assert replayed == recorded
+        assert replayed_state.lambda_history == recorded_state.lambda_history
+
+
+    def test_concurrent_repeats_share_the_first_answer(self, tmp_path):
+        # more threads than cores race on three requests
+        descriptions = {f"i{k}": [f"thing number {k} here"] for k in range(3)}
+        sampler = SamplingClient(ScriptedClient(dim=4, descriptions=descriptions))
+        recorder = RecordingClient(sampler, tmp_path)
+        answers, finished = {}, []
+        lock = threading.Lock()
+
+        def work(offset):
+            for n in range(60):
+                image_id = f"i{(n + offset) % 3}"
+                answer = recorder.describe_image(image_id, "fox")
+                with lock:
+                    answers.setdefault(image_id, set()).add(answer)
+            finished.append(offset)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finished) == list(range(8))
+        assert sampler.calls == 3
+        assert {k: len(v) for k, v in answers.items()} == {"i0": 1, "i1": 1, "i2": 1}
+        assert len(list(tmp_path.iterdir())) == 3
 
 
 def oracle_answer(oracle, payload):

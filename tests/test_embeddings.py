@@ -20,7 +20,7 @@ from negtext.embeddings import (
 )
 from negtext.errors import DataError, DimError, FormatError
 
-from conftest import make_label_space, make_negative_space, unit_rows
+from conftest import make_label_space, unit_rows
 
 finite_rows = arrays(
     np.float64,
@@ -223,17 +223,6 @@ class TestLabelSpace:
         assert loaded.labels == space.labels
         assert loaded.prompt_template == space.prompt_template
         assert np.allclose(loaded.features.data, space.features.data, atol=1e-6)
-
-
-class TestNegativeSpace:
-    @given(m=st.integers(1, 50), g=st.integers(1, 20))
-    def test_group_slices_partition_in_order(self, m, g):
-        space = make_negative_space(m=m, group_size=g)
-        slices = space.group_slices()
-        assert len(slices) == -(-m // g)
-        covered = [i for sl in slices for i in range(*sl.indices(m))]
-        assert covered == list(range(m))
-        assert all(sl.stop - sl.start <= g for sl in slices)
 
 
 class TestTestBatch:

@@ -137,7 +137,7 @@ def test_in_flight_calls_reach_the_worker_count():
     client = InFlight(workers, dim=4, descriptions=descriptions)
     space = spaces.generate_ens(
         mined, labels, make_label_space(n=1, dim=4, seed=0), client,
-        2 * workers, 2, seed=0,
+        2 * workers, seed=0,
     )
     assert client.peak == workers
     assert client.started == 2 * workers
@@ -153,7 +153,7 @@ def test_no_request_starts_after_a_failure():
     with pytest.raises(GenerationError, match="model down"):
         spaces.generate_ens(
             mined, labels, make_label_space(n=1, dim=4, seed=0), client,
-            2 * workers, 2, seed=0,
+            2 * workers, seed=0,
         )
     assert client.started == workers
     assert client.now == 0

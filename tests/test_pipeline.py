@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from negtext import scoring
-from negtext.embeddings import batches_truth
+from negtext.embeddings import SpaceKind, batches_truth
 from negtext.errors import ConfigError, FormatError, GenerationError
 from negtext.metrics import compute_report, split_scores
 from negtext.mining import MiningConfig, classify_batch
@@ -359,6 +359,27 @@ class TestCheckpoint:
             + raw[16 + header_len :]
         )
 
+    def test_header_with_older_per_space_keys_loads(self, tmp_path):
+        # earlier writers stored each space's kind, group size and epoch too;
+        # the kind is the space's key and the group size the config's
+        path = self._saved(tmp_path)
+        plain = load_checkpoint(path)
+
+        def older(header):
+            for space in header["spaces"].values():
+                space.update(kind="nl", group_size=7, epoch=3)
+
+        self._edit_header(path, older)
+        loaded = load_checkpoint(path)
+        for name in ("nl", "ens", "vsnl"):
+            space = getattr(loaded, f"{name}_space")
+            expected = getattr(plain, f"{name}_space")
+            assert space.kind is SpaceKind(name)
+            assert space.texts == expected.texts
+            assert space.rows.tobytes() == expected.rows.tobytes()
+        n = len(plain.cache)
+        assert np.array_equal(loaded.cache.nl_scores[:n], plain.cache.nl_scores[:n])
+
     def test_cache_ids_not_matching_rows_rejected(self, tmp_path):
         path = self._saved(tmp_path)
         self._edit_header(path, lambda header: header["cache"]["ids"].pop())
@@ -366,13 +387,13 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", [
-        lambda header: header["spaces"]["ens"].update(kind="bogus"),
+        lambda header: header["spaces"]["ens"].pop("texts"),
         lambda header: header.pop("spaces"),
         lambda header: header.pop("cache"),
         lambda header: header.pop("labels"),
         lambda header: header["spaces"].pop("vsnl"),
         lambda header: header.update(lambda_history=5),
-    ], ids=["bogus-kind", "no-spaces", "no-cache", "no-labels", "no-vsnl",
+    ], ids=["no-texts", "no-spaces", "no-cache", "no-labels", "no-vsnl",
             "history-not-list"])
     def test_bad_header_field_rejected_with_one_line(self, tmp_path, edit):
         path = self._saved(tmp_path)

@@ -39,14 +39,15 @@ def softmax_score_oracle(sim_id, sim_neg, temperature):
 
 
 def grouped_score_oracle(v, ids, neg, cfg):
-    """Longdouble brute force: mean of per-group softmax ratios."""
+    """Longdouble brute force: mean of per-group softmax ratios, the groups
+    cut from the stored rows in order, `cfg.group_size` at a time."""
     sim_id = (ids.features.data @ v).astype(np.longdouble)
     sim_neg = (neg.stored_rows() @ v).astype(np.longdouble)
     tau = np.longdouble(cfg.temperature)
-    num = np.sum(np.exp(sim_id / tau - np.max(sim_id) / tau))
+    g = cfg.group_size
     scores = []
-    for sl in neg.group_slices():
-        group = sim_neg[sl]
+    for start in range(0, neg.size, g):
+        group = sim_neg[start : start + g]
         shift = max(np.max(sim_id), np.max(group)) / tau
         n = np.sum(np.exp(sim_id / tau - shift))
         d = n + np.sum(np.exp(group / tau - shift))
@@ -65,16 +66,18 @@ def full_product_scores(images, ids, neg, cfg):
 
     lse_id = lse(images @ ids.features.data.T)
     sim_neg = images @ neg.stored_rows().T
+    g = cfg.group_size
+    starts = range(0, neg.size, g)
     total = np.zeros(images.shape[0])
-    slices = neg.group_slices()
-    for sl in slices:
-        total += 1.0 / (1.0 + np.exp(lse(sim_neg[:, sl]) - lse_id))
-    return total / len(slices)
+    for start in starts:
+        group = sim_neg[:, start : start + g]
+        total += 1.0 / (1.0 + np.exp(lse(group) - lse_id))
+    return total / len(starts)
 
 
-def space_of(texts, data, group_size=2):
+def space_of(texts, data):
     """A negative space of these texts with these unit rows."""
-    return NegativeSpace.from_rows(SpaceKind.ENS, texts, data, group_size)
+    return NegativeSpace.from_rows(SpaceKind.ENS, texts, data)
 
 
 class TestScoreConfig:
@@ -138,7 +141,7 @@ class TestSoftmaxScore:
 
 class TestGroupedScore:
     def test_single_group_reduces_to_softmax(self, label_space):
-        neg = make_negative_space(m=5, group_size=5, seed=11)
+        neg = make_negative_space(m=5, seed=11)
         rng = np.random.default_rng(12)
         v = unit_rows(rng, 1, 8)[0]
         direct = softmax_score(
@@ -148,7 +151,7 @@ class TestGroupedScore:
         assert got == pytest.approx(direct, abs=1e-12)
 
     def test_batch_matches_scalar_path(self, label_space):
-        neg = make_negative_space(m=12, group_size=4, seed=13)
+        neg = make_negative_space(m=12, seed=13)
         rng = np.random.default_rng(14)
         images = unit_rows(rng, 6, 8)
         cfg = ScoreConfig(group_size=4)
@@ -158,19 +161,47 @@ class TestGroupedScore:
                 grouped_score(images[i], label_space, neg, cfg), abs=1e-12
             )
 
+    def test_group_size_comes_from_the_config(self, label_space):
+        neg = make_negative_space(m=24, seed=15)
+        images = unit_rows(np.random.default_rng(16), 5, 8)
+        by_size = {}
+        for g in (4, 12):
+            cfg = ScoreConfig(group_size=g)
+            by_size[g] = grouped_scores_batch(images, label_space, neg, cfg)
+            for v, score in zip(images, by_size[g]):
+                assert score == pytest.approx(
+                    grouped_score_oracle(v, label_space, neg, cfg), rel=1e-9
+                )
+        assert not np.allclose(by_size[4], by_size[12], rtol=1e-6, atol=0.0)
+
+    @given(m=st.integers(1, 50), g=st.integers(1, 20))
+    @settings(max_examples=50, deadline=None)
+    def test_groups_cut_the_space_in_order(self, m, g):
+        # one softmax ratio per run of g consecutive negatives, the last run
+        # holding the rest, averaged
+        ids = make_label_space()
+        neg = make_negative_space(m=m, seed=m)
+        v = unit_rows(np.random.default_rng(g), 1, 8)[0]
+        sim_id, sim_neg = ids.features.data @ v, neg.stored_rows() @ v
+        shares = [
+            softmax_score(sim_id, sim_neg[k : k + g], 0.01) for k in range(0, m, g)
+        ]
+        assert len(shares) == -(-m // g)
+        cfg = ScoreConfig(group_size=g)
+        got = grouped_score(v, ids, neg, cfg)
+        assert got == pytest.approx(np.mean(shares), rel=1e-9)
+        assert got == pytest.approx(grouped_score_oracle(v, ids, neg, cfg), rel=1e-9)
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_matches_longdouble_oracle(self, seed):
         rng = np.random.default_rng(seed)
         ids = make_label_space(n=int(rng.integers(1, 6)), dim=8, seed=seed)
-        neg = make_negative_space(
-            m=int(rng.integers(1, 40)),
-            group_size=int(rng.integers(1, 12)),
-            seed=seed + 1,
-        )
+        m = int(rng.integers(1, 40))
+        group_size = int(rng.integers(1, 12))
+        neg = make_negative_space(m=m, seed=seed + 1)
         cfg = ScoreConfig(
-            temperature=float(rng.choice([0.01, 0.1, 1.0])),
-            group_size=neg.group_size,
+            temperature=float(rng.choice([0.01, 0.1, 1.0])), group_size=group_size
         )
         v = unit_rows(rng, 1, 8)[0]
         got = grouped_score(v, ids, neg, cfg)
@@ -194,7 +225,7 @@ class TestDistinctRows:
         while m % group_size == 0:  # a ragged last group
             group_size += 1
         neg = NegativeSpace.from_rows(
-            SpaceKind.ENS, [f"sentence {j}" for j in order], base[order], group_size
+            SpaceKind.ENS, [f"sentence {j}" for j in order], base[order]
         )
         assert neg.rows.shape[0] == distinct
         assert (neg.inverse is None) == (distinct == m)
@@ -236,7 +267,7 @@ class TestDistinctRows:
         assert neg.inverse.tolist() == [0, 1, 2, 0]
         assert neg.rows[0].tobytes() == neg.rows[2].tobytes()
         merged = NegativeSpace(
-            SpaceKind.ENS, neg.texts, neg.rows[:2], np.array([0, 1, 0, 0]), 2
+            SpaceKind.ENS, neg.texts, neg.rows[:2], np.array([0, 1, 0, 0])
         )
         assert neg.stored_rows().tobytes() == merged.stored_rows().tobytes()
         images = unit_rows(rng, 9, 8)
@@ -249,7 +280,7 @@ class TestDistinctRows:
     def test_all_distinct_space_keeps_stored_rows_and_full_product_scores(
         self, label_space
     ):
-        neg = make_negative_space(m=23, group_size=5, seed=21)
+        neg = make_negative_space(m=23, seed=21)
         assert neg.inverse is None and neg.rows.shape[0] == 23
         images = unit_rows(np.random.default_rng(22), 7, 8)
         cfg = ScoreConfig(group_size=5)
@@ -271,12 +302,12 @@ class TestDistinctRows:
         assert 0 in predictions and 2 not in predictions
 
 
-def repeated_space(rng, distinct, dim, group_size):
+def repeated_space(rng, distinct, dim):
     """A sentence-like space: `distinct` rows, each repeated 1-3 times."""
     base = unit_rows(rng, distinct, dim)
     order = rng.permutation(np.repeat(np.arange(distinct), rng.integers(1, 4, distinct)))
     return NegativeSpace.from_rows(
-        SpaceKind.ENS, [f"sentence {j}" for j in order], base[order], group_size
+        SpaceKind.ENS, [f"sentence {j}" for j in order], base[order]
     )
 
 
@@ -300,9 +331,9 @@ class TestRowBlocks:
         dim = 64  # at a small dim every split happens to round alike
         ids = make_label_space(n=n_classes, dim=dim, seed=seed)
         if repeats:  # the `inverse` path
-            neg = repeated_space(rng, distinct, dim, group_size=9)
+            neg = repeated_space(rng, distinct, dim)
         else:
-            neg = make_negative_space(m=distinct, dim=dim, group_size=9, seed=seed)
+            neg = make_negative_space(m=distinct, dim=dim, seed=seed)
         cfg = ScoreConfig(temperature=float(rng.choice([0.01, 1.0])), group_size=9)
         images = unit_rows(rng, n, dim)
         results = []
@@ -344,7 +375,7 @@ class TestRowBlocks:
     ):
         monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
         ids = make_label_space(n=64, dim=8, seed=31)
-        neg = make_negative_space(m=64, dim=8, group_size=8, seed=32)
+        neg = make_negative_space(m=64, dim=8, seed=32)
         images = unit_rows(np.random.default_rng(33), 200, 8)
         cfg = ScoreConfig()
         lse_id, _ = id_part(images, ids, cfg)
@@ -389,12 +420,12 @@ class TestRowBlocks:
             SpaceKind.NL,
             [f"neg_{i}" for i in range(96)],
             np.vstack([images[:48], unit_rows(rng, 48, 8)]),
-            group_size=16,
         )
         assert len(scoring._row_blocks(150, 96, 150 * 96)) == (
             2 if min_cells == 1 else 1
         )
-        scores = grouped_scores_batch(images, ids, neg, ScoreConfig(temperature=1e-300))
+        cfg = ScoreConfig(temperature=1e-300, group_size=16)
+        scores = grouped_scores_batch(images, ids, neg, cfg)
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 

@@ -40,7 +40,7 @@ class TestSelectInitialNls:
         corpus = make_corpus(
             ["other", " LABEL_0 ", "another"], unit_rows(rng, 3, 4)
         )
-        space = select_initial_nls(corpus, ids, 2, 1)
+        space = select_initial_nls(corpus, ids, 2)
         assert " LABEL_0 " not in space.texts
         assert space.kind is SpaceKind.NL
 
@@ -53,7 +53,7 @@ class TestSelectInitialNls:
         orth /= np.linalg.norm(orth)
         near = 0.95 * proto + 0.05 * orth
         corpus = make_corpus(["near", "orth"], [near, orth])
-        space = select_initial_nls(corpus, ids, 1, 1)
+        space = select_initial_nls(corpus, ids, 1)
         assert space.texts == ("orth",)
 
     def test_insufficient_corpus_rejected(self):
@@ -61,7 +61,7 @@ class TestSelectInitialNls:
         rng = np.random.default_rng(4)
         corpus = make_corpus(["w0", "label_0"], unit_rows(rng, 2, 4))
         with pytest.raises(InputError):
-            select_initial_nls(corpus, ids, 2, 1)
+            select_initial_nls(corpus, ids, 2)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25)
@@ -70,7 +70,7 @@ class TestSelectInitialNls:
         ids = make_label_space(n=3, dim=6, seed=seed)
         words = [f"w{i}" for i in range(12)]
         corpus = make_corpus(words, unit_rows(rng, 12, 6))
-        space = select_initial_nls(corpus, ids, 5, 2)
+        space = select_initial_nls(corpus, ids, 5)
         max_sim = {
             w: float(np.max(ids.features.data @ corpus.features.data[i]))
             for i, w in enumerate(words)
@@ -191,7 +191,7 @@ class TestGenerateEns:
         )
         labels = {"i0": "label_0", "i1": "label_1", "i2": "label_0"}
         ids = make_label_space(n=2, dim=4, seed=5)
-        space = generate_ens(mined(["i0", "i1", "i2"]), labels, ids, client, 3, 2, seed=0)
+        space = generate_ens(mined(["i0", "i1", "i2"]), labels, ids, client, 3, seed=0)
         assert space.texts == (
             "a small red thing",
             "a large blue thing",
@@ -207,7 +207,7 @@ class TestGenerateEns:
         )
         labels = {"i0": "label_0", "i1": "label_1"}
         ids = make_label_space(n=2, dim=4, seed=6)
-        space = generate_ens(mined(["i0", "i1"]), labels, ids, client, 5, 5, seed=0)
+        space = generate_ens(mined(["i0", "i1"]), labels, ids, client, 5, seed=0)
         assert len(space.texts) == 5
         # requests of one pass overlap, so only each pass's content is fixed:
         # both images, both again, then the one sentence still missing
@@ -232,7 +232,7 @@ class TestGenerateEns:
         for _ in range(2):
             client = ScriptedClient(dim=4, descriptions=descriptions)
             space = generate_ens(
-                mined([f"i{k}" for k in range(10)]), labels, ids, client, 4, 2, seed=9
+                mined([f"i{k}" for k in range(10)]), labels, ids, client, 4, seed=9
             )
             picks.append(space.texts)
         assert picks[0] == picks[1]
@@ -249,7 +249,7 @@ class TestGenerateEns:
         )
         labels = {"i0": "label_0", "i1": "label_1"}
         ids = make_label_space(n=2, dim=4, seed=8)
-        space = generate_ens(mined(["i0", "i1"]), labels, ids, client, 2, 2, seed=0)
+        space = generate_ens(mined(["i0", "i1"]), labels, ids, client, 2, seed=0)
         assert all("label_0" not in t for t in space.texts)
         # three attempts were spent on the sticky image per pass
         assert [c for c in client.describe_calls if c[0] == "i0"][:3] == [
@@ -275,7 +275,7 @@ class TestGenerateEns:
         )
         labels = {"i0": "label_1", "i1": "label_1"}
         # round-robin: each image is described three times
-        space = generate_ens(mined(["i0", "i1"]), labels, ids, client, 6, 2, seed=0)
+        space = generate_ens(mined(["i0", "i1"]), labels, ids, client, 6, seed=0)
         assert space.texts == ("a small red thing",) * 3
         assert sorted(calls) == ["A big  CAT", "a small red thing"]
 
@@ -283,14 +283,14 @@ class TestGenerateEns:
         long = " ".join(f"w{k}" for k in range(30))
         client = ScriptedClient(dim=4, descriptions={"i0": [long]})
         ids = make_label_space(n=1, dim=4, seed=9)
-        space = generate_ens(mined(["i0"]), {"i0": "label_0"}, ids, client, 1, 1, seed=0)
+        space = generate_ens(mined(["i0"]), {"i0": "label_0"}, ids, client, 1, seed=0)
         assert len(space.texts[0].split()) == 15
 
     def test_short_sentence_window_configurable(self):
         client = ScriptedClient(dim=4, descriptions={"i0": ["just two words ok"]})
         ids = make_label_space(n=1, dim=4, seed=10)
         space = generate_ens(
-            mined(["i0"]), {"i0": "label_0"}, ids, client, 1, 1, seed=0,
+            mined(["i0"]), {"i0": "label_0"}, ids, client, 1, seed=0,
             len_max=4,
         )
         assert space.texts == ("just two words ok",)
@@ -299,12 +299,12 @@ class TestGenerateEns:
         client = ScriptedClient(dim=4, descriptions={"i0": ["label_0 label_0 label_0"] * 3})
         ids = make_label_space(n=1, dim=4, seed=11)
         with pytest.raises(GenerationError):
-            generate_ens(mined(["i0"]), {"i0": "label_0"}, ids, client, 1, 1, seed=0)
+            generate_ens(mined(["i0"]), {"i0": "label_0"}, ids, client, 1, seed=0)
 
     def test_empty_negatives_rejected(self):
         ids = make_label_space(n=1, dim=4, seed=12)
         with pytest.raises(InputError):
-            generate_ens(mined([]), {}, ids, ScriptedClient(dim=4), 1, 1, seed=0)
+            generate_ens(mined([]), {}, ids, ScriptedClient(dim=4), 1, seed=0)
 
 
 class TestGenerateVsnl:
@@ -318,7 +318,7 @@ class TestGenerateVsnl:
         client = ScriptedClient(
             dim=4, similars={"label_0": ["coyote", "jackal", "dingo"]}
         )
-        space = generate_vsnl(self._subset([0], 2), ids, client, 3, 2)
+        space = generate_vsnl(self._subset([0], 2), ids, client, 3)
         assert space.texts == ("coyote", "jackal", "dingo")
         assert space.kind is SpaceKind.VSNL
         # labels are embedded through the prompt template
@@ -331,7 +331,7 @@ class TestGenerateVsnl:
         client = ScriptedClient(
             dim=4, similars={"label_0": ["coyote", " Label_1 ", "dingo"]}
         )
-        space = generate_vsnl(self._subset([0], 2), ids, client, 3, 2)
+        space = generate_vsnl(self._subset([0], 2), ids, client, 3)
         assert space.texts == ("coyote", "dingo")
 
     def test_cross_class_duplicates_kept_once(self):
@@ -340,7 +340,7 @@ class TestGenerateVsnl:
             dim=4,
             similars={"label_0": ["coyote", "wolf"], "label_1": ["Coyote", "lynx"]},
         )
-        space = generate_vsnl(self._subset([0, 1], 2), ids, client, 4, 2)
+        space = generate_vsnl(self._subset([0, 1], 2), ids, client, 4)
         assert space.texts == ("coyote", "wolf", "lynx")
 
     def test_truncates_to_m_in_generation_order(self):
@@ -349,7 +349,7 @@ class TestGenerateVsnl:
             dim=4, similars={"label_0": ["a1", "a2", "a3"], "label_1": ["b1", "b2"]}
         )
         # ceil(3 / 2) = 2 per class -> a1 a2 b1 b2, truncated to M = 3
-        space = generate_vsnl(self._subset([0, 1], 2), ids, client, 3, 2)
+        space = generate_vsnl(self._subset([0, 1], 2), ids, client, 3)
         assert space.texts == ("a1", "a2", "b1")
 
     def test_per_class_request_count(self):
@@ -357,7 +357,7 @@ class TestGenerateVsnl:
         client = ScriptedClient(
             dim=4, similars={"label_0": ["x1", "x2", "x3"], "label_2": ["y1", "y2", "y3"]}
         )
-        generate_vsnl(self._subset([0, 2], 3), ids, client, 5, 2)
+        generate_vsnl(self._subset([0, 2], 3), ids, client, 5)
         # ceil(5 / 2) = 3 candidates requested per subset class
         assert client.similar_calls == [("label_0", 3), ("label_2", 3)]
 
@@ -365,10 +365,10 @@ class TestGenerateVsnl:
         ids = make_label_space(n=1, dim=4, seed=18)
         client = ScriptedClient(dim=4, similars={"label_0": ["label_0"]})
         with pytest.raises(GenerationError):
-            generate_vsnl(self._subset([0], 1), ids, client, 2, 1)
+            generate_vsnl(self._subset([0], 1), ids, client, 2)
 
     def test_empty_subset_rejected(self):
         ids = make_label_space(n=1, dim=4, seed=19)
         subset = SimilarClassSubset(class_indices=(), frequencies=np.array([1.0]))
         with pytest.raises(InputError):
-            generate_vsnl(subset, ids, ScriptedClient(dim=4), 2, 1)
+            generate_vsnl(subset, ids, ScriptedClient(dim=4), 2)

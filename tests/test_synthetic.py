@@ -122,9 +122,7 @@ class TestOracleFidelity:
         subset = mine_similar_classes(
             predictions, world.label_space, MiningConfig(class_ratio=0.3)
         )
-        space = generate_vsnl(
-            subset, world.label_space, client, 60, 20
-        )
+        space = generate_vsnl(subset, world.label_space, client, 60)
         parents = {
             c.parent for c in world.near_concepts if c.parent in subset.class_indices
         }
