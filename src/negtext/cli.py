@@ -330,8 +330,8 @@ def _assemble_inputs(manifest: Manifest, client_override=None, world=None) -> Ru
     corpus_spec = manifest.spec["corpus"]
     words_path = manifest._resolve(corpus_spec.get("words"))
     words = _read_json(words_path, "corpus words")
-    if not isinstance(words, list):
-        raise InputError(f"{words_path}: corpus words must be a JSON list")
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise InputError(f"{words_path}: corpus words must be a JSON list of strings")
     corpus = CorpusCandidates(
         words=tuple(words),
         features=load_embeddings(manifest._resolve(corpus_spec.get("embeddings"))),

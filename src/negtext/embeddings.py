@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DimError, FormatError
+from .errors import DataError, DimError, FormatError, InputError
 
 MAGIC = b"NSPC"
 FORMAT_VERSION = 1
@@ -57,7 +57,14 @@ def _normalize_rows(data) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Row-major matrix of unit-norm vectors with one id per row."""
+    """Row-major matrix of unit-norm, finite vectors with one id per row.
+
+    `from_rows` and `with_ids` (and so `load_embeddings`) make the rows
+    unit-norm; the word space takes corpus rows as they are on that promise.
+    A direct `EmbeddingMatrix(ids, data)` checks only that the rows are
+    finite, and must be given unit rows, as scoring assumes of image and
+    label rows.
+    """
 
     ids: tuple[str, ...]
     data: np.ndarray  # (rows, dim) float64, unit-norm rows
@@ -195,12 +202,15 @@ class LabelSpace:
             spec = json.loads(path.read_text(encoding="utf-8"))
             features_path = path.parent / spec["features"]
             labels = tuple(spec["labels"])
+            template = spec.get("prompt_template", "The nice <label>.")
         except (ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}: unreadable labels manifest ({exc!r})") from exc
+        if not all(isinstance(text, str) for text in (*labels, template)):
+            raise InputError(f"{path}: labels and prompt_template must be strings")
         return cls(
             labels=labels,
             features=load_embeddings(features_path),
-            prompt_template=spec.get("prompt_template", "The nice <label>."),
+            prompt_template=template,
         )
 
     def save_manifest(self, path, features_name: str) -> None:
@@ -225,14 +235,45 @@ class SpaceKind(enum.Enum):
     VSNL = "vsnl"
 
 
+def _merge_repeats(texts: tuple[str, ...], data: np.ndarray):
+    """The distinct rows of `data`, one per text, and the inverse.
+
+    A row merges into the first row of the same text only when the two are
+    byte-equal as given, so the merge is exact for any embedding client.
+    The inverse is None, and `data` itself is returned, when nothing merges.
+    """
+    firsts: dict[str, int] = {}
+    first = np.fromiter(
+        (firsts.setdefault(text, i) for i, text in enumerate(texts)),
+        dtype=np.intp,
+        count=len(texts),
+    )
+    own = np.arange(len(texts))
+    repeats = np.flatnonzero(first != own)
+    # compare bytes, not values: -0.0 and 0.0 stay apart
+    bits = data.view(np.uint64)
+    for start in range(0, repeats.size, _MERGE_CHUNK):
+        part = repeats[start : start + _MERGE_CHUNK]
+        differs = np.any(bits[part] != bits[first[part]], axis=1)
+        first[part[differs]] = part[differs]
+    kept = np.flatnonzero(first == own)
+    if kept.size == len(texts):
+        return data, None
+    inverse = np.searchsorted(kept, first)
+    inverse.setflags(write=False)
+    return data[kept], inverse
+
+
 @dataclass(frozen=True)
 class NegativeSpace:
     """A named, ordered set of negative texts with their unit rows.
 
     `rows` holds the space's distinct unit rows: text i's row is
     `rows[inverse[i]]`, or `rows[i]` when `inverse` is None. Build a space
-    with `from_rows`, which stores a repeated text's row once. Scoring cuts
-    the texts, in this order, into groups of `ScoreConfig.group_size`.
+    with `from_rows`, which stores a repeated text's row once; the word
+    space merges its corpus rows the same way, through `_merge_repeats`.
+    Scoring cuts the texts, in this order, into groups of
+    `ScoreConfig.group_size`.
     """
 
     kind: SpaceKind
@@ -252,9 +293,8 @@ class NegativeSpace:
     def from_rows(cls, kind: SpaceKind, texts, data) -> "NegativeSpace":
         """The space of `texts` with one row of `data` per text, normalized.
 
-        A row merges into the first row of the same text only when the two
-        are byte-equal as given, so the merge is exact for any embedding
-        client; only the distinct rows are then normalized.
+        A repeated text's row merges as `_merge_repeats` says; only the
+        distinct rows are then normalized.
         """
         texts = tuple(texts)
         data = np.ascontiguousarray(data, dtype=np.float64)
@@ -262,28 +302,10 @@ class NegativeSpace:
             raise DataError("expected a 2-D array")
         if data.shape[0] != len(texts):
             raise DataError("feature rows do not match texts")
-        firsts: dict[str, int] = {}
-        first = np.fromiter(
-            (firsts.setdefault(text, i) for i, text in enumerate(texts)),
-            dtype=np.intp,
-            count=len(texts),
-        )
-        own = np.arange(len(texts))
-        repeats = np.flatnonzero(first != own)
-        # compare bytes, not values: -0.0 and 0.0 stay apart
-        bits = data.view(np.uint64)
-        for start in range(0, repeats.size, _MERGE_CHUNK):
-            part = repeats[start : start + _MERGE_CHUNK]
-            differs = np.any(bits[part] != bits[first[part]], axis=1)
-            first[part[differs]] = part[differs]
-        kept = np.flatnonzero(first == own)
-        inverse = None
-        if kept.size < len(texts):
-            data, inverse = data[kept], np.searchsorted(kept, first)
-            inverse.setflags(write=False)
-        data = _normalize_rows(data)
-        data.setflags(write=False)
-        return cls(kind, texts, data, inverse)
+        rows, inverse = _merge_repeats(texts, data)
+        rows = _normalize_rows(rows)
+        rows.setflags(write=False)
+        return cls(kind, texts, rows, inverse)
 
     def stored_rows(self) -> np.ndarray:
         """One row per text, in text order."""

@@ -292,12 +292,12 @@ def load_checkpoint(path) -> StreamState:
         cache = HistoryCache.from_state(
             header["cache"], cache_data, header["rng_seed"]
         )
-        spaces = {
-            name: NegativeSpace.from_rows(
-                SpaceKind(name), header["spaces"][name]["texts"], data
-            )
-            for name, data in zip(CHECKPOINT_MATRICES[2:], space_data)
-        }
+        spaces = {}
+        for name, data in zip(CHECKPOINT_MATRICES[2:], space_data):
+            texts = header["spaces"][name]["texts"]
+            if len(texts) != data.shape[0]:
+                raise ValueError(f"{name}: {len(texts)} texts for {data.shape[0]} rows")
+            spaces[name] = NegativeSpace.from_rows(SpaceKind(name), texts, data)
         config = PipelineConfig.from_dict(header["config"])
         scalars = {
             "lambda_": header["lambda"],

@@ -23,6 +23,7 @@ from .embeddings import (
     NegativeSpace,
     SpaceKind,
     _canon_label,
+    _merge_repeats,
 )
 from .errors import GenerationError, InputError
 from .mining import MinedNegatives, SimilarClassSubset
@@ -65,9 +66,12 @@ def select_initial_nls(
     rows = data if keep.size == corpus.features.rows else data[keep]
     order = np.argsort(max_label_similarity(rows, ids), kind="stable")[:m]
     chosen = keep[order]
-    return NegativeSpace.from_rows(
-        SpaceKind.NL, [corpus.words[i] for i in chosen], data[chosen]
-    )
+    texts = tuple(corpus.words[i] for i in chosen)
+    # the corpus rows are unit-norm and finite already (see EmbeddingMatrix),
+    # so the one gathered copy is the space's rows
+    rows, inverse = _merge_repeats(texts, data[chosen])
+    rows.setflags(write=False)
+    return NegativeSpace(SpaceKind.NL, texts, rows, inverse)
 
 
 def embed_space(

@@ -100,6 +100,13 @@ class TestRun:
         replay = {**manifest, "client": {"mode": "replay", "fixtures": "."}}
         (world_dir / "labels_no_features.json").write_text('{"labels": ["a"]}')
         (world_dir / "broken.json").write_text('{"labels": [')
+        labels = json.loads((world_dir / "labels.json").read_text())
+        labels["labels"][1] = 5
+        (world_dir / "labels_number.json").write_text(json.dumps(labels))
+        labels["labels"][1], labels["prompt_template"] = "x", 5
+        (world_dir / "template_number.json").write_text(json.dumps(labels))
+        words = json.loads((world_dir / "corpus_words.json").read_text())
+        (world_dir / "words_number.json").write_text(json.dumps([7, *words[1:]]))
         truth_lines = (world_dir / "truth.csv").read_text().splitlines(keepends=True)
         dropped = truth_lines.pop(2).split(",")[0]  # the second image of batch 0
         (world_dir / "truth_missing_image.csv").write_text("".join(truth_lines))
@@ -137,6 +144,11 @@ class TestRun:
             "words_not_list": {
                 **replay,
                 "corpus": {**manifest["corpus"], "words": "labels_no_features.json"},
+            },
+            "label_not_string": {**replay, "labels": "labels_number.json"},
+            "template_not_string": {**replay, "labels": "template_number.json"},
+            "word_not_string": {
+                **replay, "corpus": {**manifest["corpus"], "words": "words_number.json"}
             },
             "config_not_object": {**manifest, "config": 5},
             # entries of the wrong JSON type
@@ -181,6 +193,9 @@ class TestRun:
             ("truth_missing_image", f"missing_image.csv: no tag for image {dropped!r}"),
             ("endpoint_not_url", "must be an http(s) URL with a host, got 'not-a-url'"),
             ("env_endpoint_not_http", "got 'ftp://example.test/api'"),
+            ("label_not_string", "labels_number.json: labels and prompt_template"),
+            ("template_not_string", "template_number.json: labels and prompt_template"),
+            ("word_not_string", "words_number.json: corpus words must be a JSON list"),
         ):
             path = world_dir / f"manifest_bad_{name}.json"
             assert run_cli("run", path, "--out", tmp_path / "o") == 1

@@ -393,8 +393,9 @@ class TestCheckpoint:
         lambda header: header.pop("labels"),
         lambda header: header["spaces"].pop("vsnl"),
         lambda header: header.update(lambda_history=5),
+        lambda header: header["spaces"]["ens"]["texts"].pop(),
     ], ids=["no-texts", "no-spaces", "no-cache", "no-labels", "no-vsnl",
-            "history-not-list"])
+            "history-not-list", "texts-not-rows"])
     def test_bad_header_field_rejected_with_one_line(self, tmp_path, edit):
         path = self._saved(tmp_path)
         self._edit_header(path, edit)

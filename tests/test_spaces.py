@@ -1,4 +1,6 @@
 """Negative-space construction: initial words, sentences, lookalike labels."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from negtext import scoring, spaces
 from negtext.clients import HttpGenerationClient
-from negtext.embeddings import EmbeddingMatrix, LabelSpace, SpaceKind
+from negtext.embeddings import EmbeddingMatrix, LabelSpace, NegativeSpace, SpaceKind
 from negtext.errors import GenerationError, InputError
 from negtext.mining import MinedNegatives, SimilarClassSubset
 from negtext.pipeline import PipelineConfig, init_stream
@@ -103,6 +105,55 @@ class TestSelectInitialNls:
         max_sim = np.max(corpus.features.data[keep] @ ids.features.data.T, axis=1)
         order = np.argsort(max_sim, kind="stable")[:300]
         assert one.texts == tuple(words[keep[i]] for i in order)
+
+    @pytest.mark.parametrize("excluded", [False, True], ids=["all-words", "id-word"])
+    def test_rows_are_the_chosen_corpus_rows(self, excluded):
+        ids = make_label_space(n=3, dim=8, seed=21)
+        words = [f"w{i}" for i in range(40)]
+        if excluded:
+            words[5] = "Label_1"
+        corpus = make_corpus(words, unit_rows(np.random.default_rng(22), 40, 8))
+        space = select_initial_nls(corpus, ids, 25)
+        assert "Label_1" not in space.texts and space.inverse is None
+        chosen = [words.index(w) for w in space.texts]
+        assert space.rows.tobytes() == corpus.features.data[chosen].tobytes()
+        # normalizing them again, as a client's rows are, changes no byte
+        again = NegativeSpace.from_rows(SpaceKind.NL, space.texts, space.rows)
+        assert again.rows.tobytes() == space.rows.tobytes()
+        assert not space.rows.flags.writeable
+
+    def test_repeated_word_with_byte_equal_row_merges(self):
+        ids = make_label_space(n=2, dim=4, seed=23)
+        rows = unit_rows(np.random.default_rng(24), 4, 4)
+        # "a" repeats its row; "b" repeats with another row and stays apart
+        corpus = make_corpus(["a", "b", "a", "b"], rows[[0, 1, 0, 2]])
+        space = select_initial_nls(corpus, ids, 4)
+        data = corpus.features.data
+        order = np.argsort(np.max(data @ ids.features.data.T, axis=1), kind="stable")
+        assert space.texts == tuple(corpus.words[i] for i in order)
+        assert space.rows.shape[0] == 3 and not space.rows.flags.writeable
+        a_rows = {space.inverse[i] for i, w in enumerate(space.texts) if w == "a"}
+        assert len(a_rows) == 1
+        assert space.stored_rows().tobytes() == data[order].tobytes()
+
+    def test_holds_one_copy_of_the_chosen_rows(self):
+        # 4 labels keep the product at 4,000 x 4 cells: the chosen rows,
+        # 3,000 x 256, are by far the largest allocation
+        ids = make_label_space(n=4, dim=256, seed=25)
+        words = [f"w{i}" for i in range(4000)]
+        corpus = make_corpus(words, unit_rows(np.random.default_rng(26), 4000, 256))
+        m = 3000
+        chosen_bytes = m * 256 * 8
+        tracemalloc.start()
+        try:
+            space = select_initial_nls(corpus, ids, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space.rows.nbytes == chosen_bytes
+        # one gathered copy and the selection's small arrays; normalizing
+        # that copy again would add two more (its own and the squared entries)
+        assert peak < chosen_bytes * 5 // 4, peak / chosen_bytes
 
 
 class TestEmbedSpace:
