@@ -12,9 +12,7 @@ from .embeddings import (  # noqa: F401
     EmbeddingMatrix,
     LabelSpace,
     NegativeSpace,
-    SpaceKind,
     TestBatch,
-    cosine,
     load_embeddings,
     save_embeddings,
 )

@@ -26,6 +26,12 @@ from .errors import GenerationError
 if TYPE_CHECKING:  # imported where an HTTP client is built or posts
     import requests
 
+# HTTP attempts per request, the first retry's wait (doubled for each
+# later one) and the wait for one answer
+HTTP_ATTEMPTS = 3
+HTTP_BACKOFF_S = 0.5
+HTTP_TIMEOUT_S = 60.0
+
 
 class GenerationClient(Protocol):
     """What the pipeline asks of a generation backend.
@@ -88,15 +94,9 @@ class HttpGenerationClient(_WireClient):
         self,
         endpoint: str,
         auth_token: str | None = None,
-        retries: int = 3,
-        backoff: float = 0.5,
-        timeout: float = 60.0,
         session: requests.Session | None = None,
     ):
         self.endpoint = endpoint
-        self.retries = retries
-        self.backoff = backoff
-        self.timeout = timeout
         if session is None:
             import requests  # ~8 MB and ~0.1 s that only this client needs
 
@@ -116,10 +116,10 @@ class HttpGenerationClient(_WireClient):
 
         url = self.endpoint
         last = None
-        for attempt in range(self.retries):
+        for attempt in range(HTTP_ATTEMPTS):
             try:
                 resp = self._session.post(
-                    url, json=payload, headers=self._headers, timeout=self.timeout
+                    url, json=payload, headers=self._headers, timeout=HTTP_TIMEOUT_S
                 )
                 if resp.status_code not in (408, 429) and resp.status_code < 500:
                     resp.raise_for_status()
@@ -129,10 +129,10 @@ class HttpGenerationClient(_WireClient):
                 last = exc
             except (requests.RequestException, ValueError) as exc:
                 raise GenerationError(f"{url}: {exc}", image_id=image_id) from exc
-            if attempt + 1 < self.retries:
-                time.sleep(self.backoff * (2**attempt))
+            if attempt + 1 < HTTP_ATTEMPTS:
+                time.sleep(HTTP_BACKOFF_S * (2**attempt))
         raise GenerationError(
-            f"{url} failed after {self.retries} attempts: {last}", image_id=image_id
+            f"{url} failed after {HTTP_ATTEMPTS} attempts: {last}", image_id=image_id
         )
 
 

@@ -6,7 +6,6 @@ JSON identifier sidecar (see `save_embeddings` / `load_embeddings`).
 """
 from __future__ import annotations
 
-import enum
 import json
 import struct
 from dataclasses import dataclass, field
@@ -14,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DimError, FormatError, InputError
+from .errors import DataError, FormatError, InputError
 
 MAGIC = b"NSPC"
 FORMAT_VERSION = 1
@@ -93,15 +92,6 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two unit vectors, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(min(1.0, max(-1.0, float(np.dot(a, b)))))
 
 
 def encode_nspc(data: np.ndarray) -> bytes:
@@ -229,12 +219,6 @@ class LabelSpace:
         )
 
 
-class SpaceKind(enum.Enum):
-    NL = "nl"
-    ENS = "ens"
-    VSNL = "vsnl"
-
-
 def _merge_repeats(texts: tuple[str, ...], data: np.ndarray):
     """The distinct rows of `data`, one per text, and the inverse.
 
@@ -266,7 +250,10 @@ def _merge_repeats(texts: tuple[str, ...], data: np.ndarray):
 
 @dataclass(frozen=True)
 class NegativeSpace:
-    """A named, ordered set of negative texts with their unit rows.
+    """An ordered set of negative texts with their unit rows.
+
+    A space's kind (word, sentence or lookalike) is the `StreamState`
+    field, or the checkpoint header key, that holds it.
 
     `rows` holds the space's distinct unit rows: text i's row is
     `rows[inverse[i]]`, or `rows[i]` when `inverse` is None. Build a space
@@ -276,7 +263,6 @@ class NegativeSpace:
     `ScoreConfig.group_size`.
     """
 
-    kind: SpaceKind
     texts: tuple[str, ...]
     rows: np.ndarray  # (distinct rows, dim) float64, read-only
     inverse: np.ndarray | None  # (texts,) index into `rows`
@@ -290,7 +276,7 @@ class NegativeSpace:
         return len(self.texts)
 
     @classmethod
-    def from_rows(cls, kind: SpaceKind, texts, data) -> "NegativeSpace":
+    def from_rows(cls, texts, data) -> "NegativeSpace":
         """The space of `texts` with one row of `data` per text, normalized.
 
         A repeated text's row merges as `_merge_repeats` says; only the
@@ -305,7 +291,7 @@ class NegativeSpace:
         rows, inverse = _merge_repeats(texts, data)
         rows = _normalize_rows(rows)
         rows.setflags(write=False)
-        return cls(kind, texts, rows, inverse)
+        return cls(texts, rows, inverse)
 
     def stored_rows(self) -> np.ndarray:
         """One row per text, in text order."""

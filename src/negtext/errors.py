@@ -15,10 +15,6 @@ class DataError(NegtextError):
     """Numeric payload violates a contract (non-finite values, dim mismatch)."""
 
 
-class DimError(NegtextError):
-    """Vector/matrix dimension mismatch between operands."""
-
-
 class ConfigError(NegtextError):
     """Configuration value outside its permitted range."""
 

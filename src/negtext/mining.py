@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import LabelSpace, TestBatch
-from .errors import ConfigError, DimError, InputError, check_field_types
+from .errors import ConfigError, DataError, InputError, check_field_types
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,6 @@ class MinedNegatives:
         return len(self.image_ids) == 0
 
 
-@dataclass(frozen=True)
-class SimilarClassSubset:
-    class_indices: tuple[int, ...]
-    frequencies: np.ndarray  # per-ID-class, sums to 1
-
-
 def mine_negative_images(
     cache_ids, nl_scores, cfg: MiningConfig
 ) -> MinedNegatives:
@@ -81,13 +75,13 @@ def classify_id(v: np.ndarray, ids: LabelSpace) -> int:
     """Nearest ID text feature by cosine; ties go to the lowest index."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape[0] != ids.features.dim:
-        raise DimError(f"dim {v.shape[0]} vs label dim {ids.features.dim}")
+        raise DataError(f"dim {v.shape[0]} vs label dim {ids.features.dim}")
     return int(np.argmax(ids.features.data @ v))
 
 
 def classify_batch(images: np.ndarray, ids: LabelSpace) -> np.ndarray:
     if images.shape[1] != ids.features.dim:
-        raise DimError(
+        raise DataError(
             f"image dim {images.shape[1]} vs label dim {ids.features.dim}"
         )
     return np.argmax(images @ ids.features.data.T, axis=1)
@@ -95,19 +89,17 @@ def classify_batch(images: np.ndarray, ids: LabelSpace) -> np.ndarray:
 
 def mine_similar_classes(
     predictions, ids: LabelSpace, cfg: MiningConfig
-) -> SimilarClassSubset:
-    """Most frequently predicted ID classes over the cached images."""
+) -> tuple[int, ...]:
+    """The `class_ratio` share of ID classes (at least one) most often
+    predicted over the cached images, by falling count; a tie goes to the
+    lower class index."""
     predictions = np.asarray(predictions, dtype=np.int64)
     if predictions.size == 0:
         raise InputError("cache is empty")
     counts = np.bincount(predictions, minlength=ids.n_classes)
-    freqs = counts / predictions.size
     k = max(1, int(np.floor(cfg.class_ratio * ids.n_classes)))
-    order = np.argsort(-freqs, kind="stable")  # ties -> lowest class index
-    return SimilarClassSubset(
-        class_indices=tuple(int(i) for i in order[:k]),
-        frequencies=freqs,
-    )
+    order = np.argsort(-counts, kind="stable")
+    return tuple(int(i) for i in order[:k])
 
 
 class HistoryCache:

@@ -20,7 +20,6 @@ from .clients import GenerationClient
 from .embeddings import (
     LabelSpace,
     NegativeSpace,
-    SpaceKind,
     TestBatch,
     decode_nspc,
     encode_nspc,
@@ -100,11 +99,20 @@ class StreamState:
     nl_space: NegativeSpace
     ens_space: NegativeSpace
     vsnl_space: NegativeSpace
-    lambda_: float
-    epoch: int
     rng_seed: int
     degraded: bool = False
+    # one fusion weight per processed batch
     lambda_history: list[float] = field(default_factory=list)
+
+    @property
+    def epoch(self) -> int:
+        """Batches processed so far."""
+        return len(self.lambda_history)
+
+    @property
+    def lambda_(self) -> float:
+        """The latest fusion weight; 0.5 before the first batch."""
+        return self.lambda_history[-1] if self.lambda_history else 0.5
 
 
 def init_stream(
@@ -122,20 +130,20 @@ def init_stream(
         nl_space=nl_space,
         ens_space=nl_space,
         vsnl_space=nl_space,
-        lambda_=0.5,
-        epoch=0,
         rng_seed=seed,
     )
 
 
-def _regenerate(state: StreamState, client: GenerationClient) -> None:
+def _regenerate(state: StreamState, client: GenerationClient) -> float:
+    """Mine the cache, swap in fresh adaptive spaces and return their fusion
+    weight; the current weight, with the spaces kept, when nothing is mined."""
     cfg = state.config
     n = len(state.cache)
     mined = mine_negative_images(
         state.cache.ids, state.cache.nl_scores[:n], cfg.mining
     )
     if mined.empty:
-        return
+        return state.lambda_
     predictions = state.cache.predictions[:n]
     predicted_labels = {
         image_id: state.label_space.labels[predictions[idx]]
@@ -151,15 +159,15 @@ def _regenerate(state: StreamState, client: GenerationClient) -> None:
         epoch=state.epoch + 1,
         len_max=cfg.sentence_len_max,
     )
-    subset = mine_similar_classes(predictions, state.label_space, cfg.mining)
-    vsnl_space = generate_vsnl(subset, state.label_space, client, cfg.num_negatives)
+    classes = mine_similar_classes(predictions, state.label_space, cfg.mining)
+    vsnl_space = generate_vsnl(classes, state.label_space, client, cfg.num_negatives)
     neg_vectors = state.cache.matrix()[list(mined.indices)]
     lse_id, _ = id_part(neg_vectors, state.label_space, cfg.score)
     ens_scores = negative_scores(neg_vectors, lse_id, ens_space, cfg.score)
     vsnl_scores = negative_scores(neg_vectors, lse_id, vsnl_space, cfg.score)
     state.ens_space = ens_space
     state.vsnl_space = vsnl_space
-    state.lambda_ = adaptive_lambda(ens_scores, vsnl_scores)
+    return adaptive_lambda(ens_scores, vsnl_scores)
 
 
 def process_batch(
@@ -182,9 +190,10 @@ def process_batch(
     kept = slots >= 0
     state.cache.nl_scores[slots[kept]] = s_nl[kept]
     state.cache.predictions[slots[kept]] = predictions[kept]
+    lam = state.lambda_
     if len(state.cache) > 0:
         try:
-            _regenerate(state, client)
+            lam = _regenerate(state, client)
         except (GenerationError, DataError):  # e.g. a non-finite embedding
             state.degraded = True
 
@@ -196,13 +205,12 @@ def process_batch(
             s_nl=float(s_nl[i]),
             s_ens=float(s_ens[i]),
             s_vsnl=float(s_vsnl[i]),
-            s_ada=fused_score(float(s_ens[i]), float(s_vsnl[i]), state.lambda_),
+            s_ada=fused_score(float(s_ens[i]), float(s_vsnl[i]), lam),
             predicted_class=int(predictions[i]),
         )
         for i in range(batch.images.rows)
     ]
-    state.epoch += 1
-    state.lambda_history.append(state.lambda_)
+    state.lambda_history.append(lam)
     return records
 
 
@@ -233,8 +241,6 @@ def save_checkpoint(state: StreamState, path) -> None:
     ]
     payloads = [encode_nspc(m) for m in matrices]
     header = {
-        "epoch": state.epoch,
-        "lambda": state.lambda_,
         "lambda_history": state.lambda_history,
         "rng_seed": state.rng_seed,
         "degraded": state.degraded,
@@ -254,6 +260,12 @@ def save_checkpoint(state: StreamState, path) -> None:
         fh.write(header_bytes)
         for blob in payloads:
             fh.write(blob)
+
+
+def _str_list(value, name: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"{name} must be a list of str")
+    return value
 
 
 def load_checkpoint(path) -> StreamState:
@@ -282,7 +294,7 @@ def load_checkpoint(path) -> StreamState:
     label_data, cache_data, *space_data = matrices
     try:  # a header that parses may still miss a field or hold a bad one
         label_space = LabelSpace(
-            labels=tuple(header["labels"]),
+            labels=tuple(_str_list(header["labels"], "labels")),
             features=with_ids(header["label_ids"], label_data, f"{path} [labels]"),
             prompt_template=header["prompt_template"],
         )
@@ -294,17 +306,21 @@ def load_checkpoint(path) -> StreamState:
         )
         spaces = {}
         for name, data in zip(CHECKPOINT_MATRICES[2:], space_data):
-            texts = header["spaces"][name]["texts"]
+            texts = _str_list(header["spaces"][name]["texts"], f"{name} texts")
             if len(texts) != data.shape[0]:
                 raise ValueError(f"{name}: {len(texts)} texts for {data.shape[0]} rows")
-            spaces[name] = NegativeSpace.from_rows(SpaceKind(name), texts, data)
+            spaces[name] = NegativeSpace.from_rows(texts, data)
         config = PipelineConfig.from_dict(header["config"])
+        history = header["lambda_history"]
+        # a weight is a number in [0, 1]; NaN and bool fail
+        if not isinstance(history, list) or not all(
+            type(lam) in (int, float) and 0.0 <= lam <= 1.0 for lam in history
+        ):
+            raise ValueError("lambda_history must be a list of weights in [0, 1]")
         scalars = {
-            "lambda_": header["lambda"],
-            "epoch": header["epoch"],
             "rng_seed": header["rng_seed"],
             "degraded": header["degraded"],
-            "lambda_history": list(header["lambda_history"]),
+            "lambda_history": history,
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad checkpoint header field ({exc!r})") from exc

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import LabelSpace, NegativeSpace
-from .errors import ConfigError, DimError, InputError, check_field_types
+from .errors import ConfigError, DataError, InputError, check_field_types
 
 SCORE_WORKERS = 2
 # A row block of a BLAS product rounds as the unsplit product only when it
@@ -143,7 +143,7 @@ def id_part(
     """Per image row: the log-sum-exp of the scaled ID similarities and the
     nearest ID class (ties to the lowest index), from one product."""
     if images.shape[1] != ids.features.dim:
-        raise DimError(
+        raise DataError(
             f"image dim {images.shape[1]} vs label dim {ids.features.dim}"
         )
     labels = ids.features.data
@@ -184,7 +184,7 @@ def max_label_similarity(rows: np.ndarray, ids: LabelSpace) -> np.ndarray:
     product.
     """
     if rows.shape[1] != ids.features.dim:
-        raise DimError(f"row dim {rows.shape[1]} vs label dim {ids.features.dim}")
+        raise DataError(f"row dim {rows.shape[1]} vs label dim {ids.features.dim}")
     labels = ids.features.data
     n, width = rows.shape[0], labels.shape[0]
     if width < MIN_BLOCK_ROWS or width % WIDTH_MULTIPLE:
@@ -219,7 +219,7 @@ def negative_scores(
     multiplied once."""
     rows, inverse = neg.rows, neg.inverse
     if rows.shape[1] != images.shape[1]:
-        raise DimError(f"negative dim {rows.shape[1]} vs image dim {images.shape[1]}")
+        raise DataError(f"negative dim {rows.shape[1]} vs image dim {images.shape[1]}")
     n, width = images.shape[0], rows.shape[0]
     sim_neg = np.empty((n, width))
     scores = np.zeros(n)

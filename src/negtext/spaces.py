@@ -21,12 +21,11 @@ from .embeddings import (
     EmbeddingMatrix,
     LabelSpace,
     NegativeSpace,
-    SpaceKind,
     _canon_label,
     _merge_repeats,
 )
 from .errors import GenerationError, InputError
-from .mining import MinedNegatives, SimilarClassSubset
+from .mining import MinedNegatives
 from .scoring import max_label_similarity
 
 SENTENCE_MIN_WORDS = 3
@@ -71,7 +70,7 @@ def select_initial_nls(
     # so the one gathered copy is the space's rows
     rows, inverse = _merge_repeats(texts, data[chosen])
     rows.setflags(write=False)
-    return NegativeSpace(SpaceKind.NL, texts, rows, inverse)
+    return NegativeSpace(texts, rows, inverse)
 
 
 def embed_space(
@@ -257,23 +256,23 @@ def generate_ens(
     admitted = {s: _canon_label(s) not in id_canon for s in dict.fromkeys(sentences)}
     sentences = [s for s in sentences if admitted[s]]
     vectors = embed_space(sentences, None, ids, client)
-    return NegativeSpace.from_rows(SpaceKind.ENS, sentences, vectors)
+    return NegativeSpace.from_rows(sentences, vectors)
 
 
 def generate_vsnl(
-    subset: SimilarClassSubset,
+    class_indices: tuple[int, ...],
     ids: LabelSpace,
     client: GenerationClient,
     m: int,
 ) -> NegativeSpace:
-    """Lookalike labels for the mined ID-class subset."""
-    if len(subset.class_indices) == 0:
+    """Lookalike labels for the mined ID classes, `class_indices`."""
+    if len(class_indices) == 0:
         raise InputError("empty ID-class subset")
-    per_class = -(-m // len(subset.class_indices))
+    per_class = -(-m // len(class_indices))
     id_canon = ids.canon_labels()
     labels: list[str] = []
     seen: set[str] = set()
-    for class_index in subset.class_indices:
+    for class_index in class_indices:
         class_name = ids.labels[class_index]
         candidates = client.similar_labels(class_name, per_class)
         if not isinstance(candidates, (list, tuple)) or not all(
@@ -290,4 +289,4 @@ def generate_vsnl(
         raise GenerationError("no admissible lookalike labels generated")
     labels = labels[:m]
     vectors = embed_space(labels, ids.prompt_template, ids, client)
-    return NegativeSpace.from_rows(SpaceKind.VSNL, labels, vectors)
+    return NegativeSpace.from_rows(labels, vectors)

@@ -14,7 +14,6 @@ from negtext.embeddings import (
     EmbeddingMatrix,
     LabelSpace,
     NegativeSpace,
-    SpaceKind,
     TestBatch,
 )
 
@@ -38,12 +37,9 @@ def make_negative_space(
     m: int = 12,
     dim: int = 8,
     seed: int = 1,
-    kind: SpaceKind = SpaceKind.NL,
 ) -> NegativeSpace:
     rng = np.random.default_rng(seed)
-    return NegativeSpace.from_rows(
-        kind, [f"neg_{i}" for i in range(m)], unit_rows(rng, m, dim)
-    )
+    return NegativeSpace.from_rows([f"neg_{i}" for i in range(m)], unit_rows(rng, m, dim))
 
 
 def make_batch(n: int = 6, dim: int = 8, seed: int = 2, tags=None) -> TestBatch:

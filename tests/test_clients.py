@@ -66,15 +66,16 @@ class FakeSession:
         return item
 
 
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(clients, "HTTP_BACKOFF_S", 0.0)
+
+
 class TestHttpGenerationClient:
-    def _client(self, responses, retries=3):
+    def _client(self, responses):
         session = FakeSession(responses)
         client = HttpGenerationClient(
-            "http://unit.test/api",
-            auth_token="tok",
-            retries=retries,
-            backoff=0.0,
-            session=session,
+            "http://unit.test/api", auth_token="tok", session=session
         )
         return client, session
 
@@ -102,11 +103,13 @@ class TestHttpGenerationClient:
             client.describe_image("img_1", "fox")
         assert len(session.calls) == 1
 
-    def test_exhausted_retries_raise_with_image_id(self):
-        client, _ = self._client([requests.ConnectionError("down")] * 3)
+    def test_exhausted_retries_raise_with_image_id(self, monkeypatch):
+        monkeypatch.setattr(clients, "HTTP_ATTEMPTS", 2)
+        client, session = self._client([requests.ConnectionError("down")] * 3)
         with pytest.raises(GenerationError) as err:
             client.describe_image("img_7", "fox")
         assert err.value.image_id == "img_7"
+        assert len(session.calls) == 2
 
     def test_empty_describe_response_raises(self):
         client, _ = self._client([FakeResponse({"texts": []})])
@@ -291,9 +294,7 @@ class ServerSession:
 
 
 def http_client(answer):
-    return HttpGenerationClient(
-        "http://unit.test/api", retries=1, backoff=0.0, session=ServerSession(answer)
-    )
+    return HttpGenerationClient("http://unit.test/api", session=ServerSession(answer))
 
 
 # name: (task whose every answer is junk, the junk wire answer made from the

@@ -2,10 +2,9 @@
 import json
 import struct
 
-import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,11 +13,10 @@ from negtext.embeddings import (
     EmbeddingMatrix,
     LabelSpace,
     TestBatch,
-    cosine,
     load_embeddings,
     save_embeddings,
 )
-from negtext.errors import DataError, DimError, FormatError
+from negtext.errors import DataError, FormatError
 
 from conftest import make_label_space, unit_rows
 
@@ -84,37 +82,6 @@ class TestEmbeddingMatrix:
         matrix = EmbeddingMatrix.from_rows(["a"], np.array([[3.0, 4.0]]))
         with pytest.raises(ValueError):
             matrix.data[0, 0] = 0.0
-
-
-class TestCosine:
-    def test_identity(self):
-        v = np.array([0.6, 0.8])
-        assert cosine(v, v) == 1.0
-
-    def test_antipodal(self):
-        v = np.array([0.6, 0.8])
-        assert cosine(v, -v) == -1.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimError):
-            cosine(np.ones(2), np.ones(3))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=50)
-    def test_matches_extended_precision_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = unit_rows(rng, 2, 16)
-        expected = float(
-            mpmath.fsum(mpmath.mpf(x) * mpmath.mpf(y) for x, y in zip(a, b))
-        )
-        assert abs(cosine(a, b) - expected) < 1e-12
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25)
-    def test_symmetry_exact(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = unit_rows(rng, 2, 16)
-        assert cosine(a, b) == cosine(b, a)
 
 
 class TestFileFormat:

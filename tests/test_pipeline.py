@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from negtext import scoring
-from negtext.embeddings import SpaceKind, batches_truth
+from negtext.embeddings import batches_truth
 from negtext.errors import ConfigError, FormatError, GenerationError
 from negtext.metrics import compute_report, split_scores
 from negtext.mining import MiningConfig, classify_batch
@@ -374,11 +374,21 @@ class TestCheckpoint:
         for name in ("nl", "ens", "vsnl"):
             space = getattr(loaded, f"{name}_space")
             expected = getattr(plain, f"{name}_space")
-            assert space.kind is SpaceKind(name)
             assert space.texts == expected.texts
             assert space.rows.tobytes() == expected.rows.tobytes()
         n = len(plain.cache)
         assert np.array_equal(loaded.cache.nl_scores[:n], plain.cache.nl_scores[:n])
+
+    def test_older_epoch_and_lambda_keys_ignored(self, tmp_path):
+        # earlier writers stored the epoch and the last weight beside the
+        # history; both are read from the history, whatever those keys hold
+        path = self._saved(tmp_path)
+        self._edit_header(path, lambda header: header.update({"epoch": 99, "lambda": 0.123}))
+        loaded = load_checkpoint(path)
+        history = loaded.lambda_history
+        assert history and history[-1] != 0.123
+        assert loaded.epoch == len(history)
+        assert loaded.lambda_ == history[-1]
 
     def test_cache_ids_not_matching_rows_rejected(self, tmp_path):
         path = self._saved(tmp_path)
@@ -394,8 +404,13 @@ class TestCheckpoint:
         lambda header: header["spaces"].pop("vsnl"),
         lambda header: header.update(lambda_history=5),
         lambda header: header["spaces"]["ens"]["texts"].pop(),
+        lambda header: header.update(lambda_history=["x"]),
+        lambda header: header.update(lambda_history=[7.0]),
+        lambda header: header["labels"].__setitem__(0, 5),
+        lambda header: header["spaces"]["ens"]["texts"].__setitem__(0, 5),
     ], ids=["no-texts", "no-spaces", "no-cache", "no-labels", "no-vsnl",
-            "history-not-list", "texts-not-rows"])
+            "history-not-list", "texts-not-rows", "history-not-number",
+            "history-out-of-range", "label-not-str", "text-not-str"])
     def test_bad_header_field_rejected_with_one_line(self, tmp_path, edit):
         path = self._saved(tmp_path)
         self._edit_header(path, edit)

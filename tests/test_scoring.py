@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negtext import scoring
-from negtext.embeddings import EmbeddingMatrix, LabelSpace, NegativeSpace, SpaceKind
-from negtext.errors import ConfigError, DimError, InputError
+from negtext.embeddings import EmbeddingMatrix, LabelSpace, NegativeSpace
+from negtext.errors import ConfigError, DataError, InputError
 from negtext.mining import classify_batch
 from negtext.scoring import (
     ScoreConfig,
@@ -77,7 +77,7 @@ def full_product_scores(images, ids, neg, cfg):
 
 def space_of(texts, data):
     """A negative space of these texts with these unit rows."""
-    return NegativeSpace.from_rows(SpaceKind.ENS, texts, data)
+    return NegativeSpace.from_rows(texts, data)
 
 
 class TestScoreConfig:
@@ -225,7 +225,7 @@ class TestDistinctRows:
         while m % group_size == 0:  # a ragged last group
             group_size += 1
         neg = NegativeSpace.from_rows(
-            SpaceKind.ENS, [f"sentence {j}" for j in order], base[order]
+            [f"sentence {j}" for j in order], base[order]
         )
         assert neg.rows.shape[0] == distinct
         assert (neg.inverse is None) == (distinct == m)
@@ -266,9 +266,7 @@ class TestDistinctRows:
         assert neg.rows.shape[0] == 3
         assert neg.inverse.tolist() == [0, 1, 2, 0]
         assert neg.rows[0].tobytes() == neg.rows[2].tobytes()
-        merged = NegativeSpace(
-            SpaceKind.ENS, neg.texts, neg.rows[:2], np.array([0, 1, 0, 0])
-        )
+        merged = NegativeSpace(neg.texts, neg.rows[:2], np.array([0, 1, 0, 0]))
         assert neg.stored_rows().tobytes() == merged.stored_rows().tobytes()
         images = unit_rows(rng, 9, 8)
         cfg = ScoreConfig(group_size=2)
@@ -306,9 +304,7 @@ def repeated_space(rng, distinct, dim):
     """A sentence-like space: `distinct` rows, each repeated 1-3 times."""
     base = unit_rows(rng, distinct, dim)
     order = rng.permutation(np.repeat(np.arange(distinct), rng.integers(1, 4, distinct)))
-    return NegativeSpace.from_rows(
-        SpaceKind.ENS, [f"sentence {j}" for j in order], base[order]
-    )
+    return NegativeSpace.from_rows([f"sentence {j}" for j in order], base[order])
 
 
 class TestRowBlocks:
@@ -417,7 +413,6 @@ class TestRowBlocks:
         images = unit_rows(rng, 150, 8)
         ids = make_label_space(n=64, dim=8, seed=35)
         neg = NegativeSpace.from_rows(
-            SpaceKind.NL,
             [f"neg_{i}" for i in range(96)],
             np.vstack([images[:48], unit_rows(rng, 48, 8)]),
         )
@@ -503,7 +498,7 @@ class TestMaxLabelSimilarity:
 
     def test_dim_mismatch_rejected(self):
         ids = make_label_space(n=64, dim=8, seed=45)
-        with pytest.raises(DimError):
+        with pytest.raises(DataError):
             max_label_similarity(np.zeros((3, 4)), ids)
 
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from negtext import scoring, spaces
 from negtext.clients import HttpGenerationClient
-from negtext.embeddings import EmbeddingMatrix, LabelSpace, NegativeSpace, SpaceKind
+from negtext.embeddings import EmbeddingMatrix, LabelSpace, NegativeSpace
 from negtext.errors import GenerationError, InputError
-from negtext.mining import MinedNegatives, SimilarClassSubset
+from negtext.mining import MinedNegatives
 from negtext.pipeline import PipelineConfig, init_stream
 from negtext.scoring import ScoreConfig
 from negtext.spaces import (
@@ -44,7 +44,6 @@ class TestSelectInitialNls:
         )
         space = select_initial_nls(corpus, ids, 2)
         assert " LABEL_0 " not in space.texts
-        assert space.kind is SpaceKind.NL
 
     def test_dissimilar_words_rank_first(self):
         ids = make_label_space(n=1, dim=4, seed=2)
@@ -118,7 +117,7 @@ class TestSelectInitialNls:
         chosen = [words.index(w) for w in space.texts]
         assert space.rows.tobytes() == corpus.features.data[chosen].tobytes()
         # normalizing them again, as a client's rows are, changes no byte
-        again = NegativeSpace.from_rows(SpaceKind.NL, space.texts, space.rows)
+        again = NegativeSpace.from_rows(space.texts, space.rows)
         assert again.rows.tobytes() == space.rows.tobytes()
         assert not space.rows.flags.writeable
 
@@ -248,7 +247,6 @@ class TestGenerateEns:
             "a large blue thing",
             "a round green thing",
         )
-        assert space.kind is SpaceKind.ENS
 
     def test_round_robin_repeats_until_m(self):
         # 2 negatives, M=5 -> passes of 2 until five sentences exist (3+2)
@@ -359,19 +357,13 @@ class TestGenerateEns:
 
 
 class TestGenerateVsnl:
-    def _subset(self, indices, n):
-        freqs = np.zeros(n)
-        freqs[list(indices)] = 1.0 / len(indices)
-        return SimilarClassSubset(class_indices=tuple(indices), frequencies=freqs)
-
     def test_direct_pass_through(self):
         ids = make_label_space(n=2, dim=4, seed=13)
         client = ScriptedClient(
             dim=4, similars={"label_0": ["coyote", "jackal", "dingo"]}
         )
-        space = generate_vsnl(self._subset([0], 2), ids, client, 3)
+        space = generate_vsnl((0,), ids, client, 3)
         assert space.texts == ("coyote", "jackal", "dingo")
-        assert space.kind is SpaceKind.VSNL
         # labels are embedded through the prompt template
         assert client.embed_calls == [
             ["The nice coyote.", "The nice jackal.", "The nice dingo."]
@@ -382,7 +374,7 @@ class TestGenerateVsnl:
         client = ScriptedClient(
             dim=4, similars={"label_0": ["coyote", " Label_1 ", "dingo"]}
         )
-        space = generate_vsnl(self._subset([0], 2), ids, client, 3)
+        space = generate_vsnl((0,), ids, client, 3)
         assert space.texts == ("coyote", "dingo")
 
     def test_cross_class_duplicates_kept_once(self):
@@ -391,7 +383,7 @@ class TestGenerateVsnl:
             dim=4,
             similars={"label_0": ["coyote", "wolf"], "label_1": ["Coyote", "lynx"]},
         )
-        space = generate_vsnl(self._subset([0, 1], 2), ids, client, 4)
+        space = generate_vsnl((0, 1), ids, client, 4)
         assert space.texts == ("coyote", "wolf", "lynx")
 
     def test_truncates_to_m_in_generation_order(self):
@@ -400,7 +392,7 @@ class TestGenerateVsnl:
             dim=4, similars={"label_0": ["a1", "a2", "a3"], "label_1": ["b1", "b2"]}
         )
         # ceil(3 / 2) = 2 per class -> a1 a2 b1 b2, truncated to M = 3
-        space = generate_vsnl(self._subset([0, 1], 2), ids, client, 3)
+        space = generate_vsnl((0, 1), ids, client, 3)
         assert space.texts == ("a1", "a2", "b1")
 
     def test_per_class_request_count(self):
@@ -408,7 +400,7 @@ class TestGenerateVsnl:
         client = ScriptedClient(
             dim=4, similars={"label_0": ["x1", "x2", "x3"], "label_2": ["y1", "y2", "y3"]}
         )
-        generate_vsnl(self._subset([0, 2], 3), ids, client, 5)
+        generate_vsnl((0, 2), ids, client, 5)
         # ceil(5 / 2) = 3 candidates requested per subset class
         assert client.similar_calls == [("label_0", 3), ("label_2", 3)]
 
@@ -416,10 +408,9 @@ class TestGenerateVsnl:
         ids = make_label_space(n=1, dim=4, seed=18)
         client = ScriptedClient(dim=4, similars={"label_0": ["label_0"]})
         with pytest.raises(GenerationError):
-            generate_vsnl(self._subset([0], 1), ids, client, 2)
+            generate_vsnl((0,), ids, client, 2)
 
     def test_empty_subset_rejected(self):
         ids = make_label_space(n=1, dim=4, seed=19)
-        subset = SimilarClassSubset(class_indices=(), frequencies=np.array([1.0]))
         with pytest.raises(InputError):
-            generate_vsnl(subset, ids, ScriptedClient(dim=4), 2)
+            generate_vsnl((), ids, ScriptedClient(dim=4), 2)

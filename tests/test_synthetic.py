@@ -119,12 +119,12 @@ class TestOracleFidelity:
         predictions = classify_batch(
             np.vstack([b.images.data for b in batches]), world.label_space
         )
-        subset = mine_similar_classes(
+        classes = mine_similar_classes(
             predictions, world.label_space, MiningConfig(class_ratio=0.3)
         )
-        space = generate_vsnl(subset, world.label_space, client, 60)
+        space = generate_vsnl(classes, world.label_space, client, 60)
         parents = {
-            c.parent for c in world.near_concepts if c.parent in subset.class_indices
+            c.parent for c in world.near_concepts if c.parent in classes
         }
         near_images = np.stack(
             [
