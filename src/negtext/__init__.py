@@ -28,5 +28,5 @@ from .pipeline import (  # noqa: F401
     run_stream,
     save_checkpoint,
 )
-from .scoring import ScoreConfig, ScoreRecord, grouped_score  # noqa: F401
+from .scoring import ScoreConfig, ScoreRecord  # noqa: F401
 from .spaces import CorpusCandidates, select_initial_nls  # noqa: F401

@@ -30,7 +30,9 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -253,14 +255,13 @@ def _save_truth_csv(truth: dict[str, str], path) -> None:
             writer.writerow([image_id, tag])
 
 
+@dataclass(frozen=True)
 class RunInputs:
-    def __init__(self, label_space, corpus, batches, truth, client, world=None):
-        self.label_space = label_space
-        self.corpus = corpus
-        self.batches = batches
-        self.truth = truth  # dict image_id -> tag, possibly empty
-        self.client = client
-        self.world = world  # the synthetic world, in synthetic mode
+    label_space: LabelSpace
+    corpus: CorpusCandidates
+    batches: list[TestBatch]
+    truth: dict[str, str]  # image_id -> tag, possibly empty
+    world: SyntheticWorld | None = None  # the synthetic world, in synthetic mode
 
 
 def _is_http_url(endpoint) -> bool:
@@ -299,28 +300,20 @@ def _build_client(manifest: Manifest, world=None) -> GenerationClient:
     raise ConfigError(f"unknown client mode {mode!r}")
 
 
-def _build_world(manifest: Manifest) -> SyntheticWorld:
-    client_spec = manifest.client_spec
-    scenario = client_spec.get("scenario")
-    if not scenario:
-        raise ConfigError("synthetic client needs a scenario name")
-    return SyntheticWorld(scenario_world_config(scenario, seed=manifest.seed))
-
-
-def _assemble_inputs(manifest: Manifest, client_override=None, world=None) -> RunInputs:
-    """`world` is the manifest's synthetic world when the caller built it."""
+def _assemble_inputs(manifest: Manifest) -> RunInputs:
     client_spec = manifest.client_spec
     if client_spec["mode"] == "synthetic":
-        world = world or _build_world(manifest)
+        scenario = client_spec.get("scenario")
+        if not scenario:
+            raise ConfigError("synthetic client needs a scenario name")
+        world = SyntheticWorld(scenario_world_config(scenario, seed=manifest.seed))
         batches = world.make_batches(
             _int_entry(client_spec, "n_batches", 3),
             _int_entry(client_spec, "id_per_batch", 150),
             _int_entry(client_spec, "ood_per_batch", 150),
         )
-        client = client_override or _build_client(manifest, world)
         return RunInputs(
-            world.label_space, world.corpus, batches, batches_truth(batches), client,
-            world,
+            world.label_space, world.corpus, batches, batches_truth(batches), world
         )
 
     for key in ("labels", "corpus", "batches"):
@@ -348,17 +341,21 @@ def _assemble_inputs(manifest: Manifest, client_override=None, world=None) -> Ru
         except KeyError as exc:
             raise InputError(f"{truth_path}: no tag for image {exc.args[0]!r}") from exc
         batches.append(TestBatch(images=images, ground_truth=tags))
-    client = client_override or _build_client(manifest)
-    return RunInputs(label_space, corpus, batches, truth, client)
+    return RunInputs(label_space, corpus, batches, truth)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _execute_run(manifest: Manifest, args, client_override=None, world=None) -> int:
+def _execute_run(
+    manifest: Manifest, args, client_for: Callable[[RunInputs], GenerationClient]
+) -> int:
+    """One stream over the manifest's inputs, with the client that
+    `client_for` builds once they are loaded."""
     config = manifest.pipeline_config(_parse_set_flags(getattr(args, "set", None)))
-    inputs = _assemble_inputs(manifest, client_override=client_override, world=world)
+    inputs = _assemble_inputs(manifest)
+    client = client_for(inputs)
     out_dir = manifest.output_dir(getattr(args, "out", None))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -366,7 +363,7 @@ def _execute_run(manifest: Manifest, args, client_override=None, world=None) -> 
         inputs.batches,
         inputs.label_space,
         inputs.corpus,
-        inputs.client,
+        client,
         config,
         seed=manifest.seed,
     )
@@ -382,7 +379,10 @@ def _execute_run(manifest: Manifest, args, client_override=None, world=None) -> 
 
 
 def cmd_run(args) -> int:
-    return _execute_run(Manifest.load(args.manifest), args)
+    manifest = Manifest.load(args.manifest)
+    return _execute_run(
+        manifest, args, lambda inputs: _build_client(manifest, inputs.world)
+    )
 
 
 def cmd_eval(args) -> int:
@@ -402,7 +402,8 @@ def cmd_sweep(args) -> int:
         raise InputError("sweep needs at least two values")
     manifest = Manifest.load(args.manifest)
     base_overrides = _parse_set_flags(args.set)
-    # every value is checked and the inputs are loaded before the CSV is opened
+    # every value is checked, the inputs are loaded and the clients are built
+    # before the CSV is opened
     points = []
     for value in values:
         overrides, lam = SWEEP_AXES[args.axis](value)
@@ -411,39 +412,41 @@ def cmd_sweep(args) -> int:
     inputs = _assemble_inputs(manifest)
     if not inputs.truth:
         raise InputError("sweep requires ground truth")
+    # consecutive values with equal configs share one stream, and each
+    # stream gets a fresh client
+    streams = [
+        (list(group), _build_client(manifest, inputs.world))
+        for _, group in groupby(points, key=lambda point: point[1].digest())
+    ]
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     degraded = False
-    digest = records = None
     with out_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.axis, "auroc", "fpr95", "n_id", "n_ood"])
         fh.flush()
-        for value, config, lam in points:
-            # a value whose config equals the previous one's reuses its stream
-            if config.digest() != digest:
-                if digest is not None:  # each stream gets a fresh client
-                    inputs.client = _build_client(manifest, inputs.world)
-                records = None  # hold one stream's records at a time
-                records, state = run_stream(
-                    inputs.batches, inputs.label_space, inputs.corpus, inputs.client,
-                    config, seed=manifest.seed,
+        for group, client in streams:
+            records = None  # hold one stream's records at a time
+            records, state = run_stream(
+                inputs.batches, inputs.label_space, inputs.corpus, client,
+                group[0][1], seed=manifest.seed,
+            )
+            degraded = degraded or state.degraded
+            for value, _, lam in group:
+                scored = records if lam is None else [
+                    replace(r, s_ada=fused_score(r.s_ens, r.s_vsnl, lam))
+                    for r in records
+                ]
+                # quantize like the records exporter so sweep rows agree with
+                # the report a plain run of the same config would produce
+                report = compute_report(
+                    *split_scores(scored, inputs.truth, quantized=True)
                 )
-                digest = config.digest()
-                degraded = degraded or state.degraded
-            scored = records if lam is None else [
-                replace(r, s_ada=fused_score(r.s_ens, r.s_vsnl, lam)) for r in records
-            ]
-            # quantize like the records exporter so sweep rows agree with
-            # the report a plain run of the same config would produce
-            report = compute_report(
-                *split_scores(scored, inputs.truth, quantized=True)
-            )
-            writer.writerow(
-                ["%g" % value, "%.9g" % report.auroc, "%.9g" % report.fpr95,
-                 report.n_id, report.n_ood]
-            )
-            fh.flush()
+                writer.writerow(
+                    ["%g" % value, "%.9g" % report.auroc, "%.9g" % report.fpr95,
+                     report.n_id, report.n_ood]
+                )
+                fh.flush()
     return EXIT_DEGRADED if degraded else EXIT_OK
 
 
@@ -537,16 +540,18 @@ def cmd_synth_world(args) -> int:
 def cmd_fixtures(args) -> int:
     manifest = Manifest.load(args.manifest)
     fixtures_dir = Path(args.fixtures)
-    world = None
     if args.action == "record":
-        if manifest.client_spec["mode"] == "synthetic":
-            world = _build_world(manifest)
-        client = RecordingClient(_build_client(manifest, world), fixtures_dir)
-    else:  # replay
-        if not fixtures_dir.exists():
-            raise InputError(f"fixtures directory not found: {fixtures_dir}")
-        client = ReplayClient(fixtures_dir)
-    return _execute_run(manifest, args, client_override=client, world=world)
+        return _execute_run(
+            manifest,
+            args,
+            lambda inputs: RecordingClient(
+                _build_client(manifest, inputs.world), fixtures_dir
+            ),
+        )
+    # replay builds no client from the manifest
+    if not fixtures_dir.exists():
+        raise InputError(f"fixtures directory not found: {fixtures_dir}")
+    return _execute_run(manifest, args, lambda inputs: ReplayClient(fixtures_dir))
 
 
 # ---------------------------------------------------------------------------

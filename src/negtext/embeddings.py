@@ -124,8 +124,12 @@ def decode_nspc(raw: bytes, source) -> np.ndarray:
 
 def with_ids(ids, data: np.ndarray, source) -> EmbeddingMatrix:
     """Decoded rows carrying `ids`, renormalized to unit norm."""
-    if not isinstance(ids, list) or len(ids) != data.shape[0]:
-        raise DataError(f"{source}: expected a list of {data.shape[0]} ids")
+    if (
+        not isinstance(ids, list)
+        or len(ids) != data.shape[0]
+        or not all(isinstance(i, str) for i in ids)
+    ):
+        raise DataError(f"{source}: expected a list of {data.shape[0]} str ids")
     return EmbeddingMatrix(ids=tuple(ids), data=_normalize_rows(data))
 
 

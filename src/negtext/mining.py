@@ -71,15 +71,8 @@ def mine_negative_images(
     )
 
 
-def classify_id(v: np.ndarray, ids: LabelSpace) -> int:
-    """Nearest ID text feature by cosine; ties go to the lowest index."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape[0] != ids.features.dim:
-        raise DataError(f"dim {v.shape[0]} vs label dim {ids.features.dim}")
-    return int(np.argmax(ids.features.data @ v))
-
-
 def classify_batch(images: np.ndarray, ids: LabelSpace) -> np.ndarray:
+    """Nearest ID class per image row by cosine; ties go to the lowest index."""
     if images.shape[1] != ids.features.dim:
         raise DataError(
             f"image dim {images.shape[1]} vs label dim {ids.features.dim}"

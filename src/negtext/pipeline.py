@@ -175,14 +175,10 @@ def process_batch(
 ) -> list[ScoreRecord]:
     """One streaming step; returns score records for the current batch."""
     cfg = state.config
-    if batch.images.dim != state.label_space.features.dim:
-        raise InputError(
-            f"batch dim {batch.images.dim} vs label dim "
-            f"{state.label_space.features.dim}"
-        )
     # the NL space and the label space are fixed for the stream, so these
     # serve both the batch's records and its rows in the cache; the ID part
-    # serves every space
+    # serves every space, and raises DataError for a batch of another dim
+    # before the batch changes any state
     images = batch.images.data
     lse_id, predictions = id_part(images, state.label_space, cfg.score)
     s_nl = negative_scores(images, lse_id, state.nl_space, cfg.score)
@@ -317,12 +313,14 @@ def load_checkpoint(path) -> StreamState:
             type(lam) in (int, float) and 0.0 <= lam <= 1.0 for lam in history
         ):
             raise ValueError("lambda_history must be a list of weights in [0, 1]")
+        if not isinstance(header["degraded"], bool):
+            raise TypeError("degraded must be a bool")
         scalars = {
             "rng_seed": header["rng_seed"],
             "degraded": header["degraded"],
             "lambda_history": history,
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise FormatError(f"{path}: bad checkpoint header field ({exc!r})") from exc
     # the per-row columns are not stored; rebuild them from the loaded rows
     n = len(cache)

@@ -83,21 +83,6 @@ def _check_temperature(temperature) -> None:
         )
 
 
-def softmax_score(sim_id, sim_neg, temperature: float) -> float:
-    """ID-mass fraction of the temperature-scaled softmax over ID + negatives."""
-    _check_temperature(temperature)
-    sim_id = np.asarray(sim_id, dtype=np.float64)
-    sim_neg = np.asarray(sim_neg, dtype=np.float64)
-    if sim_id.size == 0:
-        raise InputError("empty ID similarity vector")
-    if sim_neg.size == 0:
-        return 1.0
-    shift = max(float(np.max(sim_id)), float(np.max(sim_neg)))
-    num = float(np.sum(np.exp((sim_id - shift) / temperature)))
-    den = num + float(np.sum(np.exp((sim_neg - shift) / temperature)))
-    return num / den
-
-
 def _logsumexp_rows(scaled: np.ndarray) -> np.ndarray:
     """Row-wise log-sum-exp of similarities already divided by the
     temperature; overwrites `scaled` rather than allocate its copies."""
@@ -251,13 +236,6 @@ def grouped_scores_batch(
     """Grouped score per image row; negatives grouped in storage order."""
     lse_id, _ = id_part(images, ids, cfg)
     return negative_scores(images, lse_id, neg, cfg)
-
-
-def grouped_score(
-    v: np.ndarray, ids: LabelSpace, neg: NegativeSpace, cfg: ScoreConfig
-) -> float:
-    v = np.asarray(v, dtype=np.float64)
-    return float(grouped_scores_batch(v[None, :], ids, neg, cfg)[0])
 
 
 def adaptive_lambda(ens_scores, vsnl_scores) -> float:

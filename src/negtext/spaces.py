@@ -73,23 +73,13 @@ def select_initial_nls(
     return NegativeSpace(texts, rows, inverse)
 
 
-def embed_space(
-    texts,
-    template: str | None,
-    ids: LabelSpace,
-    client: GenerationClient,
-) -> np.ndarray:
-    """One embedding row of the label dim per text, applying the label
-    prompt template when one is given."""
+def embed_space(texts, ids: LabelSpace, client: GenerationClient) -> np.ndarray:
+    """One embedding row of the label dim per text, the texts sent as given."""
     texts = list(texts)
     if not texts:
         raise InputError("no texts to embed")
-    if template is not None:
-        request_texts = [template.replace("<label>", t) for t in texts]
-    else:
-        request_texts = texts
     try:
-        vectors = np.asarray(client.embed_texts(request_texts), dtype=np.float64)
+        vectors = np.asarray(client.embed_texts(texts), dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged or non-numeric
         raise GenerationError(f"embedding is not numeric rows: {exc}") from exc
     expected = (len(texts), ids.features.dim)
@@ -255,7 +245,7 @@ def generate_ens(
     # most sentences repeat: test each distinct one once
     admitted = {s: _canon_label(s) not in id_canon for s in dict.fromkeys(sentences)}
     sentences = [s for s in sentences if admitted[s]]
-    vectors = embed_space(sentences, None, ids, client)
+    vectors = embed_space(sentences, ids, client)
     return NegativeSpace.from_rows(sentences, vectors)
 
 
@@ -288,5 +278,7 @@ def generate_vsnl(
     if not labels:
         raise GenerationError("no admissible lookalike labels generated")
     labels = labels[:m]
-    vectors = embed_space(labels, ids.prompt_template, ids, client)
+    # a lookalike label is embedded through the ID labels' prompt template
+    prompts = [ids.prompt_template.replace("<label>", label) for label in labels]
+    vectors = embed_space(prompts, ids, client)
     return NegativeSpace.from_rows(labels, vectors)

@@ -26,7 +26,6 @@ from negtext.scoring import (
     adaptive_lambda,
     fused_score,
     grouped_scores_batch,
-    softmax_score,
 )
 from negtext.synthetic import (
     SyntheticWorld,
@@ -37,7 +36,7 @@ from negtext.synthetic import (
 
 from conftest import make_label_space, make_negative_space, unit_rows
 from test_metrics import auroc_oracle, fpr95_oracle
-from test_scoring import grouped_score_oracle
+from test_scoring import grouped_score_oracle, softmax_score_oracle
 
 
 def _passed(line):
@@ -83,7 +82,7 @@ def test_single_group_reduction():
         ids = make_label_space(n=n_id, dim=8, seed=10_000 + k)
         neg = make_negative_space(m=m, dim=8, seed=20_000 + k)
         v = unit_rows(rng, 1, 8)[0]
-        direct = softmax_score(
+        direct = softmax_score_oracle(
             ids.features.data @ v, neg.stored_rows() @ v, 0.01
         )
         got = grouped_scores_batch(

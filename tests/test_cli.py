@@ -110,6 +110,13 @@ class TestRun:
         truth_lines = (world_dir / "truth.csv").read_text().splitlines(keepends=True)
         dropped = truth_lines.pop(2).split(",")[0]  # the second image of batch 0
         (world_dir / "truth_missing_image.csv").write_text("".join(truth_lines))
+        (world_dir / "batch_int_id.nspc").write_bytes(
+            (world_dir / "batch_000.nspc").read_bytes()
+        )
+        batch_ids = json.loads((world_dir / "batch_000.nspc.ids.json").read_text())
+        (world_dir / "batch_int_id.nspc.ids.json").write_text(
+            json.dumps([12345, *batch_ids[1:]])
+        )
         variants = {
             "seed": {**manifest, "seed": "abc"},
             # only a JSON integer: no float is truncated, no bool taken for 0 or 1
@@ -158,6 +165,11 @@ class TestRun:
             "truth_list": {**manifest, "truth": ["a"]},
             "fixtures_number": {**manifest, "client": {"mode": "replay", "fixtures": 3}},
             "truth_missing_image": {**replay, "truth": "truth_missing_image.csv"},
+            # no truth file, whose lookup would reject the id first
+            "batch_id_not_string": {
+                **{k: v for k, v in replay.items() if k != "truth"},
+                "batches": ["batch_int_id.nspc"],
+            },
             "endpoint_not_url": {
                 **manifest, "client": {"mode": "http", "endpoint": "not-a-url"}
             },
@@ -196,6 +208,7 @@ class TestRun:
             ("label_not_string", "labels_number.json: labels and prompt_template"),
             ("template_not_string", "template_number.json: labels and prompt_template"),
             ("word_not_string", "words_number.json: corpus words must be a JSON list"),
+            ("batch_id_not_string", "batch_int_id.nspc: expected a list of 300 str ids"),
         ):
             path = world_dir / f"manifest_bad_{name}.json"
             assert run_cli("run", path, "--out", tmp_path / "o") == 1
@@ -369,6 +382,26 @@ class TestFixtures:
         assert run_cli(
             "fixtures", "replay", world_dir / "manifest.json",
             "--fixtures", fixtures, "--out", tmp_path / "rep",
+        ) == 2
+        assert capsys.readouterr().err == (
+            "warning: generation degraded; stale negative spaces were used\n"
+        )
+
+    def test_replay_builds_no_client_from_the_manifest(
+        self, world_dir, tmp_path, capsys, monkeypatch
+    ):
+        # an http client without an endpoint cannot be built; replay never asks
+        manifest = json.loads((world_dir / "manifest.json").read_text())
+        manifest["client"] = {"mode": "http"}
+        path = world_dir / "manifest_http_no_endpoint.json"
+        path.write_text(json.dumps(manifest))
+        monkeypatch.delenv("NEGTEXT_ENDPOINT", raising=False)
+        fixtures = tmp_path / "fx"
+        fixtures.mkdir()
+        capsys.readouterr()
+        # no fixture answers a request, so every regeneration degrades
+        assert run_cli(
+            "fixtures", "replay", path, "--fixtures", fixtures, "--out", tmp_path / "rep"
         ) == 2
         assert capsys.readouterr().err == (
             "warning: generation degraded; stale negative spaces were used\n"

@@ -12,6 +12,7 @@ from negtext import embeddings
 from negtext.embeddings import (
     EmbeddingMatrix,
     LabelSpace,
+    NegativeSpace,
     TestBatch,
     load_embeddings,
     save_embeddings,
@@ -151,8 +152,24 @@ class TestFileFormat:
         with pytest.raises(DataError):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("ids", [[12345, "b"], ["a", None], "ab"])
+    def test_sidecar_ids_not_str_rejected_with_one_line(self, tmp_path, ids):
+        matrix = EmbeddingMatrix.from_rows(["a", "b"], np.eye(2))
+        path = tmp_path / "m.nspc"
+        save_embeddings(matrix, path)
+        (tmp_path / "m.nspc.ids.json").write_text(json.dumps(ids))
+        message = f"{path}: expected a list of 2 str ids"
+        with pytest.raises(DataError, match=message) as excinfo:
+            load_embeddings(path)
+        assert "\n" not in str(excinfo.value)
+
 
 class TestLabelSpace:
+    def test_empty_label_set_rejected(self):
+        # so the grouped score always has an ID part
+        with pytest.raises(DataError, match="at least one class"):
+            LabelSpace(labels=(), features=EmbeddingMatrix((), np.empty((0, 4))))
+
     def test_casefold_collision_rejected(self):
         rng = np.random.default_rng(7)
         with pytest.raises(DataError):
@@ -190,6 +207,13 @@ class TestLabelSpace:
         assert loaded.labels == space.labels
         assert loaded.prompt_template == space.prompt_template
         assert np.allclose(loaded.features.data, space.features.data, atol=1e-6)
+
+
+class TestNegativeSpace:
+    def test_empty_space_rejected(self):
+        # so the grouped score always has a negative group
+        with pytest.raises(DataError, match="must be non-empty"):
+            NegativeSpace.from_rows([], np.empty((0, 4)))
 
 
 class TestTestBatch:

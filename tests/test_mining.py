@@ -10,7 +10,6 @@ from negtext.mining import (
     HistoryCache,
     MiningConfig,
     classify_batch,
-    classify_id,
     mine_negative_images,
     mine_similar_classes,
 )
@@ -100,36 +99,38 @@ class TestMineNegativeImages:
 
 class TestClassify:
     def test_exact_feature_row_wins(self, label_space):
-        for i in range(label_space.n_classes):
-            assert classify_id(label_space.features.data[i], label_space) == i
+        predictions = classify_batch(label_space.features.data, label_space)
+        assert predictions.tolist() == list(range(label_space.n_classes))
 
     def test_tie_goes_to_lowest_index(self):
-        v = np.array([1.0, 0.0])
+        v = np.array([[1.0, 0.0]])
         ids = LabelSpace(
             labels=("a", "b"),
             features=EmbeddingMatrix(
                 ids=("ta", "tb"), data=np.array([[1.0, 0.0], [1.0, 0.0]])
             ),
         )
-        assert classify_id(v, ids) == 0
+        assert classify_batch(v, ids).tolist() == [0]
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
     def test_matches_brute_force_argmax(self, seed):
         rng = np.random.default_rng(seed)
         ids = make_label_space(n=6, dim=8, seed=seed)
-        v = unit_rows(rng, 1, 8)[0]
-        best = max(
-            range(6), key=lambda i: float(np.dot(ids.features.data[i], v))
-        )
-        assert classify_id(v, ids) == best
+        images = unit_rows(rng, 5, 8)
+        best = [
+            max(range(6), key=lambda i: float(np.dot(ids.features.data[i], v)))
+            for v in images
+        ]
+        assert classify_batch(images, ids).tolist() == best
 
     def test_batch_matches_scalar(self, label_space):
+        # a row gets the same class in a batch as on its own
         rng = np.random.default_rng(22)
         images = unit_rows(rng, 10, 8)
         batch = classify_batch(images, label_space)
         for i in range(10):
-            assert batch[i] == classify_id(images[i], label_space)
+            assert batch[i] == classify_batch(images[i : i + 1], label_space)[0]
 
 
 class TestMineSimilarClasses:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from negtext import scoring
-from negtext.embeddings import batches_truth
-from negtext.errors import ConfigError, FormatError, GenerationError
+from negtext.embeddings import EmbeddingMatrix, TestBatch, batches_truth
+from negtext.errors import ConfigError, DataError, FormatError, GenerationError
 from negtext.metrics import compute_report, split_scores
 from negtext.mining import MiningConfig, classify_batch
 from negtext.pipeline import (
@@ -104,6 +104,24 @@ class TestInitStream:
         assert state.vsnl_space is state.nl_space
         assert state.lambda_ == 0.5
         assert state.epoch == 0
+        assert not state.degraded
+
+
+class TestProcessBatch:
+    def test_batch_of_another_dim_leaves_the_state_unchanged(self):
+        world, batches = small_setup(n_batches=2)
+        client = world.oracle_client()
+        state = init_stream(world.label_space, world.corpus, small_config(), seed=42)
+        process_batch(state, batches[0], client)
+        before = (len(state.cache), state.cache.n_seen, list(state.lambda_history))
+        ens_space, vsnl_space = state.ens_space, state.vsnl_space
+        images = batches[1].images
+        wide_rows = np.hstack([images.data, np.zeros((images.rows, 1))])
+        wide = TestBatch(EmbeddingMatrix(images.ids, wide_rows))
+        with pytest.raises(DataError, match="image dim 65 vs label dim 64"):
+            process_batch(state, wide, client)
+        assert (len(state.cache), state.cache.n_seen, state.lambda_history) == before
+        assert state.ens_space is ens_space and state.vsnl_space is vsnl_space
         assert not state.degraded
 
 
@@ -408,9 +426,13 @@ class TestCheckpoint:
         lambda header: header.update(lambda_history=[7.0]),
         lambda header: header["labels"].__setitem__(0, 5),
         lambda header: header["spaces"]["ens"]["texts"].__setitem__(0, 5),
+        lambda header: header["label_ids"].__setitem__(0, 5),
+        lambda header: header["label_ids"].__setitem__(1, header["label_ids"][0]),
+        lambda header: header.update(degraded="no"),
     ], ids=["no-texts", "no-spaces", "no-cache", "no-labels", "no-vsnl",
             "history-not-list", "texts-not-rows", "history-not-number",
-            "history-out-of-range", "label-not-str", "text-not-str"])
+            "history-out-of-range", "label-not-str", "text-not-str",
+            "label-id-not-str", "label-id-repeated", "degraded-not-bool"])
     def test_bad_header_field_rejected_with_one_line(self, tmp_path, edit):
         path = self._saved(tmp_path)
         self._edit_header(path, edit)

@@ -17,12 +17,10 @@ from negtext.scoring import (
     ScoreConfig,
     adaptive_lambda,
     fused_score,
-    grouped_score,
     grouped_scores_batch,
     id_part,
     max_label_similarity,
     negative_scores,
-    softmax_score,
 )
 
 from conftest import make_label_space, make_negative_space, unit_rows
@@ -88,54 +86,68 @@ class TestScoreConfig:
             ScoreConfig(group_size=0)
         # 1e-320 is finite, but its reciprocal is not; 6e-309 has a finite
         # reciprocal, but the scaled similarities' span 2 / 6e-309 is not
-        for bad in (float("nan"), float("inf"), 1e-320, 6e-309):
+        for bad in (-1.0, float("nan"), float("inf"), 1e-320, 6e-309):
             with pytest.raises(ConfigError, match="temperature must be finite"):
                 ScoreConfig(temperature=bad)
 
 
+def one_group_score(sim_id, sim_neg, temperature):
+    """The grouped score, negatives in one group, of an image whose
+    similarities to the labels and the negatives are `sim_id` and `sim_neg`.
+
+    The image is the first axis; each label or negative row holds its
+    similarity there and fills its unit norm on an axis of its own.
+    """
+    sims = np.concatenate([sim_id, sim_neg])
+    dim = sims.size + 1
+    data = np.zeros((sims.size, dim))
+    data[:, 0] = sims
+    data[np.arange(sims.size), np.arange(1, dim)] = np.sqrt(1.0 - sims**2)
+    n_id = len(sim_id)
+    ids = LabelSpace(
+        labels=tuple(f"label_{i}" for i in range(n_id)),
+        features=EmbeddingMatrix(tuple(f"t{i}" for i in range(n_id)), data[:n_id]),
+    )
+    neg = space_of([f"neg_{j}" for j in range(len(sim_neg))], data[n_id:])
+    image = np.eye(1, dim)
+    cfg = ScoreConfig(temperature=temperature, group_size=len(sim_neg))
+    return float(grouped_scores_batch(image, ids, neg, cfg)[0])
+
+
 class TestSoftmaxScore:
+    """With its negatives in one group, the grouped score is the softmax
+    ratio of the ID labels' mass."""
+
     def test_hand_value_tau_one(self):
         # sim_id [0.3, 0.1], sim_neg [0.2], tau = 1
         expected = softmax_score_oracle([0.3, 0.1], [0.2], 1.0)
-        got = softmax_score([0.3, 0.1], [0.2], 1.0)
+        got = one_group_score([0.3, 0.1], [0.2], 1.0)
         assert got == pytest.approx(expected, abs=1e-15)
         assert got == pytest.approx(0.6678, abs=5e-5)
-
-    def test_empty_negatives_is_exactly_one(self):
-        assert softmax_score([0.5, 0.2], [], 0.01) == 1.0
-
-    def test_empty_id_rejected(self):
-        with pytest.raises(InputError):
-            softmax_score([], [0.5], 0.01)
-
-    def test_bad_temperature_rejected(self):
-        for bad in (-1.0, float("nan"), float("inf"), 1e-320, 6e-309):
-            with pytest.raises(ConfigError):
-                softmax_score([0.5], [0.2], bad)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         tau=st.sampled_from([0.01, 0.1, 1.0]),
     )
-    @settings(max_examples=50)
+    @settings(max_examples=50, deadline=None)
     def test_matches_oracle_and_range(self, seed, tau):
         rng = np.random.default_rng(seed)
         sim_id = rng.uniform(-1, 1, rng.integers(1, 8))
         sim_neg = rng.uniform(-1, 1, rng.integers(1, 30))
-        got = softmax_score(sim_id, sim_neg, tau)
+        got = one_group_score(sim_id, sim_neg, tau)
         assert 0.0 < got <= 1.0
         assert got == pytest.approx(
             softmax_score_oracle(sim_id, sim_neg, tau), rel=1e-12, abs=1e-300
         )
 
     @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=25)
+    @settings(max_examples=25, deadline=None)
     def test_adding_a_negative_lowers_the_score(self, seed):
         rng = np.random.default_rng(seed)
         sim_id = rng.uniform(-1, 1, 3)
         sim_neg = list(rng.uniform(-1, 1, 5))
-        before = softmax_score(sim_id, sim_neg, 0.1)
-        after = softmax_score(sim_id, sim_neg + [0.9], 0.1)
+        before = one_group_score(sim_id, sim_neg, 0.1)
+        after = one_group_score(sim_id, sim_neg + [0.9], 0.1)
         assert after < before
 
 
@@ -144,13 +156,16 @@ class TestGroupedScore:
         neg = make_negative_space(m=5, seed=11)
         rng = np.random.default_rng(12)
         v = unit_rows(rng, 1, 8)[0]
-        direct = softmax_score(
+        direct = softmax_score_oracle(
             label_space.features.data @ v, neg.stored_rows() @ v, 0.01
         )
-        got = grouped_score(v, label_space, neg, ScoreConfig(group_size=5))
+        got = grouped_scores_batch(
+            v[None, :], label_space, neg, ScoreConfig(group_size=5)
+        )[0]
         assert got == pytest.approx(direct, abs=1e-12)
 
     def test_batch_matches_scalar_path(self, label_space):
+        # a row scores the same in a batch as on its own
         neg = make_negative_space(m=12, seed=13)
         rng = np.random.default_rng(14)
         images = unit_rows(rng, 6, 8)
@@ -158,7 +173,8 @@ class TestGroupedScore:
         batch = grouped_scores_batch(images, label_space, neg, cfg)
         for i in range(6):
             assert batch[i] == pytest.approx(
-                grouped_score(images[i], label_space, neg, cfg), abs=1e-12
+                grouped_scores_batch(images[i : i + 1], label_space, neg, cfg)[0],
+                abs=1e-12,
             )
 
     def test_group_size_comes_from_the_config(self, label_space):
@@ -184,11 +200,12 @@ class TestGroupedScore:
         v = unit_rows(np.random.default_rng(g), 1, 8)[0]
         sim_id, sim_neg = ids.features.data @ v, neg.stored_rows() @ v
         shares = [
-            softmax_score(sim_id, sim_neg[k : k + g], 0.01) for k in range(0, m, g)
+            softmax_score_oracle(sim_id, sim_neg[k : k + g], 0.01)
+            for k in range(0, m, g)
         ]
         assert len(shares) == -(-m // g)
         cfg = ScoreConfig(group_size=g)
-        got = grouped_score(v, ids, neg, cfg)
+        got = grouped_scores_batch(v[None, :], ids, neg, cfg)[0]
         assert got == pytest.approx(np.mean(shares), rel=1e-9)
         assert got == pytest.approx(grouped_score_oracle(v, ids, neg, cfg), rel=1e-9)
 
@@ -204,7 +221,7 @@ class TestGroupedScore:
             temperature=float(rng.choice([0.01, 0.1, 1.0])), group_size=group_size
         )
         v = unit_rows(rng, 1, 8)[0]
-        got = grouped_score(v, ids, neg, cfg)
+        got = grouped_scores_batch(v[None, :], ids, neg, cfg)[0]
         assert 0.0 < got <= 1.0
         assert got == pytest.approx(
             grouped_score_oracle(v, ids, neg, cfg), rel=1e-9

@@ -156,19 +156,14 @@ class TestSelectInitialNls:
 
 
 class TestEmbedSpace:
-    def test_template_substitution_reaches_client(self):
-        client = ScriptedClient(dim=4)
-        embed_space(["coyote"], "The nice <label>.", make_label_space(dim=4), client)
-        assert client.embed_calls == [["The nice coyote."]]
-
     def test_no_template_embeds_verbatim(self):
         client = ScriptedClient(dim=4)
-        embed_space(["a full sentence"], None, make_label_space(dim=4), client)
+        embed_space(["a full sentence"], make_label_space(dim=4), client)
         assert client.embed_calls == [["a full sentence"]]
 
     def test_empty_texts_rejected(self):
         with pytest.raises(InputError):
-            embed_space([], None, make_label_space(), ScriptedClient())
+            embed_space([], make_label_space(), ScriptedClient())
 
     def test_vector_count_mismatch_rejected(self):
         class BadClient(ScriptedClient):
@@ -176,7 +171,7 @@ class TestEmbedSpace:
                 return super().embed_texts(texts)[:-1]
 
         with pytest.raises(GenerationError):
-            embed_space(["a", "b"], None, make_label_space(dim=4), BadClient(dim=4))
+            embed_space(["a", "b"], make_label_space(dim=4), BadClient(dim=4))
 
     @pytest.mark.parametrize(
         "vectors",
@@ -202,13 +197,13 @@ class TestEmbedSpace:
                 return vectors
 
         with pytest.raises(GenerationError):
-            embed_space(["a", "b"], None, make_label_space(dim=2), Client(dim=2))
+            embed_space(["a", "b"], make_label_space(dim=2), Client(dim=2))
 
     def test_http_answer_of_wrong_count_rejected(self):
         session = FakeSession([FakeResponse({"vectors": [[1.0, 0.0]]})])
         client = HttpGenerationClient("http://unit.test/api", session=session)
         with pytest.raises(GenerationError):
-            embed_space(["x", "y"], None, make_label_space(dim=2), client)
+            embed_space(["x", "y"], make_label_space(dim=2), client)
 
 
 class TestContainsWord:
@@ -367,6 +362,17 @@ class TestGenerateVsnl:
         # labels are embedded through the prompt template
         assert client.embed_calls == [
             ["The nice coyote.", "The nice jackal.", "The nice dingo."]
+        ]
+
+    def test_template_substitution_reaches_client(self):
+        base = make_label_space(n=2, dim=4, seed=13)
+        ids = LabelSpace(base.labels, base.features, "a photo of a <label>, cropped")
+        client = ScriptedClient(dim=4, similars={"label_1": ["coyote", "jackal"]})
+        space = generate_vsnl((1,), ids, client, 2)
+        # the space holds the labels; the client embeds them in the template
+        assert space.texts == ("coyote", "jackal")
+        assert client.embed_calls == [
+            ["a photo of a coyote, cropped", "a photo of a jackal, cropped"]
         ]
 
     def test_id_label_candidates_removed(self):
