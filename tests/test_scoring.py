@@ -125,6 +125,11 @@ class TestSoftmaxScore:
         assert got == pytest.approx(expected, abs=1e-15)
         assert got == pytest.approx(0.6678, abs=5e-5)
 
+    def test_bad_temperature_rejected(self):
+        for bad in (-1.0, float("nan"), float("inf"), 1e-320, 6e-309):
+            with pytest.raises(ConfigError):
+                one_group_score([0.5], [0.2], bad)
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         tau=st.sampled_from([0.01, 0.1, 1.0]),
