@@ -54,6 +54,7 @@ from .embeddings import (
 )
 from .errors import ConfigError, InputError, NegtextError
 from .metrics import (
+    checked_tag,
     compute_report,
     export_results,
     load_records_csv,
@@ -243,16 +244,13 @@ def _parse_set_flags(pairs) -> dict:
 
 
 def _load_truth_csv(path) -> dict[str, str]:
-    rows = read_csv_rows(path, ("image_id", "tag"))
-    return {row["image_id"]: row["tag"] for row in rows}
+    rows = enumerate(read_csv_rows(path, ("image_id", "tag")), start=2)
+    return {row["image_id"]: checked_tag(path, line, row["tag"]) for line, row in rows}
 
 
 def _save_truth_csv(truth: dict[str, str], path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["image_id", "tag"])
-        for image_id, tag in truth.items():
-            writer.writerow([image_id, tag])
+        csv.writer(fh).writerows([("image_id", "tag"), *truth.items()])
 
 
 @dataclass(frozen=True)

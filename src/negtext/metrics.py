@@ -104,6 +104,13 @@ def split_scores(
 RECORD_COLUMNS = ("image_id", "s_nl", "s_ens", "s_vsnl", "s_ada", "predicted_class")
 
 
+def checked_tag(path, line: int, tag) -> str:
+    """`tag` if it is ID or OOD; else an InputError naming the file and line."""
+    if tag not in ("ID", "OOD"):
+        raise InputError(f"{path}, line {line}: tag {tag!r} is neither ID nor OOD")
+    return tag
+
+
 def export_results(
     records: list[ScoreRecord],
     ground_truth: dict[str, str],
@@ -189,5 +196,5 @@ def load_records_csv(path) -> tuple[list[ScoreRecord], dict[str, str]]:
         except (TypeError, ValueError) as exc:  # short row or non-numeric cell
             raise InputError(f"{path}, line {line}: {exc}") from exc
         if row.get("tag"):
-            tags[row["image_id"]] = row["tag"]
+            tags[row["image_id"]] = checked_tag(path, line, row["tag"])
     return records, tags

@@ -294,19 +294,22 @@ def load_checkpoint(path) -> StreamState:
             features=with_ids(header["label_ids"], label_data, f"{path} [labels]"),
             prompt_template=header["prompt_template"],
         )
+        config = PipelineConfig.from_dict(header["config"])
         # the cache rows stay a bare array: a stream may repeat an image id
-        if cache_data.shape != (len(header["cache"]["ids"]), label_space.features.dim):
+        cached, n_rows = header["cache"], cache_data.shape[0]
+        if cache_data.shape != (len(cached["ids"]), label_space.features.dim):
             raise FormatError(f"{path}: cache rows do not match their ids and dim")
-        cache = HistoryCache.from_state(
-            header["cache"], cache_data, header["rng_seed"]
-        )
+        if type(cached["n_seen"]) is not int or cached["n_seen"] < n_rows:
+            raise ValueError(f"cache n_seen must be an int >= its {n_rows} rows")
+        if not n_rows <= cached["capacity"] == config.mining.cache_capacity:
+            raise ValueError(f"cache capacity must be the config's, >= {n_rows} rows")
+        cache = HistoryCache.from_state(cached, cache_data, header["rng_seed"])
         spaces = {}
         for name, data in zip(CHECKPOINT_MATRICES[2:], space_data):
             texts = _str_list(header["spaces"][name]["texts"], f"{name} texts")
             if len(texts) != data.shape[0]:
                 raise ValueError(f"{name}: {len(texts)} texts for {data.shape[0]} rows")
             spaces[name] = NegativeSpace.from_rows(texts, data)
-        config = PipelineConfig.from_dict(header["config"])
         history = header["lambda_history"]
         # a weight is a number in [0, 1]; NaN and bool fail
         if not isinstance(history, list) or not all(
@@ -320,7 +323,7 @@ def load_checkpoint(path) -> StreamState:
             "degraded": header["degraded"],
             "lambda_history": history,
         }
-    except (KeyError, TypeError, ValueError, DataError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
         raise FormatError(f"{path}: bad checkpoint header field ({exc!r})") from exc
     # the per-row columns are not stored; rebuild them from the loaded rows
     n = len(cache)

@@ -12,13 +12,13 @@ The ID part (the log-sum-exp over the labels) depends only on the image
 rows, so it is computed once per scored matrix by `id_part` and shared by
 every space through `negative_scores`.
 
-Three products share the row-block rules below: the ID part of `id_part`,
-each space's product in `negative_scores`, and the word-space selection's
-product in `max_label_similarity`. Each row's result depends on that row
-alone, so each function cuts a large matrix into contiguous row blocks: the
-calling thread takes the first and a worker thread the second. Every block
-runs the same BLAS product and row-wise numpy as the unsplit matrix, and
-the results keep every bit.
+Three products go through one row-block helper, `_blockwise`: the ID part
+of `id_part`, each space's product in `negative_scores`, and the word-space
+selection's product in `max_label_similarity`. Each row's result depends on
+that row alone, so a large matrix is cut into contiguous row blocks by the
+rules below: the calling thread takes the first and a worker thread the
+second. Every block runs the same BLAS product and row-wise numpy as the
+unsplit matrix, and the results keep every bit.
 """
 from __future__ import annotations
 
@@ -107,17 +107,39 @@ def _row_blocks(n_rows: int, width: int, cells: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _by_row_blocks(fill, blocks: list[tuple[int, int]]) -> None:
-    """`fill(lo, hi)` for each block, the first on the calling thread and
-    the rest on a per-call pool (a module-level pool would hang a forked
-    child). Returns once every block has stopped; a block's exception is
-    raised unchanged, the earliest block's first."""
-    if len(blocks) == 1:
-        fill(*blocks[0])
-        return
-    with ThreadPoolExecutor(len(blocks) - 1) as pool:
-        futures = [pool.submit(fill, lo, hi) for lo, hi in blocks[1:]]
-        fill(*blocks[0])
+def _blockwise(rows, cols, cells: int, reduce, walk: bool = False) -> None:
+    """`reduce(lo, hi, rows[lo:hi] @ cols.T)` over the `_row_blocks` of a
+    product whose scoring touches `cells` cells, the first block on the
+    calling thread and the rest on a per-call pool (a module-level pool would
+    hang a forked child). Once every block has stopped, the earliest block's
+    exception is raised unchanged."""
+    n, width = rows.shape[0], cols.shape[0]
+    blocks = _row_blocks(n, width, cells)
+    # the calling thread allocates every buffer: a worker's own large
+    # temporaries would stay in its malloc arena
+    if walk and width >= MIN_BLOCK_ROWS and width % WIDTH_MULTIPLE == 0:
+        # each block in runs of at least MIN_BLOCK_ROWS rows and about
+        # BLOCK_CELLS cells, a short tail joining the run before it
+        step, walks = max(MIN_BLOCK_ROWS, BLOCK_CELLS // width), []
+        for lo, hi in blocks:
+            bounds = list(range(lo, hi, step)) + [hi]
+            if len(bounds) > 2 and hi - bounds[-2] < MIN_BLOCK_ROWS:
+                del bounds[-2]
+            walks.append(bounds)
+        buffers = [np.empty((np.diff(b).max(initial=0), width)) for b in walks]
+    else:
+        # one allocation: a buffer per block raised the peak RSS of the
+        # benchmark's paper-stream workload by 8 to 19 MB
+        walks, whole = [[lo, hi] for lo, hi in blocks], np.empty((n, width))
+        buffers = [whole[lo:hi] for lo, hi in blocks]
+
+    def fill(bounds: list[int], buffer: np.ndarray) -> None:
+        for lo, hi in zip(bounds, bounds[1:]):
+            reduce(lo, hi, np.matmul(rows[lo:hi], cols.T, out=buffer[: hi - lo]))
+
+    with ThreadPoolExecutor(max(1, len(walks) - 1)) as pool:
+        futures = [pool.submit(fill, *job) for job in zip(walks[1:], buffers[1:])]
+        fill(walks[0], buffers[0])
     for future in futures:
         future.result()
 
@@ -128,68 +150,32 @@ def id_part(
     """Per image row: the log-sum-exp of the scaled ID similarities and the
     nearest ID class (ties to the lowest index), from one product."""
     if images.shape[1] != ids.features.dim:
-        raise DataError(
-            f"image dim {images.shape[1]} vs label dim {ids.features.dim}"
-        )
-    labels = ids.features.data
-    n, width = images.shape[0], labels.shape[0]
-    # the caller owns every large buffer and each block works on its rows in
-    # place: a worker's own large temporaries would stay in its malloc arena
-    sim_id = np.empty((n, width))
+        raise DataError(f"image dim {images.shape[1]} vs label dim {ids.features.dim}")
+    n = images.shape[0]
     lse_id = np.empty(n)
     predictions = np.empty(n, dtype=np.intp)
 
-    def fill(lo: int, hi: int) -> None:
-        sims = np.matmul(images[lo:hi], labels.T, out=sim_id[lo:hi])
+    def reduce(lo: int, hi: int, sims: np.ndarray) -> None:
         predictions[lo:hi] = np.argmax(sims, axis=1)
         sims /= cfg.temperature
         lse_id[lo:hi] = _logsumexp_rows(sims)
 
-    _by_row_blocks(fill, _row_blocks(n, width, n * width))
+    _blockwise(images, ids.features.data, n * ids.n_classes, reduce)
     return lse_id, predictions
-
-
-def _walk(lo: int, hi: int, step: int) -> list[int]:
-    """Bounds of blocks of `step` rows from `lo` to `hi`; a tail shorter than
-    MIN_BLOCK_ROWS joins the block before it."""
-    bounds = list(range(lo, hi, step)) + [hi]
-    if len(bounds) > 2 and hi - bounds[-2] < MIN_BLOCK_ROWS:
-        del bounds[-2]
-    return bounds
 
 
 def max_label_similarity(rows: np.ndarray, ids: LabelSpace) -> np.ndarray:
     """Per row: its largest similarity to the ID labels, bit for bit
-    `np.max(rows @ labels.T, axis=1)`.
-
-    Each score worker walks its row block in blocks of at least
-    MIN_BLOCK_ROWS rows and about BLOCK_CELLS cells, each block's product
-    into one buffer the caller owns per worker. A label count the rules
-    above do not let a block round like the whole product keeps the one
-    product.
-    """
+    `np.max(rows @ labels.T, axis=1)`, walked so that the product is never
+    held whole."""
     if rows.shape[1] != ids.features.dim:
         raise DataError(f"row dim {rows.shape[1]} vs label dim {ids.features.dim}")
-    labels = ids.features.data
-    n, width = rows.shape[0], labels.shape[0]
-    if width < MIN_BLOCK_ROWS or width % WIDTH_MULTIPLE:
-        return np.max(rows @ labels.T, axis=1)
-    step = max(MIN_BLOCK_ROWS, BLOCK_CELLS // width)
-    blocks = _row_blocks(n, width, n * width)
-    walks = {lo: _walk(lo, hi, step) for lo, hi in blocks}
-    buffers = {
-        lo: np.empty((np.diff(bounds).max(initial=0), width))
-        for lo, bounds in walks.items()
-    }
-    max_sim = np.empty(n)
+    max_sim = np.empty(rows.shape[0])
 
-    def fill(lo: int, hi: int) -> None:
-        bounds, buffer = walks[lo], buffers[lo]
-        for a, b in zip(bounds, bounds[1:]):
-            sims = np.matmul(rows[a:b], labels.T, out=buffer[: b - a])
-            np.max(sims, axis=1, out=max_sim[a:b])
+    def reduce(lo: int, hi: int, sims: np.ndarray) -> None:
+        np.max(sims, axis=1, out=max_sim[lo:hi])
 
-    _by_row_blocks(fill, blocks)
+    _blockwise(rows, ids.features.data, max_sim.size * ids.n_classes, reduce, walk=True)
     return max_sim
 
 
@@ -205,14 +191,12 @@ def negative_scores(
     rows, inverse = neg.rows, neg.inverse
     if rows.shape[1] != images.shape[1]:
         raise DataError(f"negative dim {rows.shape[1]} vs image dim {images.shape[1]}")
-    n, width = images.shape[0], rows.shape[0]
-    sim_neg = np.empty((n, width))
+    n = images.shape[0]
     scores = np.zeros(n)
     g = cfg.group_size
     slices = [slice(i, i + g) for i in range(0, neg.size, g)]
 
-    def fill(lo: int, hi: int) -> None:
-        sims = np.matmul(images[lo:hi], rows.T, out=sim_neg[lo:hi])
+    def reduce(lo: int, hi: int, sims: np.ndarray) -> None:
         total = scores[lo:hi]
         for sl in slices:
             group = sims[:, sl] if inverse is None else sims[:, inverse[sl]]
@@ -223,7 +207,7 @@ def negative_scores(
                 total += 1.0 / (1.0 + np.exp(lse_neg - lse_id[lo:hi]))
         total /= len(slices)
 
-    _by_row_blocks(fill, _row_blocks(n, width, n * neg.size))
+    _blockwise(images, rows, n * neg.size, reduce)
     return scores
 
 

@@ -73,13 +73,22 @@ def select_initial_nls(
     return NegativeSpace(texts, rows, inverse)
 
 
+def _call(method, *args, image_id: str | None = None):
+    """`method(*args)` of a client; any exception it raises becomes a
+    `GenerationError`, so that a failing client degrades the batch."""
+    try:
+        return method(*args)
+    except Exception as exc:
+        raise GenerationError(f"{method.__name__} failed: {exc}", image_id) from exc
+
+
 def embed_space(texts, ids: LabelSpace, client: GenerationClient) -> np.ndarray:
     """One embedding row of the label dim per text, the texts sent as given."""
     texts = list(texts)
     if not texts:
         raise InputError("no texts to embed")
     try:
-        vectors = np.asarray(client.embed_texts(texts), dtype=np.float64)
+        vectors = np.asarray(_call(client.embed_texts, texts), dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged or non-numeric
         raise GenerationError(f"embedding is not numeric rows: {exc}") from exc
     expected = (len(texts), ids.features.dim)
@@ -156,7 +165,9 @@ def _describe_wave(
     def describe(image_id: str, exclude_label: str) -> str:
         if failed.is_set():
             raise _Stopped
-        sentence = client.describe_image(image_id, exclude_label)
+        sentence = _call(
+            client.describe_image, image_id, exclude_label, image_id=image_id
+        )
         if isinstance(sentence, str):
             return sentence
         raise GenerationError(f"description is a {type(sentence).__name__}", image_id)
@@ -264,7 +275,7 @@ def generate_vsnl(
     seen: set[str] = set()
     for class_index in class_indices:
         class_name = ids.labels[class_index]
-        candidates = client.similar_labels(class_name, per_class)
+        candidates = _call(client.similar_labels, class_name, per_class)
         if not isinstance(candidates, (list, tuple)) or not all(
             isinstance(c, str) for c in candidates
         ):

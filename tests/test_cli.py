@@ -467,6 +467,34 @@ class TestEval:
         assert len(err) == 1 and err[0].startswith("error:")
         assert str(truth) in err[0] and "tag" in err[0]
 
+    @pytest.mark.parametrize("where", ["truth", "records"])
+    def test_unknown_tag_fails_with_one_line(
+        self, world_dir, tmp_path, capsys, where
+    ):
+        out = self._run(world_dir, tmp_path)
+        with (out / "records.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        truth = {row["image_id"]: row["tag"] for row in rows}
+        bad = rows[2]["image_id"]  # on line 4 of either file
+        truth[bad] = truth[bad].lower()
+        if where == "truth":
+            path = tmp_path / "truth.csv"
+            with path.open("w", newline="") as fh:
+                csv.writer(fh).writerows([("image_id", "tag"), *truth.items()])
+            args = (out / "records.csv", "--truth", path)
+        else:
+            path = tmp_path / "records.csv"
+            with path.open("w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows({**row, "tag": truth[row["image_id"]]} for row in rows)
+            args = (path,)
+        capsys.readouterr()
+        assert run_cli("eval", *args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(path) in err[0] and "line 4" in err[0]
+
     def test_inverted_scores_complement_auroc(self, world_dir, tmp_path, capsys):
         out = self._run(world_dir, tmp_path)
         records, tags = load_records_csv(out / "records.csv")

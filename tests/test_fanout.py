@@ -157,3 +157,52 @@ def test_no_request_starts_after_a_failure():
         )
     assert client.started == workers
     assert client.now == 0
+
+
+class Raising:
+    """Forwards to `inner`, except that every call of `method` raises
+    `error`; records the thread of each raising call."""
+
+    def __init__(self, inner, method, error):
+        self.inner, self.method, self.error = inner, method, error
+        self.threads: list[threading.Thread] = []
+
+    def _answer(self, method, *args):
+        if method == self.method:
+            self.threads.append(threading.current_thread())
+            raise self.error(f"{method} failed")
+        return getattr(self.inner, method)(*args)
+
+    def describe_image(self, image_ref, exclude_label):
+        return self._answer("describe_image", image_ref, exclude_label)
+
+    def similar_labels(self, class_name, count):
+        return self._answer("similar_labels", class_name, count)
+
+    def embed_texts(self, texts):
+        return self._answer("embed_texts", texts)
+
+
+@pytest.mark.parametrize(
+    "method, error",
+    [
+        ("similar_labels", KeyError),
+        ("embed_texts", ValueError),
+        ("describe_image", RuntimeError),
+    ],
+)
+def test_any_client_exception_degrades_the_batch(method, error):
+    world = SyntheticWorld(scenario_world_config("mixed", seed=42))
+    client = Raising(world.oracle_client(), method, error)
+    batches = world.make_batches(2, 50, 50)
+    records, state = run_stream(
+        batches, world.label_space, world.corpus, client,
+        scenario_pipeline_config(), seed=42,
+    )
+    assert client.threads and state.degraded
+    if method == "describe_image":  # raised in a fan-out worker
+        assert threading.main_thread() not in client.threads
+    assert [r.image_id for r in records] == [
+        image_id for batch in batches for image_id in batch.images.ids
+    ]
+    assert all(0.0 <= r.s_ada <= 1.0 for r in records)

@@ -429,10 +429,20 @@ class TestCheckpoint:
         lambda header: header["label_ids"].__setitem__(0, 5),
         lambda header: header["label_ids"].__setitem__(1, header["label_ids"][0]),
         lambda header: header.update(degraded="no"),
+        lambda header: header["cache"].update(n_seen=-5),
+        lambda header: header["cache"].update(n_seen=3),
+        lambda header: header["cache"].update(n_seen=float(header["cache"]["n_seen"])),
+        lambda header: header["cache"].update(capacity=0),
+        lambda header: header["cache"].update(capacity=len(header["cache"]["ids"]) - 1),
+        lambda header: header["cache"].update(capacity=header["cache"]["capacity"] + 1),
+        lambda header: header["config"].update(bogus=1),
     ], ids=["no-texts", "no-spaces", "no-cache", "no-labels", "no-vsnl",
             "history-not-list", "texts-not-rows", "history-not-number",
             "history-out-of-range", "label-not-str", "text-not-str",
-            "label-id-not-str", "label-id-repeated", "degraded-not-bool"])
+            "label-id-not-str", "label-id-repeated", "degraded-not-bool",
+            "n-seen-negative", "n-seen-below-rows", "n-seen-not-int",
+            "capacity-zero", "capacity-below-rows", "capacity-not-config",
+            "config-unknown-key"])
     def test_bad_header_field_rejected_with_one_line(self, tmp_path, edit):
         path = self._saved(tmp_path)
         self._edit_header(path, edit)

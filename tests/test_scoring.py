@@ -508,15 +508,16 @@ class TestMaxLabelSimilarity:
         # a block of a ragged-width or narrow product can round otherwise
         monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
         monkeypatch.setattr(scoring, "BLOCK_CELLS", self.CELLS)
-        walked = []
+        products = []
         matmul = np.matmul
         monkeypatch.setattr(
-            np, "matmul", lambda a, b, out: walked.append(out.shape) or matmul(a, b, out=out)
+            np, "matmul", lambda a, b, out: products.append(out.shape) or matmul(a, b, out=out)
         )
         ids = make_label_space(n=n_classes, dim=64, seed=46)
         rows = unit_rows(np.random.default_rng(47), 777, 64)
-        assert max_label_similarity(rows, ids).shape == (777,)
-        assert walked == []
+        expected = np.max(rows @ ids.features.data.T, axis=1)
+        assert max_label_similarity(rows, ids).tobytes() == expected.tobytes()
+        assert products == [(777, n_classes)]
 
     def test_dim_mismatch_rejected(self):
         ids = make_label_space(n=64, dim=8, seed=45)
