@@ -245,7 +245,10 @@ def _parse_set_flags(pairs) -> dict:
 
 def _load_truth_csv(path) -> dict[str, str]:
     rows = enumerate(read_csv_rows(path, ("image_id", "tag")), start=2)
-    return {row["image_id"]: checked_tag(path, line, row["tag"]) for line, row in rows}
+    return {
+        row["image_id"]: checked_tag(f"{path}, line {line}", row["tag"])
+        for line, row in rows
+    }
 
 
 def _save_truth_csv(truth: dict[str, str], path) -> None:

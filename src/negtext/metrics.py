@@ -93,21 +93,19 @@ def split_scores(
     ood_scores: list[float] = []
     for r in records:
         score = float(_fmt(r.s_ada)) if quantized else r.s_ada
-        tag = truth[r.image_id]
-        if tag == "ID":
-            id_scores.append(score)
-        elif tag == "OOD":
-            ood_scores.append(score)
+        tag = checked_tag(f"ground truth of {r.image_id!r}", truth[r.image_id])
+        (id_scores if tag == "ID" else ood_scores).append(score)
     return id_scores, ood_scores
 
 
 RECORD_COLUMNS = ("image_id", "s_nl", "s_ens", "s_vsnl", "s_ada", "predicted_class")
 
 
-def checked_tag(path, line: int, tag) -> str:
-    """`tag` if it is ID or OOD; else an InputError naming the file and line."""
+def checked_tag(where: str, tag) -> str:
+    """`tag` if it is ID or OOD; else an InputError naming `where` it came
+    from (a file and line, or an image's ground truth)."""
     if tag not in ("ID", "OOD"):
-        raise InputError(f"{path}, line {line}: tag {tag!r} is neither ID nor OOD")
+        raise InputError(f"{where}: tag {tag!r} is neither ID nor OOD")
     return tag
 
 
@@ -196,5 +194,5 @@ def load_records_csv(path) -> tuple[list[ScoreRecord], dict[str, str]]:
         except (TypeError, ValueError) as exc:  # short row or non-numeric cell
             raise InputError(f"{path}, line {line}: {exc}") from exc
         if row.get("tag"):
-            tags[row["image_id"]] = checked_tag(path, line, row["tag"])
+            tags[row["image_id"]] = checked_tag(f"{path}, line {line}", row["tag"])
     return records, tags

@@ -295,8 +295,13 @@ def load_checkpoint(path) -> StreamState:
             prompt_template=header["prompt_template"],
         )
         config = PipelineConfig.from_dict(header["config"])
+        if header["config_hash"] != config.digest():
+            raise ValueError("config_hash is not the digest of the config")
+        if type(header["rng_seed"]) is not int:
+            raise TypeError("rng_seed must be an int")
         # the cache rows stay a bare array: a stream may repeat an image id
         cached, n_rows = header["cache"], cache_data.shape[0]
+        _str_list(cached["ids"], "cache ids")
         if cache_data.shape != (len(cached["ids"]), label_space.features.dim):
             raise FormatError(f"{path}: cache rows do not match their ids and dim")
         if type(cached["n_seen"]) is not int or cached["n_seen"] < n_rows:
@@ -323,7 +328,9 @@ def load_checkpoint(path) -> StreamState:
             "degraded": header["degraded"],
             "lambda_history": history,
         }
-    except (KeyError, TypeError, ValueError, ConfigError, DataError) as exc:
+    except (
+        KeyError, TypeError, ValueError, OverflowError, ConfigError, DataError
+    ) as exc:  # OverflowError: an rng_state integer outside its 128 bits
         raise FormatError(f"{path}: bad checkpoint header field ({exc!r})") from exc
     # the per-row columns are not stored; rebuild them from the loaded rows
     n = len(cache)

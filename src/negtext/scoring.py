@@ -8,6 +8,27 @@ evaluated with a max-shift so that small temperatures (tau = 0.01 gives
 exponents up to +-100) stay numerically safe. Negatives are partitioned
 into contiguous groups and per-group scores are averaged.
 
+`negative_scores` reduces a space's groups in one of two ways, without a
+Python loop over the groups' columns:
+
+- a space whose rows are all distinct (as a rule, the word and lookalike
+  spaces) views its product as `(rows, groups, group_size)`, the ragged
+  last group a view of its own, and shifts each group by its own maximum
+  in place. Its scores keep every bit of a product over every stored row
+  reduced group by group;
+- a space with repeated rows (the sentence space) divides its distinct
+  columns by the temperature, shifts each row once by its maximum and
+  exponentiates in place; a (distinct rows x groups) count matrix then
+  gives every group's sum in one product. Its scores differ from the
+  group-by-group reduction by ~1e-15. One shift per row would underflow a
+  group lying more than ~708 below the row's maximum, which unit rows
+  allow once 2 / temperature exceeds that, so above ROW_SHIFT_SPAN each
+  group is gathered and shifted on its own instead.
+
+Both sum the per-group scores in group order, then divide: a pairwise sum
+keeps sub-ulp deficits of scores near 1 that the sequential sum rounds
+away, and so moves the scores.
+
 The ID part (the log-sum-exp over the labels) depends only on the image
 rows, so it is computed once per scored matrix by `id_part` and shared by
 every space through `negative_scores`.
@@ -47,6 +68,10 @@ MIN_SPLIT_CELLS = 1 << 18
 # `max_label_similarity` walks each worker's rows in blocks of about this many
 # product cells (8 MB of float64), so the product is never held whole
 BLOCK_CELLS = 1 << 20
+# the 2 / temperature above which a repeated-row space shifts each group on
+# its own (see the module docstring): exp(-708.4) is the smallest normal
+# float, and 700 leaves room for the rows' norm tolerance
+ROW_SHIFT_SPAN = 700.0
 
 
 @dataclass(frozen=True)
@@ -84,12 +109,12 @@ def _check_temperature(temperature) -> None:
 
 
 def _logsumexp_rows(scaled: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of similarities already divided by the
+    """Log-sum-exp over the last axis of similarities already divided by the
     temperature; overwrites `scaled` rather than allocate its copies."""
-    shift = np.max(scaled, axis=1, keepdims=True)
+    shift = np.max(scaled, axis=-1, keepdims=True)
     scaled -= shift
     np.exp(scaled, out=scaled)
-    return shift[:, 0] + np.log(np.sum(scaled, axis=1))
+    return shift[..., 0] + np.log(np.sum(scaled, axis=-1))
 
 
 def _row_blocks(n_rows: int, width: int, cells: int) -> list[tuple[int, int]]:
@@ -179,6 +204,20 @@ def max_label_similarity(rows: np.ndarray, ids: LabelSpace) -> np.ndarray:
     return max_sim
 
 
+def _group_counts(
+    inverse: np.ndarray, n_distinct: int, group_size: int
+) -> np.ndarray:
+    """(distinct rows x groups) float matrix: how many texts of each group
+    have each distinct row. Its width is padded with zero columns to a
+    splittable product width, so that every row block of `E @ counts`
+    rounds as the unsplit product."""
+    groups = -(-inverse.size // group_size)
+    width = max(MIN_BLOCK_ROWS, -(-groups // WIDTH_MULTIPLE) * WIDTH_MULTIPLE)
+    cells = inverse * width + np.arange(inverse.size) // group_size
+    counts = np.bincount(cells, minlength=n_distinct * width)
+    return counts.reshape(n_distinct, width).astype(np.float64)
+
+
 def negative_scores(
     images: np.ndarray,
     lse_id: np.ndarray,
@@ -193,19 +232,50 @@ def negative_scores(
         raise DataError(f"negative dim {rows.shape[1]} vs image dim {images.shape[1]}")
     n = images.shape[0]
     scores = np.zeros(n)
-    g = cfg.group_size
-    slices = [slice(i, i + g) for i in range(0, neg.size, g)]
+    g, tau = cfg.group_size, cfg.temperature
+    n_groups = -(-neg.size // g)
+
+    if inverse is None:
+        # all-distinct: each group shifted by its own maximum, in views of
+        # the buffer
+        full = neg.size - neg.size % g
+
+        def lse_groups(sims: np.ndarray) -> np.ndarray:
+            sims /= tau
+            parts = [sims[:, :full].reshape(len(sims), full // g, g)]
+            if full < neg.size:  # a ragged last group
+                parts.append(sims[:, None, full:])
+            return np.concatenate([_logsumexp_rows(p) for p in parts], axis=1)
+
+    elif 2.0 / tau <= ROW_SHIFT_SPAN:
+        # repeated rows: one shift per row, every group's sum from one product
+        counts = _group_counts(inverse, rows.shape[0], g)
+
+        def lse_groups(sims: np.ndarray) -> np.ndarray:
+            sims /= tau
+            shift = np.max(sims, axis=1, keepdims=True)
+            sims -= shift
+            np.exp(sims, out=sims)
+            return shift + np.log((sims @ counts)[:, :n_groups])
+
+    else:
+        # a row shift could underflow a whole group: gather each group
+        def lse_groups(sims: np.ndarray) -> np.ndarray:
+            return np.stack([
+                _logsumexp_rows(sims[:, inverse[i : i + g]] / tau)
+                for i in range(0, neg.size, g)
+            ], axis=1)
 
     def reduce(lo: int, hi: int, sims: np.ndarray) -> None:
+        # per-group score = 1 / (1 + exp(lse_neg - lse_id)); at a tiny
+        # temperature the exp overflows to inf and the score to its limit 0
+        with np.errstate(over="ignore"):
+            shares = 1.0 / (1.0 + np.exp(lse_groups(sims) - lse_id[lo:hi, None]))
+        # summed in group order, not pairwise (see the module docstring)
         total = scores[lo:hi]
-        for sl in slices:
-            group = sims[:, sl] if inverse is None else sims[:, inverse[sl]]
-            lse_neg = _logsumexp_rows(group / cfg.temperature)
-            # per-group score = 1 / (1 + exp(lse_neg - lse_id)); at a tiny
-            # temperature the exp overflows to inf and the score to its limit 0
-            with np.errstate(over="ignore"):
-                total += 1.0 / (1.0 + np.exp(lse_neg - lse_id[lo:hi]))
-        total /= len(slices)
+        for share in shares.T:
+            total += share
+        total /= n_groups
 
     _blockwise(images, rows, n * neg.size, reduce)
     return scores

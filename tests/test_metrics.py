@@ -13,6 +13,7 @@ from negtext.metrics import (
     export_results,
     fpr95,
     load_records_csv,
+    split_scores,
 )
 from negtext.scoring import ScoreRecord
 
@@ -181,3 +182,19 @@ class TestExport:
         with pytest.raises(InputError):
             export_results(_records([0.5, 0.6]), {"img_0": "ID"}, out)
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["id", "ood "])
+    def test_unknown_truth_tag_rejected_with_one_line_before_write(
+        self, tmp_path, bad
+    ):
+        records = _records([0.1, 0.2, 0.3, 0.7, 0.8, 0.9])
+        truth = {f"img_{i}": ("OOD" if i < 3 else "ID") for i in range(6)}
+        truth["img_4"] = bad
+        out = tmp_path / "sub"
+        with pytest.raises(InputError) as excinfo:
+            export_results(records, truth, out)
+        assert not out.exists()
+        message = str(excinfo.value)
+        assert "\n" not in message and "img_4" in message and repr(bad) in message
+        with pytest.raises(InputError, match="neither ID nor OOD"):
+            split_scores(records, truth)

@@ -436,13 +436,21 @@ class TestCheckpoint:
         lambda header: header["cache"].update(capacity=len(header["cache"]["ids"]) - 1),
         lambda header: header["cache"].update(capacity=header["cache"]["capacity"] + 1),
         lambda header: header["config"].update(bogus=1),
+        lambda header: header["cache"]["rng_state"]["state"].update(state=-1),
+        lambda header: header["cache"]["rng_state"]["state"].update(inc=10**40),
+        lambda header: header["cache"]["ids"].__setitem__(0, 5),
+        lambda header: header.update(rng_seed=True),
+        lambda header: header.update(rng_seed=[]),
+        lambda header: header.update(config_hash="x"),
     ], ids=["no-texts", "no-spaces", "no-cache", "no-labels", "no-vsnl",
             "history-not-list", "texts-not-rows", "history-not-number",
             "history-out-of-range", "label-not-str", "text-not-str",
             "label-id-not-str", "label-id-repeated", "degraded-not-bool",
             "n-seen-negative", "n-seen-below-rows", "n-seen-not-int",
             "capacity-zero", "capacity-below-rows", "capacity-not-config",
-            "config-unknown-key"])
+            "config-unknown-key", "rng-state-negative", "rng-inc-too-wide",
+            "cache-id-not-str", "rng-seed-bool", "rng-seed-list",
+            "config-hash-wrong"])
     def test_bad_header_field_rejected_with_one_line(self, tmp_path, edit):
         path = self._saved(tmp_path)
         self._edit_header(path, edit)

@@ -53,8 +53,9 @@ def grouped_score_oracle(v, ids, neg, cfg):
     return float(np.mean(scores))
 
 
-def full_product_scores(images, ids, neg, cfg):
-    """The grouped score from one product over every stored negative row."""
+def group_shares(images, ids, neg, cfg):
+    """(images x groups) per-group scores from one product over every
+    stored negative row."""
     tau = cfg.temperature
 
     def lse(sims):
@@ -65,12 +66,21 @@ def full_product_scores(images, ids, neg, cfg):
     lse_id = lse(images @ ids.features.data.T)
     sim_neg = images @ neg.stored_rows().T
     g = cfg.group_size
-    starts = range(0, neg.size, g)
+    with np.errstate(over="ignore"):  # a share's limit 0 at a small tau
+        return np.stack([
+            1.0 / (1.0 + np.exp(lse(sim_neg[:, start : start + g]) - lse_id))
+            for start in range(0, neg.size, g)
+        ], axis=1)
+
+
+def full_product_scores(images, ids, neg, cfg):
+    """The grouped score from one product over every stored negative row:
+    the group shares summed in group order, then divided."""
+    shares = group_shares(images, ids, neg, cfg)
     total = np.zeros(images.shape[0])
-    for start in starts:
-        group = sim_neg[:, start : start + g]
-        total += 1.0 / (1.0 + np.exp(lse(group) - lse_id))
-    return total / len(starts)
+    for share in shares.T:
+        total += share
+    return total / shares.shape[1]
 
 
 def space_of(texts, data):
@@ -322,6 +332,79 @@ class TestDistinctRows:
         assert 0 in predictions and 2 not in predictions
 
 
+class TestGroupReductions:
+    """A repeated-row space gets every group's sum from one product of its
+    exponentiated distinct columns, shifted once per row, with a count
+    matrix; an all-distinct space reduces its groups in place, each group
+    shifted by its own maximum. Both sum the group shares in group order."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tau, counted", [(0.01, True), (1e-3, False)])
+    def test_repeated_rows_match_longdouble_oracle(self, monkeypatch, tau, counted):
+        # each image's own row opens a group and its negation fills the
+        # next: at tau = 1e-3 that group lies 2000 below the row maximum,
+        # where one shift per row underflows it and its log is -inf
+        rng = np.random.default_rng(51)
+        images = unit_rows(rng, 4, 8)
+        base = np.vstack([images, -images, unit_rows(rng, 8, 8)])
+        order = [9, 9, 12]  # the ragged last group
+        for i in reversed(range(4)):
+            order = [i, *rng.integers(8, 16, 3).tolist(), *[4 + i] * 4, *order]
+        neg = NegativeSpace.from_rows([f"sentence {j}" for j in order], base[order])
+        assert neg.rows.shape[0] < 16 < neg.size
+        ids = make_label_space(n=5, dim=8, seed=52)
+        cfg = ScoreConfig(temperature=tau, group_size=4)
+        calls = []
+        counts = scoring._group_counts
+        monkeypatch.setattr(
+            scoring, "_group_counts", lambda *args: calls.append(1) or counts(*args)
+        )
+        got = grouped_scores_batch(images, ids, neg, cfg)
+        assert bool(calls) == counted  # 2 / tau above ROW_SHIFT_SPAN gathers
+        for v, score in zip(images, got):
+            assert score == pytest.approx(
+                grouped_score_oracle(v, ids, neg, cfg), rel=0, abs=4e-15
+            )
+        full = full_product_scores(images, ids, neg, cfg)
+        assert np.allclose(got, full, rtol=0, atol=2e-15)
+
+    def test_paper_shape_sentence_space_is_bit_equal_on_any_worker_count(
+        self, monkeypatch
+    ):
+        # dim 512, 1,000 images, 10,000 texts over 264 distinct rows,
+        # groups of 100: the product and the count product both split
+        rng = np.random.default_rng(53)
+        base = unit_rows(rng, 264, 512)
+        order = rng.permutation(
+            np.concatenate([np.arange(264), rng.integers(0, 264, 10000 - 264)])
+        )
+        neg = NegativeSpace.from_rows([f"sentence {j}" for j in order], base[order])
+        assert neg.rows.shape[0] == 264
+        ids = make_label_space(n=64, dim=512, seed=54)
+        images = unit_rows(rng, 1000, 512)
+        cfg = ScoreConfig()
+        lse_id, _ = id_part(images, ids, cfg)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(scoring, "SCORE_WORKERS", workers)
+            assert len(scoring._row_blocks(1000, 264, 1000 * 10000)) == workers
+            results.append(negative_scores(images, lse_id, neg, cfg))
+        for got in results[1:]:
+            assert np.array_equal(results[0], got)
+
+    @pytest.mark.parametrize("tau", [0.01, 0.1])
+    def test_group_mean_sums_in_group_order(self, label_space, tau):
+        # 100 groups: a pairwise sum of the shares rounds otherwise
+        neg = make_negative_space(m=300, seed=61)
+        images = unit_rows(np.random.default_rng(62), 20, 8)
+        cfg = ScoreConfig(temperature=tau, group_size=3)
+        shares = group_shares(images, label_space, neg, cfg)
+        in_order = full_product_scores(images, label_space, neg, cfg)
+        assert not np.array_equal(shares.sum(axis=1) / 100, in_order)
+        got = grouped_scores_batch(images, label_space, neg, cfg)
+        assert np.array_equal(got, in_order)
+
+
 def repeated_space(rng, distinct, dim):
     """A sentence-like space: `distinct` rows, each repeated 1-3 times."""
     base = unit_rows(rng, distinct, dim)
@@ -434,16 +517,18 @@ class TestRowBlocks:
         rng = np.random.default_rng(34)
         images = unit_rows(rng, 150, 8)
         ids = make_label_space(n=64, dim=8, seed=35)
-        neg = NegativeSpace.from_rows(
-            [f"neg_{i}" for i in range(96)],
-            np.vstack([images[:48], unit_rows(rng, 48, 8)]),
-        )
-        assert len(scoring._row_blocks(150, 96, 150 * 96)) == (
-            2 if min_cells == 1 else 1
-        )
-        cfg = ScoreConfig(temperature=1e-300, group_size=16)
-        scores = grouped_scores_batch(images, ids, neg, cfg)
-        assert np.all((scores >= 0.0) & (scores <= 1.0))
+        data = np.vstack([images[:48], unit_rows(rng, 48, 8)])
+        # all 96 rows distinct, then 120 texts over them (the first 24 twice)
+        for order in (np.arange(96), np.arange(120) % 96):
+            neg = NegativeSpace.from_rows([f"neg_{i}" for i in order], data[order])
+            assert neg.rows.shape[0] == 96
+            assert (neg.inverse is None) == (order.size == 96)
+            assert len(scoring._row_blocks(150, 96, 150 * neg.size)) == (
+                2 if min_cells == 1 else 1
+            )
+            cfg = ScoreConfig(temperature=1e-300, group_size=16)
+            scores = grouped_scores_batch(images, ids, neg, cfg)
+            assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 
 class TestMaxLabelSimilarity:
