@@ -6,7 +6,7 @@ A run is described by a JSON manifest:
     {
       "config": "config.json" | {inline config dict},
       "client": {"mode": "synthetic", "scenario": "far",
-                 "n_batches": 3, "id_per_batch": 150, "ood_per_batch": 150}
+                 "concepts": "concepts.json"}
               | {"mode": "replay", "fixtures": "fixtures/"}
               | {"mode": "http", "endpoint": "...", "auth_token": "..."},
       "labels": "labels.json",
@@ -17,11 +17,13 @@ A run is described by a JSON manifest:
       "seed": 42
     }
 
-Synthetic mode rebuilds the whole world from scenario + seed, so the
-labels/corpus/batches entries are optional there. The HTTP endpoint and
-auth token fall back to the NEGTEXT_ENDPOINT / NEGTEXT_AUTH_TOKEN
-environment variables. Exit codes: 0 success, 2 success with degraded
-generation (stale negative spaces), 1 any error.
+Every mode reads labels, corpus, batches and truth from the files the
+manifest names. The synthetic client is the oracle of the world built from
+scenario + seed, and reads each image's concept from its concepts file,
+as `synth-world` writes it. The HTTP endpoint and auth token fall back to
+the NEGTEXT_ENDPOINT / NEGTEXT_AUTH_TOKEN environment variables. Exit
+codes: 0 success, 2 success with degraded generation (stale negative
+spaces), 1 any error.
 """
 from __future__ import annotations
 
@@ -153,8 +155,9 @@ class Manifest:
         for entry in batches:
             paths.append(self._resolve(entry))
         client = self.client_spec
-        if client["mode"] == "replay" and client.get("fixtures"):
-            paths.append(self._resolve(client["fixtures"]))
+        key = {"replay": "fixtures", "synthetic": "concepts"}.get(client["mode"])
+        if key and client.get(key):
+            paths.append(self._resolve(client[key]))
         return paths
 
     def validate_paths(self) -> None:
@@ -171,9 +174,9 @@ class Manifest:
 
     @property
     def seed(self) -> int:
-        seed = _int_entry(self.spec, "seed", 0)
-        if seed < 0:
-            raise ConfigError(f"manifest 'seed' must be >= 0, got {seed}")
+        seed = self.spec.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"manifest 'seed' must be an integer >= 0, got {seed!r}")
         return seed
 
     def output_dir(self, override=None) -> Path:
@@ -207,13 +210,6 @@ def _read_json(path: Path, what: str):
         return json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # also a file that is not UTF-8
         raise InputError(f"{path}: {what} is not valid JSON ({exc})") from exc
-
-
-def _int_entry(spec: dict, key: str, default: int) -> int:
-    value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"manifest {key!r} must be an integer, got {value!r}")
-    return value
 
 
 def _apply_override(spec: dict, dotted_key: str, value) -> None:
@@ -262,7 +258,6 @@ class RunInputs:
     corpus: CorpusCandidates
     batches: list[TestBatch]
     truth: dict[str, str]  # image_id -> tag, possibly empty
-    world: SyntheticWorld | None = None  # the synthetic world, in synthetic mode
 
 
 def _is_http_url(endpoint) -> bool:
@@ -275,11 +270,37 @@ def _is_http_url(endpoint) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
-def _build_client(manifest: Manifest, world=None) -> GenerationClient:
+def _oracle_client(manifest: Manifest, client_spec: dict) -> GenerationClient:
+    """The oracle of the scenario world, told each image's concept by the
+    manifest's concepts file."""
+    scenario = client_spec.get("scenario")
+    if not scenario:
+        raise ConfigError("synthetic client needs a scenario name")
+    world = SyntheticWorld(scenario_world_config(scenario, seed=manifest.seed))
+    if not client_spec.get("concepts"):
+        raise ConfigError(
+            "synthetic client needs a 'concepts' file; re-run synth-world "
+            "to write the world again"
+        )
+    path = manifest._resolve(client_spec["concepts"])
+    concepts = _read_json(path, "concepts")
+    if not isinstance(concepts, dict) or not all(
+        isinstance(name, str) for name in concepts.values()
+    ):
+        raise InputError(f"{path}: concepts must be a JSON object of str names")
+    unknown = set(concepts.values()) - world.concepts.keys()
+    if unknown:
+        raise InputError(
+            f"{path}: scenario {scenario!r} has no concept {min(unknown)!r}"
+        )
+    return world.oracle_client(concepts)
+
+
+def _build_client(manifest: Manifest) -> GenerationClient:
     client_spec = manifest.client_spec
     mode = client_spec["mode"]
     if mode == "synthetic":
-        return world.oracle_client()
+        return _oracle_client(manifest, client_spec)
     if mode == "replay":
         fixtures = client_spec.get("fixtures")
         if not fixtures:
@@ -302,24 +323,9 @@ def _build_client(manifest: Manifest, world=None) -> GenerationClient:
 
 
 def _assemble_inputs(manifest: Manifest) -> RunInputs:
-    client_spec = manifest.client_spec
-    if client_spec["mode"] == "synthetic":
-        scenario = client_spec.get("scenario")
-        if not scenario:
-            raise ConfigError("synthetic client needs a scenario name")
-        world = SyntheticWorld(scenario_world_config(scenario, seed=manifest.seed))
-        batches = world.make_batches(
-            _int_entry(client_spec, "n_batches", 3),
-            _int_entry(client_spec, "id_per_batch", 150),
-            _int_entry(client_spec, "ood_per_batch", 150),
-        )
-        return RunInputs(
-            world.label_space, world.corpus, batches, batches_truth(batches), world
-        )
-
     for key in ("labels", "corpus", "batches"):
         if not manifest.spec.get(key):
-            raise ConfigError(f"manifest needs {key!r} outside synthetic mode")
+            raise ConfigError(f"manifest needs {key!r}")
     label_space = LabelSpace.from_manifest(manifest._resolve(manifest.spec["labels"]))
     corpus_spec = manifest.spec["corpus"]
     words_path = manifest._resolve(corpus_spec.get("words"))
@@ -350,13 +356,13 @@ def _assemble_inputs(manifest: Manifest) -> RunInputs:
 
 
 def _execute_run(
-    manifest: Manifest, args, client_for: Callable[[RunInputs], GenerationClient]
+    manifest: Manifest, args, client_for: Callable[[], GenerationClient]
 ) -> int:
     """One stream over the manifest's inputs, with the client that
     `client_for` builds once they are loaded."""
     config = manifest.pipeline_config(_parse_set_flags(getattr(args, "set", None)))
     inputs = _assemble_inputs(manifest)
-    client = client_for(inputs)
+    client = client_for()
     out_dir = manifest.output_dir(getattr(args, "out", None))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -381,9 +387,7 @@ def _execute_run(
 
 def cmd_run(args) -> int:
     manifest = Manifest.load(args.manifest)
-    return _execute_run(
-        manifest, args, lambda inputs: _build_client(manifest, inputs.world)
-    )
+    return _execute_run(manifest, args, lambda: _build_client(manifest))
 
 
 def cmd_eval(args) -> int:
@@ -416,7 +420,7 @@ def cmd_sweep(args) -> int:
     # consecutive values with equal configs share one stream, and each
     # stream gets a fresh client
     streams = [
-        (list(group), _build_client(manifest, inputs.world))
+        (list(group), _build_client(manifest))
         for _, group in groupby(points, key=lambda point: point[1].digest())
     ]
     out_path = Path(args.out)
@@ -500,17 +504,22 @@ def cmd_synth_world(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    world.label_space.save_manifest(out_dir / "labels.json", "labels.nspc")
-    save_embeddings(world.corpus.features, out_dir / "corpus.nspc")
+    # the world's rows are float64 and are written as such (NSPC version 2),
+    # so a run on these files scores exactly the world that drew them
+    world.label_space.save_manifest(out_dir / "labels.json", "labels.nspc", 2)
+    save_embeddings(world.corpus.features, out_dir / "corpus.nspc", 2)
     (out_dir / "corpus_words.json").write_text(
         json.dumps(list(world.corpus.words), indent=2), encoding="utf-8"
     )
     batch_names = []
     for i, batch in enumerate(batches):
         name = f"batch_{i:03d}.nspc"
-        save_embeddings(batch.images, out_dir / name)
+        save_embeddings(batch.images, out_dir / name, 2)
         batch_names.append(name)
     _save_truth_csv(batches_truth(batches), out_dir / "truth.csv")
+    (out_dir / "concepts.json").write_text(
+        json.dumps(world.image_concepts, indent=2), encoding="utf-8"
+    )
     (out_dir / "config.json").write_text(
         json.dumps(scenario_pipeline_config().to_dict(), indent=2, sort_keys=True),
         encoding="utf-8",
@@ -520,9 +529,7 @@ def cmd_synth_world(args) -> int:
         "client": {
             "mode": "synthetic",
             "scenario": args.scenario,
-            "n_batches": args.batches,
-            "id_per_batch": args.id_per_batch,
-            "ood_per_batch": args.ood_per_batch,
+            "concepts": "concepts.json",
         },
         "labels": "labels.json",
         "corpus": {"embeddings": "corpus.nspc", "words": "corpus_words.json"},
@@ -545,14 +552,12 @@ def cmd_fixtures(args) -> int:
         return _execute_run(
             manifest,
             args,
-            lambda inputs: RecordingClient(
-                _build_client(manifest, inputs.world), fixtures_dir
-            ),
+            lambda: RecordingClient(_build_client(manifest), fixtures_dir),
         )
     # replay builds no client from the manifest
     if not fixtures_dir.exists():
         raise InputError(f"fixtures directory not found: {fixtures_dir}")
-    return _execute_run(manifest, args, lambda inputs: ReplayClient(fixtures_dir))
+    return _execute_run(manifest, args, lambda: ReplayClient(fixtures_dir))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,10 @@ import numpy as np
 from .errors import DataError, FormatError, InputError
 
 MAGIC = b"NSPC"
-FORMAT_VERSION = 1
+# format version -> row dtype: version 1 rows are float32 (ingested
+# embeddings, the checkpoint), version 2 rows float64 (rows the program
+# computed, as `synth-world` writes them)
+ROW_DTYPES = {1: "<f4", 2: "<f8"}
 
 # Rows whose norm already sits within this band are left untouched, which
 # makes normalization idempotent at float32 resolution (bitwise-stable
@@ -94,10 +97,11 @@ class EmbeddingMatrix:
         return self.data.shape[1]
 
 
-def encode_nspc(data: np.ndarray) -> bytes:
-    """Container of a 2-D array: magic, version, row/dim counts, float32 LE rows."""
-    data = np.ascontiguousarray(data, dtype="<f4")
-    header = MAGIC + struct.pack("<IQI", FORMAT_VERSION, *data.shape)
+def encode_nspc(data: np.ndarray, version: int = 1) -> bytes:
+    """Container of a 2-D array: magic, version, row/dim counts, then the
+    rows little-endian in the version's dtype (`ROW_DTYPES`)."""
+    data = np.ascontiguousarray(data, dtype=ROW_DTYPES[version])
+    header = MAGIC + struct.pack("<IQI", version, *data.shape)
     return header + data.tobytes()
 
 
@@ -108,14 +112,15 @@ def decode_nspc(raw: bytes, source) -> np.ndarray:
     if raw[:4] != MAGIC:
         raise FormatError(f"{source}: bad magic {raw[:4]!r}")
     version, rows, dim = struct.unpack("<IQI", raw[4:20])
-    if version != FORMAT_VERSION:
+    if version not in ROW_DTYPES:
         raise FormatError(f"{source}: unsupported version {version}")
-    expected = 20 + rows * dim * 4
+    dtype = np.dtype(ROW_DTYPES[version])
+    expected = 20 + rows * dim * dtype.itemsize
     if len(raw) != expected:
         raise FormatError(
             f"{source}: payload size {len(raw) - 20}, expected {expected - 20}"
         )
-    data = np.frombuffer(raw, dtype="<f4", offset=20).astype(np.float64)
+    data = np.frombuffer(raw, dtype=dtype, offset=20).astype(np.float64)
     data = data.reshape(rows, dim)
     if not np.all(np.isfinite(data)):
         raise DataError(f"{source}: non-finite entries")
@@ -133,10 +138,10 @@ def with_ids(ids, data: np.ndarray, source) -> EmbeddingMatrix:
     return EmbeddingMatrix(ids=tuple(ids), data=_normalize_rows(data))
 
 
-def save_embeddings(matrix: EmbeddingMatrix, path) -> None:
+def save_embeddings(matrix: EmbeddingMatrix, path, version: int = 1) -> None:
     """Write the binary container plus the `<file>.ids.json` sidecar."""
     path = Path(path)
-    path.write_bytes(encode_nspc(matrix.data))
+    path.write_bytes(encode_nspc(matrix.data, version))
     sidecar = path.with_name(path.name + ".ids.json")
     sidecar.write_text(json.dumps(list(matrix.ids)), encoding="utf-8")
 
@@ -207,9 +212,9 @@ class LabelSpace:
             prompt_template=template,
         )
 
-    def save_manifest(self, path, features_name: str) -> None:
+    def save_manifest(self, path, features_name: str, version: int = 1) -> None:
         path = Path(path)
-        save_embeddings(self.features, path.parent / features_name)
+        save_embeddings(self.features, path.parent / features_name, version)
         path.write_text(
             json.dumps(
                 {

@@ -203,10 +203,10 @@ class SyntheticWorld:
         self, n_batches: int, id_per_batch: int, ood_per_batch: int
     ) -> list[TestBatch]:
         counts = (n_batches, id_per_batch, ood_per_batch)
-        if min(counts) < 0 or id_per_batch + ood_per_batch == 0:
+        if min(counts) < 0 or n_batches == 0 or id_per_batch + ood_per_batch == 0:
             raise ConfigError(
-                "batch counts must be >= 0 with at least one image per batch, "
-                "got {} batches of {} ID and {} OOD images".format(*counts)
+                "batch counts must be >= 0 with at least one batch of at least "
+                "one image, got {} batches of {} ID and {} OOD images".format(*counts)
             )
         if ood_per_batch > 0 and not self.ood_concepts:
             raise ConfigError("world has no OOD concepts to sample from")
@@ -234,8 +234,13 @@ class SyntheticWorld:
             )
         return batches
 
-    def oracle_client(self) -> "OracleClient":
-        return OracleClient(self)
+    def oracle_client(self, concepts: dict[str, str] | None = None) -> "OracleClient":
+        """The oracle of this world. It knows each image's concept from
+        `concepts` (image id -> concept name), by default from the images
+        `make_batches` drew."""
+        if concepts is None:
+            concepts = self.image_concepts
+        return OracleClient(self, concepts)
 
 
 class OracleClient:
@@ -248,8 +253,9 @@ class OracleClient:
     a fixed world seed regardless of call order.
     """
 
-    def __init__(self, world: SyntheticWorld):
+    def __init__(self, world: SyntheticWorld, concepts: dict[str, str]):
         self.world = world
+        self.concepts = concepts  # image id -> concept name
         self.cfg = world.cfg
         self._tokens: dict[str, np.ndarray] = {}
         # ID label text features are reachable by name too
@@ -287,7 +293,7 @@ class OracleClient:
         return token
 
     def describe_image(self, image_ref: str, exclude_label: str) -> str:
-        concept_name = self.world.image_concepts.get(image_ref)
+        concept_name = self.concepts.get(image_ref)
         if concept_name is None:
             return "an unidentifiable object on a plain background"
         token = self._describe_token(self.world.concepts[concept_name])

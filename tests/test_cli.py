@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -12,13 +13,26 @@ import numpy as np
 import pytest
 
 from negtext.cli import Manifest, _build_client, main
-from negtext.embeddings import load_embeddings
+from negtext.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 from negtext.metrics import compute_report, load_records_csv, split_scores
 from negtext.pipeline import load_checkpoint
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def write_manifest(world_dir, name, **entries):
+    """A copy of the world's manifest with `entries` replaced; its path."""
+    manifest = json.loads((world_dir / "manifest.json").read_text())
+    path = world_dir / f"manifest_{name}.json"
+    path.write_text(json.dumps({**manifest, **entries}))
+    return path
+
+
+def read_records(path):
+    with path.open(newline="") as fh:
+        return {row["image_id"]: row for row in csv.DictReader(fh)}
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +50,27 @@ class TestSynthWorld:
     def test_fixture_files_exist(self, world_dir):
         for name in (
             "manifest.json", "config.json", "labels.json", "labels.nspc",
-            "corpus.nspc", "corpus_words.json", "truth.csv",
+            "corpus.nspc", "corpus_words.json", "truth.csv", "concepts.json",
             "batch_000.nspc", "batch_001.nspc",
         ):
             assert (world_dir / name).exists(), name
+
+    def test_rows_are_written_as_float64(self, world_dir):
+        # NSPC version 2, so a run scores exactly the rows the world drew
+        for name in ("labels.nspc", "corpus.nspc", "batch_000.nspc"):
+            assert (world_dir / name).read_bytes()[4:8] == b"\x02\x00\x00\x00", name
+
+    def test_concepts_name_every_image(self, world_dir):
+        concepts = json.loads((world_dir / "concepts.json").read_text())
+        truth = {
+            row["image_id"]: row["tag"]
+            for row in csv.DictReader((world_dir / "truth.csv").open())
+        }
+        assert concepts.keys() == truth.keys()
+        assert all(
+            name.startswith("class_") == (truth[image] == "ID")
+            for image, name in concepts.items()
+        )
 
     def test_batches_match_truth(self, world_dir):
         truth = {
@@ -56,6 +87,7 @@ class TestSynthWorld:
         ("--ood-per-batch", -1),
         ("--batches", -2),
         ("--id-per-batch", 0, "--ood-per-batch", 0),
+        ("--batches", 0),
     ])
     def test_bad_seed_or_count_fails_before_writing(self, tmp_path, capsys, flags):
         out = tmp_path / "world"
@@ -74,6 +106,38 @@ class TestRun:
         assert (out / "checkpoint.nckp").exists()
         report = json.loads((out / "report.json").read_text())
         assert 0.0 <= report["auroc"] <= 1.0
+
+    def test_synthetic_run_scores_the_batch_files(self, world_dir, tmp_path):
+        # each image of the first batch takes the row of the image before it
+        world = tmp_path / "world"
+        shutil.copytree(world_dir, world)
+        images = load_embeddings(world / "batch_000.nspc")
+        rolled = EmbeddingMatrix(images.ids, np.roll(images.data, 1, axis=0))
+        save_embeddings(rolled, world / "batch_000.nspc", version=2)
+        assert run_cli("run", world_dir / "manifest.json", "--out", tmp_path / "a") == 0
+        assert run_cli("run", world / "manifest.json", "--out", tmp_path / "b") == 0
+        before = read_records(tmp_path / "a" / "records.csv")
+        after = read_records(tmp_path / "b" / "records.csv")
+        assert before.keys() == after.keys() and before != after
+        # the first batch is scored against the word space the stream starts
+        # with, so its word-space score moves with the row
+        for image, previous in zip(images.ids, np.roll(images.ids, 1)):
+            assert float(after[image]["s_nl"]) == pytest.approx(
+                float(before[previous]["s_nl"]), abs=2e-9
+            )
+            assert (
+                after[image]["predicted_class"] == before[previous]["predicted_class"]
+            )
+
+    @pytest.mark.parametrize("key", ["labels", "corpus", "batches"])
+    def test_synthetic_manifest_without_an_input_fails_with_one_line(
+        self, world_dir, tmp_path, capsys, key
+    ):
+        path = write_manifest(world_dir, f"null_{key}", **{key: None})
+        out = tmp_path / "o"
+        assert run_cli("run", path, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: manifest needs {key!r}\n"
+        assert not out.exists()
 
     def test_missing_input_fails_before_output(self, world_dir, tmp_path):
         manifest = json.loads((world_dir / "manifest.json").read_text())
@@ -97,7 +161,6 @@ class TestRun:
         bad = tmp_path / "manifest.json"
         bad.write_text('{"client": {"mode": ')
         manifest = json.loads((world_dir / "manifest.json").read_text())
-        replay = {**manifest, "client": {"mode": "replay", "fixtures": "."}}
         (world_dir / "labels_no_features.json").write_text('{"labels": ["a"]}')
         (world_dir / "broken.json").write_text('{"labels": [')
         labels = json.loads((world_dir / "labels.json").read_text())
@@ -124,38 +187,20 @@ class TestRun:
             "seed_negative": {**manifest, "seed": -1},
             "seed_bool": {**manifest, "seed": True},
             "seed_string": {**manifest, "seed": "42"},
-            "n_batches": {
-                **manifest, "client": {**manifest["client"], "n_batches": "x"}
-            },
-            "n_batches_float": {
-                **manifest, "client": {**manifest["client"], "n_batches": 2.0}
-            },
-            "id_per_batch_bool": {
-                **manifest, "client": {**manifest["client"], "id_per_batch": True}
-            },
-            "ood_per_batch_float": {
-                **manifest, "client": {**manifest["client"], "ood_per_batch": 150.5}
-            },
-            "id_per_batch_negative": {
-                **manifest, "client": {**manifest["client"], "id_per_batch": -5}
-            },
-            "empty_batch": {
-                **manifest,
-                "client": {**manifest["client"], "id_per_batch": 0, "ood_per_batch": 0},
-            },
-            "no_features": {**replay, "labels": "labels_no_features.json"},
-            "broken_labels": {**replay, "labels": "broken.json"},
+            "no_features": {**manifest, "labels": "labels_no_features.json"},
+            "broken_labels": {**manifest, "labels": "broken.json"},
             "broken_words": {
-                **replay, "corpus": {**manifest["corpus"], "words": "broken.json"}
+                **manifest, "corpus": {**manifest["corpus"], "words": "broken.json"}
             },
             "words_not_list": {
-                **replay,
+                **manifest,
                 "corpus": {**manifest["corpus"], "words": "labels_no_features.json"},
             },
-            "label_not_string": {**replay, "labels": "labels_number.json"},
-            "template_not_string": {**replay, "labels": "template_number.json"},
+            "label_not_string": {**manifest, "labels": "labels_number.json"},
+            "template_not_string": {**manifest, "labels": "template_number.json"},
             "word_not_string": {
-                **replay, "corpus": {**manifest["corpus"], "words": "words_number.json"}
+                **manifest,
+                "corpus": {**manifest["corpus"], "words": "words_number.json"},
             },
             "config_not_object": {**manifest, "config": 5},
             # entries of the wrong JSON type
@@ -164,10 +209,10 @@ class TestRun:
             "labels_number": {**manifest, "labels": 7},
             "truth_list": {**manifest, "truth": ["a"]},
             "fixtures_number": {**manifest, "client": {"mode": "replay", "fixtures": 3}},
-            "truth_missing_image": {**replay, "truth": "truth_missing_image.csv"},
+            "truth_missing_image": {**manifest, "truth": "truth_missing_image.csv"},
             # no truth file, whose lookup would reject the id first
             "batch_id_not_string": {
-                **{k: v for k, v in replay.items() if k != "truth"},
+                **{k: v for k, v in manifest.items() if k != "truth"},
                 "batches": ["batch_int_id.nspc"],
             },
             "endpoint_not_url": {
@@ -181,7 +226,7 @@ class TestRun:
             path = world_dir / f"manifest_bad_{name}.json"
             path.write_text(json.dumps(spec))
             cases.append(("run", path, "--out", tmp_path / "o"))
-        for name in ("id_per_batch_negative", "empty_batch"):
+        for name in ("label_not_string", "word_not_string"):
             path = world_dir / f"manifest_bad_{name}.json"
             cases.append((
                 "sweep", "lambda", path, "--values", "0,1", "-o", tmp_path / "s.csv",
@@ -283,16 +328,7 @@ class TestRun:
             assert not out.exists()
 
     def test_run_without_truth_leaves_tags_empty(self, world_dir, tmp_path):
-        fixtures = tmp_path / "fx"
-        assert run_cli(
-            "fixtures", "record", world_dir / "manifest.json",
-            "--fixtures", fixtures, "--out", tmp_path / "rec",
-        ) == 0
-        manifest = json.loads((world_dir / "manifest.json").read_text())
-        del manifest["truth"]
-        manifest["client"] = {"mode": "replay", "fixtures": str(fixtures)}
-        path = world_dir / "manifest_no_truth.json"
-        path.write_text(json.dumps(manifest))
+        path = write_manifest(world_dir, "no_truth", truth=None)
         out = tmp_path / "run"
         assert run_cli("run", path, "--out", out) == 0
         rows = list(csv.DictReader((out / "records.csv").open()))
@@ -345,25 +381,63 @@ class TestFixtures:
             "--fixtures", tmp_path / "fx", "--out", rec_out,
         ) == 0
         assert len(builds) == 1
-        # the recording client answers from the world that made the stream
+        # the recording client answers like the client of a plain run
         run_out = tmp_path / "run"
         assert run_cli("run", world_dir / "manifest.json", "--out", run_out) == 0
         for name in ("records.csv", "report.json", "checkpoint.nckp"):
             assert (rec_out / name).read_bytes() == (run_out / name).read_bytes()
 
-    def test_record_with_bad_batch_counts_leaves_no_fixtures_dir(
+    def test_record_with_bad_synthetic_inputs_leaves_no_fixtures_dir(
         self, world_dir, tmp_path, capsys
     ):
-        manifest = json.loads((world_dir / "manifest.json").read_text())
-        manifest["client"]["id_per_batch"] = -5
-        path = world_dir / "manifest_record_negative.json"
-        path.write_text(json.dumps(manifest))
-        assert run_cli(
-            "fixtures", "record", path,
-            "--fixtures", tmp_path / "fx", "--out", tmp_path / "o",
-        ) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "fx").exists()
+        client = json.loads((world_dir / "manifest.json").read_text())["client"]
+        concepts = json.loads((world_dir / "concepts.json").read_text())
+        first = next(iter(concepts))
+        bad_concepts = {
+            "list": list(concepts),
+            "number_name": {**concepts, first: 5},
+            "unknown_name": {**concepts, first: "class_99"},
+        }
+        for name, content in bad_concepts.items():
+            (world_dir / f"concepts_{name}.json").write_text(json.dumps(content))
+        no_concepts = {k: v for k, v in client.items() if k != "concepts"}
+        cases = {
+            # what a world from an older synth-world holds
+            "no_concepts": (no_concepts, "re-run synth-world"),
+            "no_scenario": (
+                {**client, "scenario": None}, "synthetic client needs a scenario"
+            ),
+            "unknown_scenario": ({**client, "scenario": "nope"}, "unknown scenario"),
+            "concepts_list": (
+                {**client, "concepts": "concepts_list.json"},
+                "concepts_list.json: concepts must be a JSON object of str names",
+            ),
+            "concepts_number_name": (
+                {**client, "concepts": "concepts_number_name.json"},
+                "concepts_number_name.json: concepts must be a JSON object",
+            ),
+            "concepts_unknown_name": (
+                {**client, "concepts": "concepts_unknown_name.json"},
+                "concepts_unknown_name.json: scenario 'far' has no concept 'class_99'",
+            ),
+            "concepts_missing": (
+                {**client, "concepts": "nope.json"}, "manifest references missing paths"
+            ),
+            "concepts_broken": (
+                {**client, "concepts": "truth.csv"}, "concepts is not valid JSON"
+            ),
+        }
+        for name, (spec, message) in cases.items():
+            path = write_manifest(world_dir, f"record_{name}", client=spec)
+            assert run_cli(
+                "fixtures", "record", path,
+                "--fixtures", tmp_path / "fx", "--out", tmp_path / "o",
+            ) == 1, name
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+            assert message in err, (name, err)
+            assert not (tmp_path / "fx").exists(), name
+            assert not (tmp_path / "o").exists(), name
 
     def test_replay_of_a_null_description_degrades(self, world_dir, tmp_path, capsys):
         fixtures = tmp_path / "fx"
@@ -590,11 +664,7 @@ class TestSweep:
         assert not out.exists()
 
     def test_missing_truth_fails_before_writing(self, world_dir, tmp_path, capsys):
-        manifest = json.loads((world_dir / "manifest.json").read_text())
-        del manifest["truth"]
-        manifest["client"] = {"mode": "replay", "fixtures": "."}
-        path = world_dir / "manifest_sweep_no_truth.json"
-        path.write_text(json.dumps(manifest))
+        path = write_manifest(world_dir, "sweep_no_truth", truth=None)
         out = tmp_path / "s.csv"
         assert run_cli("sweep", "lambda", path, "--values", "0,1", "-o", out) == 1
         err = capsys.readouterr().err

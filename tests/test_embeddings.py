@@ -14,6 +14,8 @@ from negtext.embeddings import (
     LabelSpace,
     NegativeSpace,
     TestBatch,
+    decode_nspc,
+    encode_nspc,
     load_embeddings,
     save_embeddings,
 )
@@ -135,6 +137,33 @@ class TestFileFormat:
         path.write_bytes(b"NSPC" + struct.pack("<IQI", 1, 2, 2) + b"\x00" * 8)
         with pytest.raises(FormatError):
             load_embeddings(path)
+
+    def test_version_2_roundtrips_float64_rows_bit_for_bit(self, tmp_path):
+        rows = unit_rows(np.random.default_rng(8), 3, 5)
+        assert not np.array_equal(rows.astype(np.float32), rows)
+        matrix = EmbeddingMatrix(("a", "b", "c"), rows)
+        path = tmp_path / "m.nspc"
+        save_embeddings(matrix, path, version=2)
+        raw = path.read_bytes()
+        assert struct.unpack("<IQI", raw[4:20]) == (2, 3, 5)
+        assert len(raw) == 20 + 3 * 5 * 8
+        loaded = load_embeddings(path)
+        assert np.array_equal(loaded.data.view(np.uint64), rows.view(np.uint64))
+
+    def test_version_1_decodes_float32_rows_as_before(self, tmp_path):
+        rows = np.array([[0.6, 0.8, 0.0], [0.0, 0.28, 0.96]], dtype="<f4")
+        raw = b"NSPC" + struct.pack("<IQI", 1, 2, 3) + rows.tobytes()
+        assert encode_nspc(rows) == raw
+        decoded = decode_nspc(raw, "m.nspc")
+        assert decoded.dtype == np.float64
+        assert np.array_equal(decoded, rows.astype(np.float64))
+
+    def test_version_2_payload_sized_for_float32_rejected_with_one_line(self):
+        raw = b"NSPC" + struct.pack("<IQI", 2, 2, 3) + np.zeros(6, "<f4").tobytes()
+        message = "m.nspc: payload size 24, expected 48"
+        with pytest.raises(FormatError, match=message) as excinfo:
+            decode_nspc(raw, "m.nspc")
+        assert "\n" not in str(excinfo.value)
 
     def test_missing_sidecar_rejected(self, tmp_path):
         matrix = EmbeddingMatrix.from_rows(["a"], np.array([[1.0, 0.0]]))
