@@ -5,8 +5,7 @@ A run is described by a JSON manifest:
 
     {
       "config": "config.json" | {inline config dict},
-      "client": {"mode": "synthetic", "scenario": "far",
-                 "concepts": "concepts.json"}
+      "client": {"mode": "synthetic", "concepts": "concepts.json"}
               | {"mode": "replay", "fixtures": "fixtures/"}
               | {"mode": "http", "endpoint": "...", "auth_token": "..."},
       "labels": "labels.json",
@@ -18,9 +17,10 @@ A run is described by a JSON manifest:
     }
 
 Every mode reads labels, corpus, batches and truth from the files the
-manifest names. The synthetic client is the oracle of the world built from
-scenario + seed, and reads each image's concept from its concepts file,
-as `synth-world` writes it. The HTTP endpoint and auth token fall back to
+manifest names, and `seed` seeds the stream. The synthetic client is the
+oracle of the world its concepts file names: `synth-world` writes it as
+{"scenario", "seed", "images"}, the world's scenario and seed and each
+image's concept. The HTTP endpoint and auth token fall back to
 the NEGTEXT_ENDPOINT / NEGTEXT_AUTH_TOKEN environment variables. Exit
 codes: 0 success, 2 success with degraded generation (stale negative
 spaces), 1 any error.
@@ -174,10 +174,7 @@ class Manifest:
 
     @property
     def seed(self) -> int:
-        seed = self.spec.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"manifest 'seed' must be an integer >= 0, got {seed!r}")
-        return seed
+        return _checked_seed(self.spec.get("seed", 0), "manifest 'seed'")
 
     def output_dir(self, override=None) -> Path:
         out = override or self.spec.get("output_dir")
@@ -202,6 +199,13 @@ class Manifest:
         for key, value in (overrides or {}).items():
             _apply_override(spec, key, value)
         return PipelineConfig.from_dict(spec)
+
+
+def _checked_seed(seed, what: str) -> int:
+    """`seed` if it is a JSON integer >= 0; `what` names it in the error."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"{what} must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 def _read_json(path: Path, what: str):
@@ -270,37 +274,49 @@ def _is_http_url(endpoint) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
-def _oracle_client(manifest: Manifest, client_spec: dict) -> GenerationClient:
-    """The oracle of the scenario world, told each image's concept by the
-    manifest's concepts file."""
-    scenario = client_spec.get("scenario")
-    if not scenario:
-        raise ConfigError("synthetic client needs a scenario name")
-    world = SyntheticWorld(scenario_world_config(scenario, seed=manifest.seed))
+def _oracle_client(
+    manifest: Manifest, client_spec: dict, batches: list[TestBatch]
+) -> GenerationClient:
+    """The oracle of the world the manifest's concepts file names, told each
+    image's concept by that file, which must name every batch image."""
     if not client_spec.get("concepts"):
         raise ConfigError(
             "synthetic client needs a 'concepts' file; re-run synth-world "
             "to write the world again"
         )
     path = manifest._resolve(client_spec["concepts"])
-    concepts = _read_json(path, "concepts")
+    spec = _read_json(path, "concepts")
+    if not isinstance(spec, dict) or spec.keys() != {"scenario", "seed", "images"}:
+        raise InputError(
+            f"{path}: concepts must be an object of scenario, seed and images; "
+            "re-run synth-world to write the world again"
+        )
+    concepts = spec["images"]
     if not isinstance(concepts, dict) or not all(
         isinstance(name, str) for name in concepts.values()
     ):
-        raise InputError(f"{path}: concepts must be a JSON object of str names")
+        raise InputError(f"{path}: concepts images must be a JSON object of str names")
+    seed = _checked_seed(spec["seed"], f"{path}: concepts 'seed'")
+    world = SyntheticWorld(scenario_world_config(spec["scenario"], seed=seed))
     unknown = set(concepts.values()) - world.concepts.keys()
     if unknown:
         raise InputError(
-            f"{path}: scenario {scenario!r} has no concept {min(unknown)!r}"
+            f"{path}: scenario {spec['scenario']!r} has no concept {min(unknown)!r}"
         )
+    missing = next(
+        (i for b in batches for i in b.images.ids if i not in concepts), None
+    )
+    if missing is not None:
+        raise InputError(f"{path}: no concept for image {missing!r}")
     return world.oracle_client(concepts)
 
 
-def _build_client(manifest: Manifest) -> GenerationClient:
+def _build_client(manifest: Manifest, batches: list[TestBatch]) -> GenerationClient:
+    """The manifest's client for a stream of `batches`."""
     client_spec = manifest.client_spec
     mode = client_spec["mode"]
     if mode == "synthetic":
-        return _oracle_client(manifest, client_spec)
+        return _oracle_client(manifest, client_spec, batches)
     if mode == "replay":
         fixtures = client_spec.get("fixtures")
         if not fixtures:
@@ -356,13 +372,14 @@ def _assemble_inputs(manifest: Manifest) -> RunInputs:
 
 
 def _execute_run(
-    manifest: Manifest, args, client_for: Callable[[], GenerationClient]
+    manifest: Manifest, args, client_for: Callable[[list[TestBatch]], GenerationClient]
 ) -> int:
     """One stream over the manifest's inputs, with the client that
-    `client_for` builds once they are loaded."""
+    `client_for` builds for its batches once they are loaded."""
     config = manifest.pipeline_config(_parse_set_flags(getattr(args, "set", None)))
+    seed = manifest.seed
     inputs = _assemble_inputs(manifest)
-    client = client_for()
+    client = client_for(inputs.batches)
     out_dir = manifest.output_dir(getattr(args, "out", None))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -372,7 +389,7 @@ def _execute_run(
         inputs.corpus,
         client,
         config,
-        seed=manifest.seed,
+        seed=seed,
     )
     export_results(records, inputs.truth, out_dir)
     save_checkpoint(state, out_dir / "checkpoint.nckp")
@@ -387,7 +404,7 @@ def _execute_run(
 
 def cmd_run(args) -> int:
     manifest = Manifest.load(args.manifest)
-    return _execute_run(manifest, args, lambda: _build_client(manifest))
+    return _execute_run(manifest, args, lambda b: _build_client(manifest, b))
 
 
 def cmd_eval(args) -> int:
@@ -414,13 +431,14 @@ def cmd_sweep(args) -> int:
         overrides, lam = SWEEP_AXES[args.axis](value)
         config = manifest.pipeline_config({**base_overrides, **overrides})
         points.append((value, config, lam))
+    seed = manifest.seed
     inputs = _assemble_inputs(manifest)
     if not inputs.truth:
         raise InputError("sweep requires ground truth")
     # consecutive values with equal configs share one stream, and each
     # stream gets a fresh client
     streams = [
-        (list(group), _build_client(manifest))
+        (list(group), _build_client(manifest, inputs.batches))
         for _, group in groupby(points, key=lambda point: point[1].digest())
     ]
     out_path = Path(args.out)
@@ -434,7 +452,7 @@ def cmd_sweep(args) -> int:
             records = None  # hold one stream's records at a time
             records, state = run_stream(
                 inputs.batches, inputs.label_space, inputs.corpus, client,
-                group[0][1], seed=manifest.seed,
+                group[0][1], seed=seed,
             )
             degraded = degraded or state.degraded
             for value, _, lam in group:
@@ -517,8 +535,12 @@ def cmd_synth_world(args) -> int:
         save_embeddings(batch.images, out_dir / name, 2)
         batch_names.append(name)
     _save_truth_csv(batches_truth(batches), out_dir / "truth.csv")
+    # the oracle's world is the one this file names, whatever seeds the stream
+    concepts = {
+        "scenario": args.scenario, "seed": args.seed, "images": world.image_concepts
+    }
     (out_dir / "concepts.json").write_text(
-        json.dumps(world.image_concepts, indent=2), encoding="utf-8"
+        json.dumps(concepts, indent=2), encoding="utf-8"
     )
     (out_dir / "config.json").write_text(
         json.dumps(scenario_pipeline_config().to_dict(), indent=2, sort_keys=True),
@@ -526,11 +548,7 @@ def cmd_synth_world(args) -> int:
     )
     manifest = {
         "config": "config.json",
-        "client": {
-            "mode": "synthetic",
-            "scenario": args.scenario,
-            "concepts": "concepts.json",
-        },
+        "client": {"mode": "synthetic", "concepts": "concepts.json"},
         "labels": "labels.json",
         "corpus": {"embeddings": "corpus.nspc", "words": "corpus_words.json"},
         "batches": batch_names,
@@ -552,12 +570,12 @@ def cmd_fixtures(args) -> int:
         return _execute_run(
             manifest,
             args,
-            lambda: RecordingClient(_build_client(manifest), fixtures_dir),
+            lambda b: RecordingClient(_build_client(manifest, b), fixtures_dir),
         )
     # replay builds no client from the manifest
     if not fixtures_dir.exists():
         raise InputError(f"fixtures directory not found: {fixtures_dir}")
-    return _execute_run(manifest, args, lambda: ReplayClient(fixtures_dir))
+    return _execute_run(manifest, args, lambda _: ReplayClient(fixtures_dir))
 
 
 # ---------------------------------------------------------------------------

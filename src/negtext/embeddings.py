@@ -17,8 +17,8 @@ from .errors import DataError, FormatError, InputError
 
 MAGIC = b"NSPC"
 # format version -> row dtype: version 1 rows are float32 (ingested
-# embeddings, the checkpoint), version 2 rows float64 (rows the program
-# computed, as `synth-world` writes them)
+# embeddings), version 2 rows float64 (rows the program computed, as
+# `synth-world` and the checkpoint write them)
 ROW_DTYPES = {1: "<f4", 2: "<f8"}
 
 # Rows whose norm already sits within this band are left untouched, which
@@ -285,20 +285,30 @@ class NegativeSpace:
         return len(self.texts)
 
     @classmethod
-    def from_rows(cls, texts, data) -> "NegativeSpace":
+    def from_rows(cls, texts, data, inverse=None) -> "NegativeSpace":
         """The space of `texts` with one row of `data` per text, normalized.
 
         A repeated text's row merges as `_merge_repeats` says; only the
-        distinct rows are then normalized.
+        distinct rows are then normalized. Given an `inverse` (text i's row
+        is `data[inverse[i]]`), `data` holds the distinct rows as a space
+        holds them, and nothing merges.
         """
         texts = tuple(texts)
         data = np.ascontiguousarray(data, dtype=np.float64)
         if data.ndim != 2:
             raise DataError("expected a 2-D array")
-        if data.shape[0] != len(texts):
-            raise DataError("feature rows do not match texts")
-        rows, inverse = _merge_repeats(texts, data)
-        rows = _normalize_rows(rows)
+        if inverse is None:
+            if data.shape[0] != len(texts):
+                raise DataError("feature rows do not match texts")
+            data, inverse = _merge_repeats(texts, data)
+        else:
+            inverse = np.array(inverse, dtype=np.intp)
+            if inverse.shape != (len(texts),) or np.any(
+                (inverse < 0) | (inverse >= data.shape[0])
+            ):
+                raise DataError("inverse must hold one row index per text")
+            inverse.setflags(write=False)
+        rows = _normalize_rows(data)
         rows.setflags(write=False)
         return cls(texts, rows, inverse)
 

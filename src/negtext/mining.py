@@ -163,20 +163,30 @@ class HistoryCache:
         return slots
 
     def state_dict(self) -> dict:
+        """The ids, the count of streamed images and the generator state;
+        the capacity is the caller's config."""
         return {
-            "capacity": self.capacity,
             "ids": list(self._ids),
             "n_seen": self.n_seen,
             "rng_state": self._rng.bit_generator.state,
         }
 
-    @classmethod
-    def from_state(cls, state: dict, data: np.ndarray, seed: int) -> "HistoryCache":
-        """Cache with the saved rows; `nl_scores` and `predictions` are
-        left for the caller to rebuild."""
-        cache = cls(state["capacity"], data.shape[1], seed)
-        cache._ids = list(state["ids"])
-        cache._data[: data.shape[0]] = data
-        cache.n_seen = state["n_seen"]
-        cache._rng.bit_generator.state = state["rng_state"]
-        return cache
+    def load_state(self, state: dict, data: np.ndarray) -> None:
+        """Take the `state_dict` of a cache of this capacity and dim, and its
+        rows; `nl_scores` and `predictions` are left for the caller to
+        rebuild. A stream may repeat an image id, so ids may repeat."""
+        ids, n_seen = state["ids"], state["n_seen"]
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise TypeError("cache ids must be a list of str")
+        # the reservoir fills before it replaces
+        if type(n_seen) is not int or len(ids) != min(n_seen, self.capacity):
+            raise ValueError(
+                f"cache of {len(ids)} ids at capacity {self.capacity} "
+                f"cannot have seen {n_seen!r} images"
+            )
+        if data.shape != (len(ids), self._data.shape[1]):
+            raise ValueError(f"cache rows {data.shape} do not match its ids and dim")
+        self._rng.bit_generator.state = state["rng_state"]
+        self._ids = list(ids)
+        self._data[: len(ids)] = data
+        self.n_seen = n_seen

@@ -16,15 +16,10 @@ import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
+import numpy as np
+
 from .clients import GenerationClient
-from .embeddings import (
-    LabelSpace,
-    NegativeSpace,
-    TestBatch,
-    decode_nspc,
-    encode_nspc,
-    with_ids,
-)
+from .embeddings import LabelSpace, NegativeSpace, TestBatch, decode_nspc, encode_nspc
 from .errors import (
     ConfigError, DataError, FormatError, GenerationError, InputError, check_field_types
 )
@@ -52,9 +47,9 @@ from .spaces import (
 )
 
 CHECKPOINT_MAGIC = b"NCKP"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # the matrices after the checkpoint header, in file order
-CHECKPOINT_MATRICES = ("labels", "cache", "nl", "ens", "vsnl")
+CHECKPOINT_MATRICES = ("cache", "ens", "vsnl")
 
 
 @dataclass(frozen=True)
@@ -228,28 +223,48 @@ def run_stream(
     return records, state
 
 
-def save_checkpoint(state: StreamState, path) -> None:
-    """Single-file checkpoint: JSON header, then one NSPC container per
-    matrix (labels, cache, nl, ens, vsnl)."""
-    spaces = {"nl": state.nl_space, "ens": state.ens_space, "vsnl": state.vsnl_space}
-    matrices = [state.label_space.features.data, state.cache.matrix()] + [
-        space.stored_rows() for space in spaces.values()
-    ]
-    payloads = [encode_nspc(m) for m in matrices]
+def _inputs_digest(state: StreamState) -> str:
+    """sha256 of what a stream takes from its inputs alone: the config, the
+    labels with their template and rows, and the word space's texts and rows
+    (one row per text, so the texts' count fixes where the rows part)."""
+    ids, nl = state.label_space, state.nl_space
+    facts = [state.config.to_dict(), ids.labels, ids.prompt_template, nl.texts]
+    digest = hashlib.sha256(json.dumps(facts, sort_keys=True).encode("utf-8"))
+    for rows in (ids.features.data, nl.stored_rows()):
+        digest.update(np.ascontiguousarray(rows, dtype="<f8"))
+    return digest.hexdigest()
+
+
+def _header_bytes(state: StreamState, digest: str, blob_sizes) -> bytes:
+    spaces = {"ens": state.ens_space, "vsnl": state.vsnl_space}
     header = {
         "lambda_history": state.lambda_history,
         "rng_seed": state.rng_seed,
         "degraded": state.degraded,
         "config": state.config.to_dict(),
-        "config_hash": state.config.digest(),
-        "labels": list(state.label_space.labels),
-        "label_ids": list(state.label_space.features.ids),
-        "prompt_template": state.label_space.prompt_template,
+        "digest": digest,
         "cache": state.cache.state_dict(),
-        "spaces": {name: {"texts": list(s.texts)} for name, s in spaces.items()},
-        "blob_sizes": [len(b) for b in payloads],
+        "spaces": {
+            name: {
+                "texts": list(space.texts),
+                "inverse": None if space.inverse is None else space.inverse.tolist(),
+            }
+            for name, space in spaces.items()
+        },
+        "blob_sizes": list(blob_sizes),
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    return json.dumps(header, sort_keys=True).encode("utf-8")
+
+
+def save_checkpoint(state: StreamState, path) -> None:
+    """Single-file checkpoint (version 3): a JSON header, then one NSPC
+    version 2 (float64) container per matrix: the cached rows and the
+    sentence and lookalike spaces' distinct rows."""
+    matrices = (state.cache.matrix(), state.ens_space.rows, state.vsnl_space.rows)
+    payloads = [encode_nspc(m, 2) for m in matrices]
+    header_bytes = _header_bytes(
+        state, _inputs_digest(state), [len(b) for b in payloads]
+    )
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)))
@@ -264,7 +279,18 @@ def _str_list(value, name: str) -> list[str]:
     return value
 
 
-def load_checkpoint(path) -> StreamState:
+def load_checkpoint(path, ids: LabelSpace, corpus: CorpusCandidates) -> StreamState:
+    """The stream state a checkpoint holds, on the inputs it was saved with.
+
+    `init_stream(ids, corpus, config, rng_seed)` builds the state from the
+    stored config and seed; a file whose digest is not that of the config,
+    `ids` and the word space built from `corpus` is refused. The cache, the
+    sentence and lookalike spaces, the fusion weights and the degraded flag
+    are then restored, and the cache's per-row columns (NL score, predicted
+    class) rebuilt from its rows. A header that is not the one saving the
+    loaded state writes is refused too, so each fact is read in the one form
+    it is written in. Every refusal is a one-line FormatError naming the file.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
@@ -273,8 +299,9 @@ def load_checkpoint(path) -> StreamState:
     version, header_len = struct.unpack("<IQ", raw[4:16])
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
+    header_bytes = raw[16 : 16 + header_len]
     try:
-        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
         expected = 16 + header_len + sum(header["blob_sizes"])
     except (ValueError, KeyError, TypeError) as exc:  # cut or corrupted header
         raise FormatError(f"{path}: unreadable checkpoint header ({exc!r})") from exc
@@ -282,39 +309,34 @@ def load_checkpoint(path) -> StreamState:
         raise FormatError(f"{path}: checkpoint size {len(raw)}, expected {expected}")
     if len(header["blob_sizes"]) != len(CHECKPOINT_MATRICES):
         raise FormatError(f"{path}: expected {len(CHECKPOINT_MATRICES)} matrices")
-    matrices = []
+    matrices = {}
     cursor = 16 + header_len
     for name, size in zip(CHECKPOINT_MATRICES, header["blob_sizes"]):
-        matrices.append(decode_nspc(raw[cursor : cursor + size], f"{path} [{name}]"))
+        blob, source = raw[cursor : cursor + size], f"{path} [{name}]"
+        matrices[name] = decode_nspc(blob, source)
+        if blob[4:8] != struct.pack("<I", 2):  # float32 rows would not resume exactly
+            raise FormatError(f"{source}: rows must be NSPC version 2 (float64)")
         cursor += size
-    label_data, cache_data, *space_data = matrices
     try:  # a header that parses may still miss a field or hold a bad one
-        label_space = LabelSpace(
-            labels=tuple(_str_list(header["labels"], "labels")),
-            features=with_ids(header["label_ids"], label_data, f"{path} [labels]"),
-            prompt_template=header["prompt_template"],
-        )
+        seed = header["rng_seed"]
+        if type(seed) is not int or seed < 0:
+            raise ValueError("rng_seed must be an int >= 0")
+        # the config may not fit these inputs (too few corpus words, say)
         config = PipelineConfig.from_dict(header["config"])
-        if header["config_hash"] != config.digest():
-            raise ValueError("config_hash is not the digest of the config")
-        if type(header["rng_seed"]) is not int:
-            raise TypeError("rng_seed must be an int")
-        # the cache rows stay a bare array: a stream may repeat an image id
-        cached, n_rows = header["cache"], cache_data.shape[0]
-        _str_list(cached["ids"], "cache ids")
-        if cache_data.shape != (len(cached["ids"]), label_space.features.dim):
-            raise FormatError(f"{path}: cache rows do not match their ids and dim")
-        if type(cached["n_seen"]) is not int or cached["n_seen"] < n_rows:
-            raise ValueError(f"cache n_seen must be an int >= its {n_rows} rows")
-        if not n_rows <= cached["capacity"] == config.mining.cache_capacity:
-            raise ValueError(f"cache capacity must be the config's, >= {n_rows} rows")
-        cache = HistoryCache.from_state(cached, cache_data, header["rng_seed"])
-        spaces = {}
-        for name, data in zip(CHECKPOINT_MATRICES[2:], space_data):
-            texts = _str_list(header["spaces"][name]["texts"], f"{name} texts")
-            if len(texts) != data.shape[0]:
-                raise ValueError(f"{name}: {len(texts)} texts for {data.shape[0]} rows")
-            spaces[name] = NegativeSpace.from_rows(texts, data)
+        state = init_stream(ids, corpus, config, seed)
+        digest = _inputs_digest(state)
+        if header["digest"] != digest:
+            raise ValueError("digest is not that of the config, labels and word space")
+        state.cache.load_state(header["cache"], matrices["cache"])
+        spaces = header["spaces"]
+        state.ens_space, state.vsnl_space = (
+            NegativeSpace.from_rows(
+                _str_list(spaces[name]["texts"], f"{name} texts"),
+                matrices[name],
+                spaces[name]["inverse"],
+            )
+            for name in ("ens", "vsnl")
+        )
         history = header["lambda_history"]
         # a weight is a number in [0, 1]; NaN and bool fail
         if not isinstance(history, list) or not all(
@@ -323,28 +345,19 @@ def load_checkpoint(path) -> StreamState:
             raise ValueError("lambda_history must be a list of weights in [0, 1]")
         if not isinstance(header["degraded"], bool):
             raise TypeError("degraded must be a bool")
-        scalars = {
-            "rng_seed": header["rng_seed"],
-            "degraded": header["degraded"],
-            "lambda_history": history,
-        }
+        state.lambda_history, state.degraded = history, header["degraded"]
+        # e.g. a generator state the generator stores in another form
+        if _header_bytes(state, digest, header["blob_sizes"]) != header_bytes:
+            raise ValueError("the header is not the one its state saves")
     except (
-        KeyError, TypeError, ValueError, OverflowError, ConfigError, DataError
+        KeyError, TypeError, ValueError, OverflowError,
+        ConfigError, DataError, InputError,
     ) as exc:  # OverflowError: an rng_state integer outside its 128 bits
         raise FormatError(f"{path}: bad checkpoint header field ({exc!r})") from exc
     # the per-row columns are not stored; rebuild them from the loaded rows
+    cache, score = state.cache, state.config.score
     n = len(cache)
-    lse_id, predictions = id_part(cache_data, label_space, config.score)
+    lse_id, predictions = id_part(cache.matrix(), ids, score)
     cache.predictions[:n] = predictions
-    cache.nl_scores[:n] = negative_scores(
-        cache_data, lse_id, spaces["nl"], config.score
-    )
-    return StreamState(
-        label_space=label_space,
-        config=config,
-        cache=cache,
-        nl_space=spaces["nl"],
-        ens_space=spaces["ens"],
-        vsnl_space=spaces["vsnl"],
-        **scalars,
-    )
+    cache.nl_scores[:n] = negative_scores(cache.matrix(), lse_id, state.nl_space, score)
+    return state

@@ -22,8 +22,9 @@ Python loop over the groups' columns:
   gives every group's sum in one product. Its scores differ from the
   group-by-group reduction by ~1e-15. One shift per row would underflow a
   group lying more than ~708 below the row's maximum, which unit rows
-  allow once 2 / temperature exceeds that, so above ROW_SHIFT_SPAN each
-  group is gathered and shifted on its own instead.
+  allow once 2 / temperature exceeds that, so above ROW_SHIFT_SPAN its
+  columns are gathered into text order, one per text, and reduced as an
+  all-distinct space's are.
 
 Both sum the per-group scores in group order, then divide: a pairwise sum
 keeps sub-ulp deficits of scores near 1 that the sequential sum rounds
@@ -235,19 +236,7 @@ def negative_scores(
     g, tau = cfg.group_size, cfg.temperature
     n_groups = -(-neg.size // g)
 
-    if inverse is None:
-        # all-distinct: each group shifted by its own maximum, in views of
-        # the buffer
-        full = neg.size - neg.size % g
-
-        def lse_groups(sims: np.ndarray) -> np.ndarray:
-            sims /= tau
-            parts = [sims[:, :full].reshape(len(sims), full // g, g)]
-            if full < neg.size:  # a ragged last group
-                parts.append(sims[:, None, full:])
-            return np.concatenate([_logsumexp_rows(p) for p in parts], axis=1)
-
-    elif 2.0 / tau <= ROW_SHIFT_SPAN:
+    if inverse is not None and 2.0 / tau <= ROW_SHIFT_SPAN:
         # repeated rows: one shift per row, every group's sum from one product
         counts = _group_counts(inverse, rows.shape[0], g)
 
@@ -259,12 +248,20 @@ def negative_scores(
             return shift + np.log((sims @ counts)[:, :n_groups])
 
     else:
-        # a row shift could underflow a whole group: gather each group
+        # each group shifted by its own maximum, in views of the columns in
+        # text order: the product itself when the rows are all distinct,
+        # else its columns gathered (a row shift could underflow a group)
+        full = neg.size - neg.size % g
+
         def lse_groups(sims: np.ndarray) -> np.ndarray:
-            return np.stack([
-                _logsumexp_rows(sims[:, inverse[i : i + g]] / tau)
-                for i in range(0, neg.size, g)
-            ], axis=1)
+            if inverse is None:
+                sims /= tau
+            else:
+                sims = sims[:, inverse] / tau
+            parts = [sims[:, :full].reshape(len(sims), full // g, g)]
+            if full < neg.size:  # a ragged last group
+                parts.append(sims[:, None, full:])
+            return np.concatenate([_logsumexp_rows(p) for p in parts], axis=1)
 
     def reduce(lo: int, hi: int, sims: np.ndarray) -> None:
         # per-group score = 1 / (1 + exp(lse_neg - lse_id)); at a tiny

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from negtext.cli import Manifest, _build_client, main
+from negtext.cli import Manifest, _assemble_inputs, _build_client, main
 from negtext.embeddings import EmbeddingMatrix, load_embeddings, save_embeddings
 from negtext.metrics import compute_report, load_records_csv, split_scores
 from negtext.pipeline import load_checkpoint
@@ -61,7 +61,9 @@ class TestSynthWorld:
             assert (world_dir / name).read_bytes()[4:8] == b"\x02\x00\x00\x00", name
 
     def test_concepts_name_every_image(self, world_dir):
-        concepts = json.loads((world_dir / "concepts.json").read_text())
+        spec = json.loads((world_dir / "concepts.json").read_text())
+        assert (spec["scenario"], spec["seed"]) == ("far", 42)
+        concepts = spec["images"]
         truth = {
             row["image_id"]: row["tag"]
             for row in csv.DictReader((world_dir / "truth.csv").open())
@@ -266,7 +268,7 @@ class TestRun:
     )
     def test_http_endpoint_takes_an_http_url(self, tmp_path, endpoint):
         spec = {"client": {"mode": "http", "endpoint": endpoint}}
-        assert _build_client(Manifest(spec, tmp_path)).endpoint == endpoint
+        assert _build_client(Manifest(spec, tmp_path), []).endpoint == endpoint
 
     def test_unknown_config_key_fails_with_one_line(self, world_dir, tmp_path, capsys):
         config = json.loads((world_dir / "config.json").read_text())
@@ -343,7 +345,43 @@ class TestRun:
             "--set", "score.temperature=0.02",
         )
         assert code == 0
-        assert load_checkpoint(out / "checkpoint.nckp").config.score.temperature == 0.02
+        inputs = _assemble_inputs(Manifest.load(world_dir / "manifest.json"))
+        state = load_checkpoint(
+            out / "checkpoint.nckp", inputs.label_space, inputs.corpus
+        )
+        assert state.config.score.temperature == 0.02
+
+    def test_manifest_seed_seeds_only_the_stream(self, tmp_path):
+        # the oracle's world is the one the concepts file names, so another
+        # stream seed still scores the world's own images
+        world = tmp_path / "mixed"
+        assert run_cli("synth-world", "mixed", "-o", world) == 0
+        path = write_manifest(world, "seed_7", seed=7)
+        assert run_cli("run", path, "--out", tmp_path / "o") == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["auroc"] == 0.9908
+
+    def test_concepts_missing_an_image_fail_before_output(
+        self, world_dir, tmp_path, capsys
+    ):
+        spec = json.loads((world_dir / "concepts.json").read_text())
+        kept = dict(list(spec["images"].items())[::2])
+        (world_dir / "concepts_every_other.json").write_text(
+            json.dumps({**spec, "images": kept})
+        )
+        client = {"mode": "synthetic", "concepts": "concepts_every_other.json"}
+        path = write_manifest(world_dir, "every_other", client=client)
+        batch = load_embeddings(world_dir / "batch_000.nspc")
+        first_missing = next(i for i in batch.ids if i not in kept)
+        for argv in (
+            ("run", path, "--out", tmp_path / "o"),
+            ("sweep", "lambda", path, "--values", "0,1", "-o", tmp_path / "s.csv"),
+        ):
+            assert run_cli(*argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert f"no concept for image {first_missing!r}" in err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "s.csv").exists()
 
 
 class TestFixtures:
@@ -391,35 +429,53 @@ class TestFixtures:
         self, world_dir, tmp_path, capsys
     ):
         client = json.loads((world_dir / "manifest.json").read_text())["client"]
-        concepts = json.loads((world_dir / "concepts.json").read_text())
+        spec = json.loads((world_dir / "concepts.json").read_text())
+        concepts = spec["images"]
         first = next(iter(concepts))
         bad_concepts = {
+            # what a world from an older synth-world holds
+            "flat": concepts,
             "list": list(concepts),
-            "number_name": {**concepts, first: 5},
-            "unknown_name": {**concepts, first: "class_99"},
+            "images_list": {**spec, "images": list(concepts)},
+            "number_name": {**spec, "images": {**concepts, first: 5}},
+            "unknown_name": {**spec, "images": {**concepts, first: "class_99"}},
+            "no_scenario": {**spec, "scenario": None},
+            "unknown_scenario": {**spec, "scenario": "nope"},
+            "seed_bool": {**spec, "seed": True},
+            "seed_negative": {**spec, "seed": -1},
         }
         for name, content in bad_concepts.items():
             (world_dir / f"concepts_{name}.json").write_text(json.dumps(content))
         no_concepts = {k: v for k, v in client.items() if k != "concepts"}
+
+        def concepts_file(name):
+            return {**client, "concepts": f"concepts_{name}.json"}
+
         cases = {
-            # what a world from an older synth-world holds
             "no_concepts": (no_concepts, "re-run synth-world"),
-            "no_scenario": (
-                {**client, "scenario": None}, "synthetic client needs a scenario"
-            ),
-            "unknown_scenario": ({**client, "scenario": "nope"}, "unknown scenario"),
+            "concepts_flat": (concepts_file("flat"), "re-run synth-world"),
             "concepts_list": (
-                {**client, "concepts": "concepts_list.json"},
-                "concepts_list.json: concepts must be a JSON object of str names",
+                concepts_file("list"),
+                "concepts_list.json: concepts must be an object of scenario, seed",
+            ),
+            "concepts_images_list": (
+                concepts_file("images_list"),
+                "concepts_images_list.json: concepts images must be a JSON object",
             ),
             "concepts_number_name": (
-                {**client, "concepts": "concepts_number_name.json"},
-                "concepts_number_name.json: concepts must be a JSON object",
+                concepts_file("number_name"),
+                "concepts_number_name.json: concepts images must be a JSON object",
             ),
             "concepts_unknown_name": (
-                {**client, "concepts": "concepts_unknown_name.json"},
+                concepts_file("unknown_name"),
                 "concepts_unknown_name.json: scenario 'far' has no concept 'class_99'",
             ),
+            "no_scenario": (concepts_file("no_scenario"), "unknown scenario None"),
+            "unknown_scenario": (
+                concepts_file("unknown_scenario"), "unknown scenario 'nope'"
+            ),
+            "seed_bool": (concepts_file("seed_bool"), "concepts 'seed' must be"),
+            "seed_negative": (concepts_file("seed_negative"), "concepts 'seed' must be"),
             "concepts_missing": (
                 {**client, "concepts": "nope.json"}, "manifest references missing paths"
             ),

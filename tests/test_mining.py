@@ -232,9 +232,8 @@ class TestHistoryCache:
 
         original = HistoryCache(capacity=7, dim=4, seed=13)
         stream(original, 0)
-        restored = HistoryCache.from_state(
-            original.state_dict(), original.matrix(), 13
-        )
+        restored = HistoryCache(capacity=7, dim=4, seed=0)
+        restored.load_state(original.state_dict(), original.matrix())
         assert restored.ids == original.ids
         stream(original, 3)
         stream(restored, 3)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from negtext import scoring
-from negtext.embeddings import EmbeddingMatrix, TestBatch, batches_truth
+from negtext.embeddings import (
+    EmbeddingMatrix, TestBatch, batches_truth, decode_nspc, encode_nspc,
+)
 from negtext.errors import ConfigError, DataError, FormatError, GenerationError
 from negtext.metrics import compute_report, split_scores
 from negtext.mining import MiningConfig, classify_batch
@@ -260,23 +262,94 @@ class TestCacheColumns:
         )
         path = tmp_path / "state.nckp"
         save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
+        loaded = load_checkpoint(path, world.label_space, world.corpus)
         assert len(loaded.cache) == 100
         assert_cache_columns_match_rescore(loaded)
 
 
-def assert_matrices_are_float32_rounding(loaded, state):
-    """The checkpoint stores every matrix as float32, so each loaded matrix
-    is exactly the float32 rounding of the saved one."""
-    pairs = [(loaded.cache.matrix(), state.cache.matrix())] + [
-        (getattr(loaded, name).stored_rows(), getattr(state, name).stored_rows())
-        for name in ("nl_space", "ens_space", "vsnl_space")
-    ] + [(loaded.label_space.features.data, state.label_space.features.data)]
-    for got, saved in pairs:
-        assert np.array_equal(got, saved.astype(np.float32).astype(np.float64))
+def assert_states_equal(loaded, state):
+    """Every fact of two stream states is equal, every matrix bit for bit."""
+    assert loaded.lambda_history == state.lambda_history
+    assert (loaded.config, loaded.rng_seed, loaded.degraded) == (
+        state.config, state.rng_seed, state.degraded
+    )
+    assert loaded.label_space is state.label_space
+    assert loaded.cache.ids == state.cache.ids
+    assert loaded.cache.n_seen == state.cache.n_seen
+    assert loaded.cache.matrix().tobytes() == state.cache.matrix().tobytes()
+    for name in ("nl_space", "ens_space", "vsnl_space"):
+        got, saved = getattr(loaded, name), getattr(state, name)
+        assert got.texts == saved.texts, name
+        assert got.rows.tobytes() == saved.rows.tobytes(), name
+        assert (got.inverse is None) == (saved.inverse is None), name
+        if got.inverse is not None:
+            assert np.array_equal(got.inverse, saved.inverse), name
+
+
+def _checkpoint_header(path):
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[8:16])
+    return json.loads(raw[16 : 16 + header_len])
+
+
+def _edit_header(path, edit):
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + header_len])
+    edit(header)
+    new_header = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(
+        raw[:8] + struct.pack("<Q", len(new_header)) + new_header
+        + raw[16 + header_len :]
+    )
+
+
+@pytest.fixture(scope="module")
+def saved_stream(tmp_path_factory):
+    """A small far stream's world and the checkpoint it ends with."""
+    world, batches = small_setup(per_side=60, n_batches=2)
+    _, state = run_stream(
+        batches, world.label_space, world.corpus, world.oracle_client(),
+        small_config(), seed=42,
+    )
+    path = tmp_path_factory.mktemp("checkpoint") / "state.nckp"
+    save_checkpoint(state, path)
+    return world, path
+
+
+def _header_paths(node, prefix=""):
+    """The dotted key path of every field of a JSON header, nested ones too."""
+    for key, value in node.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _header_paths(value, f"{prefix}{key}.")
+
+
+# every field of a version 3 header
+HEADER_FIELDS = [
+    "blob_sizes", "cache", "cache.ids", "cache.n_seen", "cache.rng_state",
+    "cache.rng_state.bit_generator", "cache.rng_state.has_uint32",
+    "cache.rng_state.state", "cache.rng_state.state.inc",
+    "cache.rng_state.state.state", "cache.rng_state.uinteger",
+    "config", "config.mining", "config.mining.cache_capacity",
+    "config.mining.class_ratio", "config.mining.initial_threshold",
+    "config.mining.selection_ratio", "config.num_negatives", "config.score",
+    "config.score.group_size", "config.score.temperature",
+    "config.sentence_len_max", "degraded", "digest", "lambda_history",
+    "rng_seed", "spaces", "spaces.ens", "spaces.ens.inverse",
+    "spaces.ens.texts", "spaces.vsnl", "spaces.vsnl.inverse",
+    "spaces.vsnl.texts",
+]
 
 
 class TestCheckpoint:
+    @pytest.fixture
+    def saved(self, saved_stream, tmp_path):
+        world, path = saved_stream
+        copy = tmp_path / "state.nckp"
+        copy.write_bytes(path.read_bytes())
+        return world, copy
+
     def test_roundtrip_restores_state(self, tmp_path):
         world, batches = small_setup(per_side=60, n_batches=2)
         _, state = run_stream(
@@ -285,43 +358,43 @@ class TestCheckpoint:
         )
         path = tmp_path / "state.nckp"
         save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
-        assert loaded.epoch == state.epoch
-        assert loaded.lambda_ == state.lambda_
-        assert loaded.lambda_history == state.lambda_history
-        assert loaded.config == state.config
-        assert loaded.degraded == state.degraded
-        assert loaded.label_space.labels == state.label_space.labels
-        assert loaded.nl_space.texts == state.nl_space.texts
-        assert loaded.ens_space.texts == state.ens_space.texts
-        assert loaded.vsnl_space.texts == state.vsnl_space.texts
-        assert loaded.cache.ids == state.cache.ids
-        assert_matrices_are_float32_rounding(loaded, state)
+        loaded = load_checkpoint(path, world.label_space, world.corpus)
+        assert loaded.epoch == state.epoch and loaded.lambda_ == state.lambda_
+        assert_states_equal(loaded, state)
+
+    def test_header_holds_each_fact_once(self, saved):
+        # the labels and the word space are the inputs', the cache's
+        # capacity the config's; three float64 matrices follow the header
+        _, path = saved
+        header = _checkpoint_header(path)
+        assert sorted(_header_paths(header)) == HEADER_FIELDS
+        raw = path.read_bytes()
+        cursor = len(raw) - sum(header["blob_sizes"])
+        for size in header["blob_sizes"]:
+            assert raw[cursor : cursor + 8] == b"NSPC\x02\x00\x00\x00"
+            cursor += size
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "state.nckp"
         path.write_bytes(b"JUNKJUNKJUNKJUNK")
-        from negtext.errors import FormatError
-
         with pytest.raises(FormatError):
-            load_checkpoint(path)
+            load_checkpoint(path, None, None)
 
-    def _saved(self, tmp_path):
-        world, batches = small_setup(per_side=60, n_batches=2)
-        _, state = run_stream(
-            batches, world.label_space, world.corpus, world.oracle_client(),
-            small_config(), seed=42,
-        )
-        path = tmp_path / "state.nckp"
-        save_checkpoint(state, path)
-        return path
-
-    def test_version_1_rejected_with_its_path(self, tmp_path):
-        path = self._saved(tmp_path)
+    def test_version_1_rejected_with_its_path(self, saved):
+        world, path = saved
         raw = path.read_bytes()
         path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
         with pytest.raises(FormatError, match=f"{path}: unsupported checkpoint version 1"):
-            load_checkpoint(path)
+            load_checkpoint(path, world.label_space, world.corpus)
+
+    def test_version_2_rejected_with_one_line(self, saved):
+        # version 2 stored the labels, the word space and float32 rows
+        world, path = saved
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 2) + raw[8:])
+        with pytest.raises(FormatError) as excinfo:
+            load_checkpoint(path, world.label_space, world.corpus)
+        assert str(excinfo.value) == f"{path}: unsupported checkpoint version 2"
 
     def test_stream_repeating_image_ids_roundtrips(self, tmp_path):
         world, batches = small_setup(scenario="mixed", n_batches=1, per_side=40)
@@ -333,9 +406,8 @@ class TestCheckpoint:
         assert len(state.cache) == 160 and len(set(state.cache.ids)) == 80
         path = tmp_path / "state.nckp"
         save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
-        assert loaded.cache.ids == state.cache.ids
-        assert_matrices_are_float32_rounding(loaded, state)
+        loaded = load_checkpoint(path, world.label_space, world.corpus)
+        assert_states_equal(loaded, state)
         assert_cache_columns_match_rescore(loaded)
 
     def test_sentence_space_stores_each_text_once_and_roundtrips(self, tmp_path):
@@ -346,142 +418,199 @@ class TestCheckpoint:
         )
         ens = state.ens_space
         assert ens.rows.shape[0] == len(set(ens.texts)) < ens.size
-        assert not ens.rows.flags.writeable
-        path, again = tmp_path / "state.nckp", tmp_path / "again.nckp"
+        path = tmp_path / "state.nckp"
         save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
-        # the checkpoint stores float32 rows
-        assert np.array_equal(
-            loaded.ens_space.rows, ens.rows.astype(np.float32).astype(np.float64)
-        )
-        assert np.array_equal(loaded.ens_space.inverse, ens.inverse)
-        save_checkpoint(loaded, again)
-        reloaded = load_checkpoint(again).ens_space
-        assert np.array_equal(reloaded.rows, loaded.ens_space.rows)
-        assert np.array_equal(reloaded.inverse, loaded.ens_space.inverse)
+        stored = _checkpoint_header(path)["spaces"]["ens"]
+        assert stored["inverse"] == ens.inverse.tolist()
+        loaded = load_checkpoint(path, world.label_space, world.corpus).ens_space
+        assert loaded.rows.tobytes() == ens.rows.tobytes()
+        assert np.array_equal(loaded.inverse, ens.inverse)
+        assert not loaded.rows.flags.writeable and not loaded.inverse.flags.writeable
 
-    def test_resave_is_byte_identical(self, tmp_path):
-        path = self._saved(tmp_path)
+    def test_resave_is_byte_identical(self, saved, tmp_path):
+        world, path = saved
         again = tmp_path / "again.nckp"
-        save_checkpoint(load_checkpoint(path), again)
+        save_checkpoint(load_checkpoint(path, world.label_space, world.corpus), again)
         assert again.read_bytes() == path.read_bytes()
 
-    def _edit_header(self, path, edit):
-        raw = path.read_bytes()
-        (header_len,) = struct.unpack("<Q", raw[8:16])
-        header = json.loads(raw[16 : 16 + header_len])
-        edit(header)
-        new_header = json.dumps(header, sort_keys=True).encode("utf-8")
-        path.write_bytes(
-            raw[:8] + struct.pack("<Q", len(new_header)) + new_header
-            + raw[16 + header_len :]
-        )
-
-    def test_header_with_older_per_space_keys_loads(self, tmp_path):
-        # earlier writers stored each space's kind, group size and epoch too;
-        # the kind is the space's key and the group size the config's
-        path = self._saved(tmp_path)
-        plain = load_checkpoint(path)
-
-        def older(header):
-            for space in header["spaces"].values():
-                space.update(kind="nl", group_size=7, epoch=3)
-
-        self._edit_header(path, older)
-        loaded = load_checkpoint(path)
-        for name in ("nl", "ens", "vsnl"):
-            space = getattr(loaded, f"{name}_space")
-            expected = getattr(plain, f"{name}_space")
-            assert space.texts == expected.texts
-            assert space.rows.tobytes() == expected.rows.tobytes()
-        n = len(plain.cache)
-        assert np.array_equal(loaded.cache.nl_scores[:n], plain.cache.nl_scores[:n])
-
-    def test_older_epoch_and_lambda_keys_ignored(self, tmp_path):
-        # earlier writers stored the epoch and the last weight beside the
-        # history; both are read from the history, whatever those keys hold
-        path = self._saved(tmp_path)
-        self._edit_header(path, lambda header: header.update({"epoch": 99, "lambda": 0.123}))
-        loaded = load_checkpoint(path)
-        history = loaded.lambda_history
-        assert history and history[-1] != 0.123
-        assert loaded.epoch == len(history)
-        assert loaded.lambda_ == history[-1]
-
-    def test_cache_ids_not_matching_rows_rejected(self, tmp_path):
-        path = self._saved(tmp_path)
-        self._edit_header(path, lambda header: header["cache"]["ids"].pop())
+    def test_cache_ids_not_matching_rows_rejected(self, saved):
+        world, path = saved
+        _edit_header(path, lambda header: header["cache"]["ids"].pop())
         with pytest.raises(FormatError, match=str(path)):
-            load_checkpoint(path)
+            load_checkpoint(path, world.label_space, world.corpus)
 
     @pytest.mark.parametrize("edit", [
         lambda header: header["spaces"]["ens"].pop("texts"),
         lambda header: header.pop("spaces"),
         lambda header: header.pop("cache"),
-        lambda header: header.pop("labels"),
         lambda header: header["spaces"].pop("vsnl"),
         lambda header: header.update(lambda_history=5),
         lambda header: header["spaces"]["ens"]["texts"].pop(),
         lambda header: header.update(lambda_history=["x"]),
         lambda header: header.update(lambda_history=[7.0]),
-        lambda header: header["labels"].__setitem__(0, 5),
         lambda header: header["spaces"]["ens"]["texts"].__setitem__(0, 5),
-        lambda header: header["label_ids"].__setitem__(0, 5),
-        lambda header: header["label_ids"].__setitem__(1, header["label_ids"][0]),
         lambda header: header.update(degraded="no"),
         lambda header: header["cache"].update(n_seen=-5),
         lambda header: header["cache"].update(n_seen=3),
         lambda header: header["cache"].update(n_seen=float(header["cache"]["n_seen"])),
-        lambda header: header["cache"].update(capacity=0),
-        lambda header: header["cache"].update(capacity=len(header["cache"]["ids"]) - 1),
-        lambda header: header["cache"].update(capacity=header["cache"]["capacity"] + 1),
+        lambda header: header["config"]["mining"].update(cache_capacity=0),
+        lambda header: header["config"]["mining"].update(
+            cache_capacity=len(header["cache"]["ids"]) - 1
+        ),
         lambda header: header["config"].update(bogus=1),
         lambda header: header["cache"]["rng_state"]["state"].update(state=-1),
         lambda header: header["cache"]["rng_state"]["state"].update(inc=10**40),
         lambda header: header["cache"]["ids"].__setitem__(0, 5),
         lambda header: header.update(rng_seed=True),
         lambda header: header.update(rng_seed=[]),
-        lambda header: header.update(config_hash="x"),
-    ], ids=["no-texts", "no-spaces", "no-cache", "no-labels", "no-vsnl",
+        lambda header: header.update(digest="x"),
+        lambda header: header["spaces"]["vsnl"].update(inverse=[0] * 10),
+        lambda header: header["spaces"]["vsnl"].update(
+            inverse=[-1] + list(range(1, len(header["spaces"]["vsnl"]["texts"])))
+        ),
+        lambda header: header["spaces"]["vsnl"].update(
+            inverse=[0.0] + list(range(1, len(header["spaces"]["vsnl"]["texts"])))
+        ),
+        lambda header: header["cache"]["rng_state"].update(has_uint32=True),
+        lambda header: header["cache"]["rng_state"]["state"].update(state=1.0),
+        lambda header: header["cache"].update(capacity=20000),
+        lambda header: header.update(labels=["a"]),
+    ], ids=["no-texts", "no-spaces", "no-cache", "no-vsnl",
             "history-not-list", "texts-not-rows", "history-not-number",
-            "history-out-of-range", "label-not-str", "text-not-str",
-            "label-id-not-str", "label-id-repeated", "degraded-not-bool",
+            "history-out-of-range", "text-not-str", "degraded-not-bool",
             "n-seen-negative", "n-seen-below-rows", "n-seen-not-int",
-            "capacity-zero", "capacity-below-rows", "capacity-not-config",
+            "capacity-zero", "capacity-below-rows",
             "config-unknown-key", "rng-state-negative", "rng-inc-too-wide",
             "cache-id-not-str", "rng-seed-bool", "rng-seed-list",
-            "config-hash-wrong"])
-    def test_bad_header_field_rejected_with_one_line(self, tmp_path, edit):
-        path = self._saved(tmp_path)
-        self._edit_header(path, edit)
+            "digest-wrong", "inverse-short", "inverse-negative", "inverse-float",
+            "rng-flag-bool", "rng-state-float", "stored-capacity",
+            "stored-labels"])
+    def test_bad_header_field_rejected_with_one_line(self, saved, edit):
+        world, path = saved
+        _edit_header(path, edit)
         with pytest.raises(FormatError, match=f"{path}: bad checkpoint header field") as excinfo:
-            load_checkpoint(path)
+            load_checkpoint(path, world.label_space, world.corpus)
         assert "\n" not in str(excinfo.value)
 
-    def test_wrong_matrix_count_rejected(self, tmp_path):
+    @pytest.mark.parametrize("field", HEADER_FIELDS)
+    def test_header_mutation_fails_with_one_line_or_resaves(
+        self, saved, tmp_path, field
+    ):
+        """Each header field set to values of every JSON type: the load
+        fails with one line, or the loaded state saves back byte-identical."""
+        world, path = saved
+        keys = field.split(".")
+        original = path.read_bytes()
+        again = tmp_path / "again.nckp"
+        for value in (None, True, -1, 1.5, "x", [], {}, 1e20):
+            path.write_bytes(original)
+
+            def edit(header):
+                node = header
+                for key in keys[:-1]:
+                    node = node[key]
+                node[keys[-1]] = value
+
+            _edit_header(path, edit)
+            try:
+                state = load_checkpoint(path, world.label_space, world.corpus)
+            except FormatError as exc:
+                assert str(exc).startswith(f"{path}: ") and "\n" not in str(exc)
+                continue
+            save_checkpoint(state, again)
+            assert again.read_bytes() == path.read_bytes(), (field, value)
+
+    @pytest.mark.parametrize("other", ["labels", "corpus", "both"])
+    def test_other_worlds_inputs_rejected(self, saved, other):
+        world, path = saved
+        another = SyntheticWorld(scenario_world_config("far", seed=43))
+        ids = another.label_space if other != "corpus" else world.label_space
+        corpus = another.corpus if other != "labels" else world.corpus
+        with pytest.raises(FormatError, match="digest") as excinfo:
+            load_checkpoint(path, ids, corpus)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: bad checkpoint header field")
+        assert "\n" not in message
+
+    def test_wrong_matrix_count_rejected(self, saved):
         def merge_last_two(header):
             sizes = header["blob_sizes"]
             sizes[-2:] = [sizes[-2] + sizes[-1]]
 
-        path = self._saved(tmp_path)
-        self._edit_header(path, merge_last_two)
-        with pytest.raises(FormatError, match=f"{path}: expected 5 matrices"):
-            load_checkpoint(path)
+        world, path = saved
+        _edit_header(path, merge_last_two)
+        with pytest.raises(FormatError, match=f"{path}: expected 3 matrices"):
+            load_checkpoint(path, world.label_space, world.corpus)
+
+    def test_float32_matrix_rejected_with_one_line(self, saved):
+        # a stream resumes exactly only from the float64 rows it held
+        world, path = saved
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", raw[8:16])
+        header = json.loads(raw[16 : 16 + header_len])
+        start = 16 + header_len
+        cache_blob = raw[start : start + header["blob_sizes"][0]]
+        rows = decode_nspc(cache_blob, "cache").astype(np.float32)
+        header["blob_sizes"][0] = len(encode_nspc(rows, 1))
+        new_header = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(
+            raw[:8] + struct.pack("<Q", len(new_header)) + new_header
+            + encode_nspc(rows, 1) + raw[start + len(cache_blob) :]
+        )
+        with pytest.raises(FormatError) as excinfo:
+            load_checkpoint(path, world.label_space, world.corpus)
+        assert str(excinfo.value) == (
+            f"{path} [cache]: rows must be NSPC version 2 (float64)"
+        )
 
     @pytest.mark.parametrize("where", ["header", "cache blob", "last space blob"])
-    def test_truncated_file_rejected_with_its_path(self, tmp_path, where):
-        path = self._saved(tmp_path)
+    def test_truncated_file_rejected_with_its_path(self, saved, where):
+        world, path = saved
         raw = path.read_bytes()
         (header_len,) = struct.unpack("<Q", raw[8:16])
         sizes = json.loads(raw[16 : 16 + header_len])["blob_sizes"]
         cut = {
             "header": 16 + header_len // 2,
-            "cache blob": 16 + header_len + sizes[0] + sizes[1] // 2,
+            "cache blob": 16 + header_len + sizes[0] // 2,
             "last space blob": len(raw) - sizes[-1] // 2,
         }[where]
         path.write_bytes(raw[:cut])
         with pytest.raises(FormatError, match=str(path)):
-            load_checkpoint(path)
+            load_checkpoint(path, world.label_space, world.corpus)
+
+
+@pytest.fixture(scope="module", params=["far", "near", "mixed"])
+def split_stream(request, tmp_path_factory):
+    """A five-batch stream run whole, with a checkpoint saved after each of
+    its first four batches. Its 500-image cache fills in batch 3, so the
+    later checkpoints carry a reservoir that has replaced rows."""
+    world = SyntheticWorld(scenario_world_config(request.param, seed=42))
+    batches = world.make_batches(5, 100, 100)
+    mining = {**scenario_pipeline_config().mining.__dict__, "cache_capacity": 500}
+    state = init_stream(
+        world.label_space, world.corpus, small_config(mining=mining), seed=42
+    )
+    client = world.oracle_client()
+    folder = tmp_path_factory.mktemp(f"split_{request.param}")
+    records, checkpoints = [], {}
+    for k, batch in enumerate(batches, start=1):
+        records.append(process_batch(state, batch, client))
+        checkpoints[k] = folder / f"after_{k}.nckp"
+        save_checkpoint(state, checkpoints[k])
+    return world, batches, records, state.lambda_history, checkpoints
+
+
+class TestResume:
+    @pytest.mark.parametrize("split", [1, 2, 3, 4])
+    def test_resumed_stream_equals_the_uninterrupted_run(self, split_stream, split):
+        world, batches, records, history, checkpoints = split_stream
+        state = load_checkpoint(checkpoints[split], world.label_space, world.corpus)
+        # a fresh client, as a new process would build
+        client = world.oracle_client()
+        resumed = [process_batch(state, batch, client) for batch in batches[split:]]
+        assert resumed == records[split:]
+        assert state.lambda_history == history
+        assert state.cache.n_seen == 1000 and len(state.cache) == 500
 
 
 class TestSimilarityPass:
