@@ -381,8 +381,6 @@ def _execute_run(
     inputs = _assemble_inputs(manifest)
     client = client_for(inputs.batches)
     out_dir = manifest.output_dir(getattr(args, "out", None))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     records, state = run_stream(
         inputs.batches,
         inputs.label_space,
@@ -391,6 +389,8 @@ def _execute_run(
         config,
         seed=seed,
     )
+    # export_results makes the output directory, so a stream that fails
+    # leaves none behind
     export_results(records, inputs.truth, out_dir)
     save_checkpoint(state, out_dir / "checkpoint.nckp")
     if state.degraded:

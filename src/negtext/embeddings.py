@@ -29,9 +29,10 @@ _NORM_SKIP_TOL = 1e-6
 # overflow of the squared entries
 _NORM_SAFE_MIN = 2.0**-500
 _NORM_SAFE_MAX = 2.0**500
-# repeated negative rows are compared with their text's first row this many
-# at a time, which bounds the temporary arrays
-_MERGE_CHUNK = 512
+# rows are checked and normalized, and repeated negative rows compared with
+# their text's first row, this many at a time, which bounds the temporary
+# arrays
+_ROW_RUN = 512
 
 
 def _normalize_rows(data) -> np.ndarray:
@@ -39,21 +40,25 @@ def _normalize_rows(data) -> np.ndarray:
     out = np.array(data, dtype=np.float64, copy=True)
     if out.ndim != 2:
         raise DataError("expected a 2-D array")
-    if not np.all(np.isfinite(out)):
+    runs = [out[start : start + _ROW_RUN] for start in range(0, len(out), _ROW_RUN)]
+    # every run is checked first, so a non-finite entry is reported ahead
+    # of a zero-norm row in an earlier run
+    if not all(np.isfinite(run).all() for run in runs):
         raise DataError("non-finite entries in embedding matrix")
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(out, axis=1)
-    extreme = ~(norms >= _NORM_SAFE_MIN) | (norms > _NORM_SAFE_MAX)
-    if np.any(extreme):
-        # divide by the largest entry first; other rows keep their bytes
-        peaks = np.max(np.abs(out[extreme]), axis=1, initial=0.0)
-        if np.any(peaks == 0.0):
-            raise DataError("zero-norm row cannot be normalized")
-        out[extreme] /= peaks[:, None]
-        norms[extreme] = np.linalg.norm(out[extreme], axis=1)
-    needs = np.abs(norms - 1.0) > _NORM_SKIP_TOL
-    if np.any(needs):
-        out[needs] /= norms[needs, None]
+    for run in runs:
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(run, axis=1)
+        extreme = ~(norms >= _NORM_SAFE_MIN) | (norms > _NORM_SAFE_MAX)
+        if np.any(extreme):
+            # divide by the largest entry first; other rows keep their bytes
+            peaks = np.max(np.abs(run[extreme]), axis=1, initial=0.0)
+            if np.any(peaks == 0.0):
+                raise DataError("zero-norm row cannot be normalized")
+            run[extreme] /= peaks[:, None]
+            norms[extreme] = np.linalg.norm(run[extreme], axis=1)
+        needs = np.abs(norms - 1.0) > _NORM_SKIP_TOL
+        if np.any(needs):
+            run[needs] /= norms[needs, None]
     return out
 
 
@@ -245,8 +250,8 @@ def _merge_repeats(texts: tuple[str, ...], data: np.ndarray):
     repeats = np.flatnonzero(first != own)
     # compare bytes, not values: -0.0 and 0.0 stay apart
     bits = data.view(np.uint64)
-    for start in range(0, repeats.size, _MERGE_CHUNK):
-        part = repeats[start : start + _MERGE_CHUNK]
+    for start in range(0, repeats.size, _ROW_RUN):
+        part = repeats[start : start + _ROW_RUN]
         differs = np.any(bits[part] != bits[first[part]], axis=1)
         first[part[differs]] = part[differs]
     kept = np.flatnonzero(first == own)

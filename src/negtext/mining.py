@@ -117,9 +117,15 @@ class HistoryCache:
         self._ids: list[str] = []
         # np.empty pages are touched only when written, so unused
         # capacity costs no resident memory
-        self._data = np.empty((capacity, dim))
-        self.nl_scores = np.empty(capacity)
-        self.predictions = np.empty(capacity, dtype=np.int64)
+        try:
+            self._data = np.empty((capacity, dim))
+            self.nl_scores = np.empty(capacity)
+            self.predictions = np.empty(capacity, dtype=np.int64)
+        except (MemoryError, ValueError) as exc:  # ValueError: past numpy's size limit
+            raise ConfigError(
+                f"mining.cache_capacity {capacity} asks for "
+                f"{capacity * (dim + 2) * 8} bytes of cache, more than can be allocated"
+            ) from exc
         self.n_seen = 0
         self._rng = np.random.default_rng(
             np.random.SeedSequence([seed, 0xCAC4E])

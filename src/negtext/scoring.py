@@ -39,8 +39,10 @@ of `id_part`, each space's product in `negative_scores`, and the word-space
 selection's product in `max_label_similarity`. Each row's result depends on
 that row alone, so a large matrix is cut into contiguous row blocks by the
 rules below: the calling thread takes the first and a worker thread the
-second. Every block runs the same BLAS product and row-wise numpy as the
-unsplit matrix, and the results keep every bit.
+second. Each block is walked in runs of about BLOCK_CELLS cells through one
+buffer per worker, so no product is held whole (1,000 images against
+10,000 negatives would take 80 MB). Every run makes the same BLAS product
+and row-wise numpy as the unsplit matrix, and the results keep every bit.
 """
 from __future__ import annotations
 
@@ -66,8 +68,8 @@ MIN_BLOCK_ROWS = 64
 WIDTH_MULTIPLE = 8
 # below this many score cells a worker costs more than it saves
 MIN_SPLIT_CELLS = 1 << 18
-# `max_label_similarity` walks each worker's rows in blocks of about this many
-# product cells (8 MB of float64), so the product is never held whole
+# each worker walks its rows in runs of about this many product cells (8 MB
+# of float64), so a large product is never held whole
 BLOCK_CELLS = 1 << 20
 # the 2 / temperature above which a repeated-row space shifts each group on
 # its own (see the module docstring): exp(-708.4) is the smallest normal
@@ -118,46 +120,46 @@ def _logsumexp_rows(scaled: np.ndarray) -> np.ndarray:
     return shift[..., 0] + np.log(np.sum(scaled, axis=-1))
 
 
+def _splittable(width: int) -> bool:
+    """Whether row blocks of a product this wide round as the whole product
+    (the rules above)."""
+    return width >= MIN_BLOCK_ROWS and width % WIDTH_MULTIPLE == 0
+
+
 def _row_blocks(n_rows: int, width: int, cells: int) -> list[tuple[int, int]]:
     """Contiguous `(lo, hi)` row blocks covering `n_rows` rows of a product
     `width` columns wide whose scoring touches `cells` cells: one block per
     score worker where the rules above allow it, else one block."""
     k = 1
-    if (
-        cells >= MIN_SPLIT_CELLS
-        and width >= MIN_BLOCK_ROWS
-        and width % WIDTH_MULTIPLE == 0
-    ):
+    if cells >= MIN_SPLIT_CELLS and _splittable(width):
         k = max(1, min(SCORE_WORKERS, n_rows // MIN_BLOCK_ROWS))
     bounds = [n_rows * i // k for i in range(k + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
-def _blockwise(rows, cols, cells: int, reduce, walk: bool = False) -> None:
-    """`reduce(lo, hi, rows[lo:hi] @ cols.T)` over the `_row_blocks` of a
-    product whose scoring touches `cells` cells, the first block on the
+def _blockwise(rows, cols, cells: int, reduce) -> None:
+    """`reduce(lo, hi, rows[lo:hi] @ cols.T)` over runs of the `_row_blocks`
+    of a product whose scoring touches `cells` cells, the first block on the
     calling thread and the rest on a per-call pool (a module-level pool would
-    hang a forked child). Once every block has stopped, the earliest block's
-    exception is raised unchanged."""
+    hang a forked child). Where the rules above allow the width, each block
+    is walked in runs of at least MIN_BLOCK_ROWS rows and about BLOCK_CELLS
+    cells, a short tail joining the run before it; any other product is one
+    run. Once every block has stopped, the earliest block's exception is
+    raised unchanged."""
     n, width = rows.shape[0], cols.shape[0]
-    blocks = _row_blocks(n, width, cells)
-    # the calling thread allocates every buffer: a worker's own large
-    # temporaries would stay in its malloc arena
-    if walk and width >= MIN_BLOCK_ROWS and width % WIDTH_MULTIPLE == 0:
-        # each block in runs of at least MIN_BLOCK_ROWS rows and about
-        # BLOCK_CELLS cells, a short tail joining the run before it
-        step, walks = max(MIN_BLOCK_ROWS, BLOCK_CELLS // width), []
-        for lo, hi in blocks:
-            bounds = list(range(lo, hi, step)) + [hi]
-            if len(bounds) > 2 and hi - bounds[-2] < MIN_BLOCK_ROWS:
-                del bounds[-2]
-            walks.append(bounds)
-        buffers = [np.empty((np.diff(b).max(initial=0), width)) for b in walks]
-    else:
-        # one allocation: a buffer per block raised the peak RSS of the
-        # benchmark's paper-stream workload by 8 to 19 MB
-        walks, whole = [[lo, hi] for lo, hi in blocks], np.empty((n, width))
-        buffers = [whole[lo:hi] for lo, hi in blocks]
+    step = max(n, 1)
+    if _splittable(width):
+        step = max(MIN_BLOCK_ROWS, BLOCK_CELLS // width)
+    walks = []
+    for lo, hi in _row_blocks(n, width, cells):
+        bounds = list(range(lo, hi, step)) + [hi]
+        if len(bounds) > 2 and hi - bounds[-2] < MIN_BLOCK_ROWS:
+            del bounds[-2]
+        walks.append(bounds)
+    # one run-sized buffer per block, reused by each of its runs; the calling
+    # thread allocates them all, as a worker's own large temporaries would
+    # stay in its malloc arena
+    buffers = [np.empty((np.diff(b).max(initial=0), width)) for b in walks]
 
     def fill(bounds: list[int], buffer: np.ndarray) -> None:
         for lo, hi in zip(bounds, bounds[1:]):
@@ -201,7 +203,7 @@ def max_label_similarity(rows: np.ndarray, ids: LabelSpace) -> np.ndarray:
     def reduce(lo: int, hi: int, sims: np.ndarray) -> None:
         np.max(sims, axis=1, out=max_sim[lo:hi])
 
-    _blockwise(rows, ids.features.data, max_sim.size * ids.n_classes, reduce, walk=True)
+    _blockwise(rows, ids.features.data, max_sim.size * ids.n_classes, reduce)
     return max_sim
 
 

@@ -150,6 +150,19 @@ class TestRun:
         assert run_cli("run", bad, "--out", out) == 1
         assert not out.exists()
 
+    # numpy raises MemoryError for the first and ValueError past its size limit
+    @pytest.mark.parametrize("capacity", [10**13, 10**16])
+    def test_cache_too_large_to_allocate_fails_with_one_line(
+        self, world_dir, tmp_path, capsys, capacity
+    ):
+        out = tmp_path / "huge"
+        setting = f"mining.cache_capacity={capacity}"
+        assert run_cli("run", world_dir / "manifest.json", "--out", out, "--set", setting) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: mining.cache_capacity {capacity} asks for ")
+        assert err.count("\n") == 1 and " bytes " in err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, world_dir, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli("run", world_dir / "manifest.json", "--out", out1) == 0

@@ -69,6 +69,24 @@ class TestEmbeddingMatrix:
         assert mixed.data[[0, 3]].tobytes() == alone.data.tobytes()
         assert np.allclose(mixed.data[1:3], np.sqrt(0.2), rtol=0, atol=1e-15)
 
+    def test_rows_normalized_in_runs_equal_rows_one_at_a_time(self):
+        # a unit first run, then a run of non-unit rows and a ragged last run
+        # holding an extreme-norm row and a non-unit row
+        run = embeddings._ROW_RUN
+        rng = np.random.default_rng(6)
+        data = rng.standard_normal((2 * run + 37, 16))
+        data[:run] = unit_rows(rng, run, 16)
+        data[-3] = np.full(16, 1e-170)
+        data[-2] = np.full(16, 1e200)
+        data[-1] *= 3.0
+        expected = np.vstack([embeddings._normalize_rows(row[None]) for row in data])
+        assert embeddings._normalize_rows(data).tobytes() == expected.tobytes()
+        # a non-finite entry in the last run is reported ahead of a zero row
+        # in the first
+        data[-1, 5], data[0] = np.inf, 0.0
+        with pytest.raises(DataError, match="non-finite"):
+            embeddings._normalize_rows(data)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError):
             EmbeddingMatrix.from_rows(["a", "a"], np.eye(2))

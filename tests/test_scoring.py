@@ -531,6 +531,89 @@ class TestRowBlocks:
             assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 
+class TestWalkedScores:
+    """The ID and score products are walked in runs, as the selection's is:
+    their scores equal one unsplit product's and each worker holds one
+    run-sized buffer."""
+
+    @staticmethod
+    def record_runs(monkeypatch) -> list:
+        """(rows, width, buffer) of every product the scorer makes."""
+        runs = []
+        matmul = np.matmul
+
+        def recorded(a, b, out):
+            runs.append((*out.shape, id(out.base)))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        return runs
+
+    @pytest.mark.parametrize("m, distinct, n, block_cells", [
+        (10000, 10000, 880, None),  # 104-row runs; a 24-row tail joins the run before
+        (200, 200, 460, 100 * 200),  # 100-row runs; a 30-row tail joins the run before
+        (203, 203, 460, 100 * 203),  # a width that is not a multiple of 8: one run
+        (400, 200, 460, 100 * 200),  # the count path over 200 distinct rows
+    ])
+    def test_equal_one_unsplit_product(self, monkeypatch, m, distinct, n, block_cells):
+        monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
+        if block_cells is not None:
+            monkeypatch.setattr(scoring, "BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(71)
+        dim = 64
+        ids = make_label_space(n=200, dim=dim, seed=72)
+        base = unit_rows(rng, distinct, dim)
+        order = np.concatenate([np.arange(distinct), rng.integers(0, distinct, m - distinct)])
+        neg = NegativeSpace.from_rows([f"neg_{j}" for j in order], base[order])
+        assert neg.rows.shape[0] == distinct and (neg.inverse is None) == (m == distinct)
+        images = unit_rows(rng, n, dim)
+        cfg = ScoreConfig()
+        runs = self.record_runs(monkeypatch)
+        lse_id, predictions = id_part(images, ids, cfg)
+        id_runs = runs[:]
+        runs.clear()
+        scores = negative_scores(images, lse_id, neg, cfg)
+        neg_runs = runs[:]
+        step = max(scoring.MIN_BLOCK_ROWS, scoring.BLOCK_CELLS // distinct)
+
+        sims = images @ ids.features.data.T
+        assert np.array_equal(predictions, np.argmax(sims, axis=1))
+        sims /= cfg.temperature
+        assert np.array_equal(lse_id, scoring._logsumexp_rows(sims))
+        if neg.inverse is None:
+            assert np.array_equal(scores, full_product_scores(images, ids, neg, cfg))
+        monkeypatch.setattr(scoring, "SCORE_WORKERS", 1)
+        monkeypatch.setattr(scoring, "BLOCK_CELLS", n * distinct)
+        assert np.array_equal(scores, negative_scores(images, lse_id, neg, cfg))
+        assert runs[len(neg_runs):] == [(n, distinct, runs[-1][2])]  # one run
+
+        for products, width in ((id_runs, 200), (neg_runs, distinct)):
+            assert sum(rows for rows, _, _ in products) == n
+            assert {w for _, w, _ in products} == {width}
+            if width % scoring.WIDTH_MULTIPLE:
+                assert len(products) == 1
+                continue
+            assert len({buffer for _, _, buffer in products}) == 2  # one per worker
+            assert min(rows for rows, _, _ in products) >= scoring.MIN_BLOCK_ROWS
+        if distinct % scoring.WIDTH_MULTIPLE == 0:
+            assert len(neg_runs) > 2
+            assert step < max(rows for rows, _, _ in neg_runs) < step + scoring.MIN_BLOCK_ROWS
+
+    def test_paper_shape_scores_hold_one_run_per_worker(self):
+        # 1,000 images x 10,000 negatives: the whole product is 80 MB
+        neg = make_negative_space(m=10000, dim=16, seed=73)
+        ids = make_label_space(n=1000, dim=16, seed=74)
+        images = unit_rows(np.random.default_rng(75), 1000, 16)
+        lse_id, _ = id_part(images, ids, ScoreConfig())
+        tracemalloc.start()
+        try:
+            scores = negative_scores(images, lse_id, neg, ScoreConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * scoring.BLOCK_CELLS * 8 + scores.nbytes
+
+
 class TestMaxLabelSimilarity:
     """The word-space selection's product, walked in blocks on the workers,
     equals the one product bit for bit and is never held whole."""
