@@ -128,42 +128,19 @@ class Manifest:
         spec = _read_json(path, "manifest")
         if not isinstance(spec, dict):
             raise InputError(f"{path}: manifest must be a JSON object")
-        manifest = cls(spec, path.parent)
-        manifest.validate_paths()
-        return manifest
+        return cls(spec, path.parent)
 
-    def _resolve(self, rel) -> Path:
+    def _path(self, rel) -> Path:
         if not isinstance(rel, str):
             raise InputError(f"manifest paths must be strings, got {rel!r}")
         return (self.base_dir / rel).resolve()
 
-    def referenced_paths(self) -> list[Path]:
-        paths = []
-        config = self.spec.get("config")
-        if isinstance(config, str):
-            paths.append(self._resolve(config))
-        for key in ("labels", "truth"):
-            if self.spec.get(key):
-                paths.append(self._resolve(self.spec[key]))
-        corpus = self.spec.get("corpus") or {}
-        batches = self.spec.get("batches") or []
-        if not isinstance(corpus, dict) or not isinstance(batches, list):
-            raise InputError("manifest 'corpus' must be an object, 'batches' a list")
-        for key in ("embeddings", "words"):
-            if corpus.get(key):
-                paths.append(self._resolve(corpus[key]))
-        for entry in batches:
-            paths.append(self._resolve(entry))
-        client = self.client_spec
-        key = {"replay": "fixtures", "synthetic": "concepts"}.get(client["mode"])
-        if key and client.get(key):
-            paths.append(self._resolve(client[key]))
-        return paths
-
-    def validate_paths(self) -> None:
-        missing = [str(p) for p in self.referenced_paths() if not p.exists()]
-        if missing:
-            raise InputError(f"manifest references missing paths: {missing}")
+    def _resolve(self, rel) -> Path:
+        """The input file or directory `rel` names, checked where it is read."""
+        path = self._path(rel)
+        if not path.exists():
+            raise InputError(f"manifest path not found: {path}")
+        return path
 
     @property
     def client_spec(self) -> dict:
@@ -180,7 +157,7 @@ class Manifest:
         out = override or self.spec.get("output_dir")
         if not out:
             raise ConfigError("no output directory (manifest output_dir or --out)")
-        return self._resolve(out) if override is None else Path(out)
+        return self._path(out) if override is None else Path(out)
 
     def pipeline_config(self, overrides=None) -> PipelineConfig:
         config = self.spec.get("config")
@@ -189,8 +166,9 @@ class Manifest:
             synthetic = self.client_spec["mode"] == "synthetic"
             spec = scenario_pipeline_config().to_dict() if synthetic else {}
         elif isinstance(config, str):
-            source = f"config file {self._resolve(config)}"
-            spec = _read_json(self._resolve(config), "config")
+            path = self._resolve(config)
+            source = f"config file {path}"
+            spec = _read_json(path, "config")
         else:
             spec = config
         if not isinstance(spec, dict):
@@ -244,11 +222,13 @@ def _parse_set_flags(pairs) -> dict:
 
 
 def _load_truth_csv(path) -> dict[str, str]:
-    rows = enumerate(read_csv_rows(path, ("image_id", "tag")), start=2)
-    return {
-        row["image_id"]: checked_tag(f"{path}, line {line}", row["tag"])
-        for line, row in rows
-    }
+    truth = {}
+    for line, row in enumerate(read_csv_rows(path, ("image_id", "tag")), start=2):
+        where, image_id = f"{path}, line {line}", row["image_id"]
+        if image_id in truth:
+            raise InputError(f"{where}: image {image_id!r} is tagged twice")
+        truth[image_id] = checked_tag(where, row["tag"])
+    return truth
 
 
 def _save_truth_csv(truth: dict[str, str], path) -> None:
@@ -342,8 +322,10 @@ def _assemble_inputs(manifest: Manifest) -> RunInputs:
     for key in ("labels", "corpus", "batches"):
         if not manifest.spec.get(key):
             raise ConfigError(f"manifest needs {key!r}")
+    corpus_spec, entries = manifest.spec["corpus"], manifest.spec["batches"]
+    if not isinstance(corpus_spec, dict) or not isinstance(entries, list):
+        raise InputError("manifest 'corpus' must be an object, 'batches' a list")
     label_space = LabelSpace.from_manifest(manifest._resolve(manifest.spec["labels"]))
-    corpus_spec = manifest.spec["corpus"]
     words_path = manifest._resolve(corpus_spec.get("words"))
     words = _read_json(words_path, "corpus words")
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
@@ -357,8 +339,11 @@ def _assemble_inputs(manifest: Manifest) -> RunInputs:
         truth_path = manifest._resolve(truth_path)
     truth = _load_truth_csv(truth_path) if truth_path else {}
     batches = []
-    for entry in manifest.spec["batches"]:
-        images = load_embeddings(manifest._resolve(entry))
+    for entry in entries:
+        path = manifest._resolve(entry)
+        images = load_embeddings(path)
+        if images.rows == 0:
+            raise InputError(f"{path}: batch holds no images")
         try:
             tags = tuple(truth[i] for i in images.ids) if truth else None
         except KeyError as exc:

@@ -36,10 +36,8 @@ _ROW_RUN = 512
 
 
 def _normalize_rows(data) -> np.ndarray:
-    """A unit-norm float64 copy of a 2-D array of finite values."""
+    """A read-only, unit-norm float64 copy of a 2-D array of finite values."""
     out = np.array(data, dtype=np.float64, copy=True)
-    if out.ndim != 2:
-        raise DataError("expected a 2-D array")
     runs = [out[start : start + _ROW_RUN] for start in range(0, len(out), _ROW_RUN)]
     # every run is checked first, so a non-finite entry is reported ahead
     # of a zero-norm row in an earlier run
@@ -56,9 +54,10 @@ def _normalize_rows(data) -> np.ndarray:
                 raise DataError("zero-norm row cannot be normalized")
             run[extreme] /= peaks[:, None]
             norms[extreme] = np.linalg.norm(run[extreme], axis=1)
+        # dividing by 1.0 is exact: rows already within the band keep their bytes
         needs = np.abs(norms - 1.0) > _NORM_SKIP_TOL
-        if np.any(needs):
-            run[needs] /= norms[needs, None]
+        run /= np.where(needs, norms, 1.0)[:, None]
+    out.setflags(write=False)
     return out
 
 
@@ -66,32 +65,25 @@ def _normalize_rows(data) -> np.ndarray:
 class EmbeddingMatrix:
     """Row-major matrix of unit-norm, finite vectors with one id per row.
 
-    `from_rows` and `with_ids` (and so `load_embeddings`) make the rows
-    unit-norm; the word space takes corpus rows as they are on that promise.
-    A direct `EmbeddingMatrix(ids, data)` checks only that the rows are
-    finite, and must be given unit rows, as scoring assumes of image and
-    label rows.
+    Construction checks the ids and stores a read-only, unit-norm copy of
+    the rows (`_normalize_rows`), so every matrix holds unit, finite rows.
     """
 
     ids: tuple[str, ...]
-    data: np.ndarray  # (rows, dim) float64, unit-norm rows
+    data: np.ndarray  # (rows, dim) float64, unit-norm rows, read-only
 
     def __post_init__(self):
-        if self.data.ndim != 2:
+        if np.ndim(self.data) != 2:
             raise DataError("expected a 2-D array")
-        if len(self.ids) != self.data.shape[0]:
-            raise DataError(
-                f"{len(self.ids)} ids for {self.data.shape[0]} rows"
-            )
+        if len(self.ids) != len(self.data):
+            raise DataError(f"{len(self.ids)} ids for {len(self.data)} rows")
         if len(set(self.ids)) != len(self.ids):
             raise DataError("duplicate row ids")
-        if not np.all(np.isfinite(self.data)):
-            raise DataError("non-finite entries in embedding matrix")
-        self.data.setflags(write=False)
+        object.__setattr__(self, "data", _normalize_rows(self.data))
 
     @classmethod
     def from_rows(cls, ids, data) -> "EmbeddingMatrix":
-        return cls(ids=tuple(ids), data=_normalize_rows(data))
+        return cls(tuple(ids), data)
 
     @property
     def rows(self) -> int:
@@ -126,21 +118,7 @@ def decode_nspc(raw: bytes, source) -> np.ndarray:
             f"{source}: payload size {len(raw) - 20}, expected {expected - 20}"
         )
     data = np.frombuffer(raw, dtype=dtype, offset=20).astype(np.float64)
-    data = data.reshape(rows, dim)
-    if not np.all(np.isfinite(data)):
-        raise DataError(f"{source}: non-finite entries")
-    return data
-
-
-def with_ids(ids, data: np.ndarray, source) -> EmbeddingMatrix:
-    """Decoded rows carrying `ids`, renormalized to unit norm."""
-    if (
-        not isinstance(ids, list)
-        or len(ids) != data.shape[0]
-        or not all(isinstance(i, str) for i in ids)
-    ):
-        raise DataError(f"{source}: expected a list of {data.shape[0]} str ids")
-    return EmbeddingMatrix(ids=tuple(ids), data=_normalize_rows(data))
+    return data.reshape(rows, dim)
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path, version: int = 1) -> None:
@@ -162,7 +140,17 @@ def load_embeddings(path) -> EmbeddingMatrix:
         ids = json.loads(sidecar.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise FormatError(f"{sidecar}: not a JSON id list ({exc})") from exc
-    return with_ids(ids, decode_nspc(raw, path), path)
+    data = decode_nspc(raw, path)
+    if (
+        not isinstance(ids, list)
+        or len(ids) != len(data)
+        or not all(isinstance(i, str) for i in ids)
+    ):
+        raise DataError(f"{path}: expected a list of {len(data)} str ids")
+    try:
+        return EmbeddingMatrix(tuple(ids), data)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _canon_label(label: str) -> str:
@@ -313,9 +301,7 @@ class NegativeSpace:
             ):
                 raise DataError("inverse must hold one row index per text")
             inverse.setflags(write=False)
-        rows = _normalize_rows(data)
-        rows.setflags(write=False)
-        return cls(texts, rows, inverse)
+        return cls(texts, _normalize_rows(data), inverse)
 
     def stored_rows(self) -> np.ndarray:
         """One row per text, in text order."""

@@ -192,6 +192,9 @@ class HistoryCache:
             )
         if data.shape != (len(ids), self._data.shape[1]):
             raise ValueError(f"cache rows {data.shape} do not match its ids and dim")
+        # unlike every other loaded matrix, cache rows skip `_normalize_rows`
+        if not np.isfinite(data).all():
+            raise DataError("non-finite entries in cache rows")
         self._rng.bit_generator.state = state["rng_state"]
         self._ids = list(ids)
         self._data[: len(ids)] = data

@@ -66,8 +66,8 @@ def select_initial_nls(
     order = np.argsort(max_label_similarity(rows, ids), kind="stable")[:m]
     chosen = keep[order]
     texts = tuple(corpus.words[i] for i in chosen)
-    # the corpus rows are unit-norm and finite already (see EmbeddingMatrix),
-    # so the one gathered copy is the space's rows
+    # every EmbeddingMatrix holds unit, finite rows, so the one gathered copy
+    # is the space's rows
     rows, inverse = _merge_repeats(texts, data[chosen])
     rows.setflags(write=False)
     return NegativeSpace(texts, rows, inverse)

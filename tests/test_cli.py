@@ -141,13 +141,14 @@ class TestRun:
         assert capsys.readouterr().err == f"error: manifest needs {key!r}\n"
         assert not out.exists()
 
-    def test_missing_input_fails_before_output(self, world_dir, tmp_path):
-        manifest = json.loads((world_dir / "manifest.json").read_text())
-        manifest["client"] = {"mode": "replay", "fixtures": "fx_missing"}
-        bad = tmp_path / "bad_manifest.json"
-        bad.write_text(json.dumps(manifest))
+    def test_missing_input_fails_before_output(self, world_dir, tmp_path, capsys):
+        # a replay client over no fixtures would degrade (exit 2); it fails
+        client = {"mode": "replay", "fixtures": "fx_missing"}
+        bad = write_manifest(world_dir, "replay_fx_missing", client=client)
         out = tmp_path / "never"
         assert run_cli("run", bad, "--out", out) == 1
+        missing = (world_dir / "fx_missing").resolve()
+        assert capsys.readouterr().err == f"error: manifest path not found: {missing}\n"
         assert not out.exists()
 
     # numpy raises MemoryError for the first and ValueError past its size limit
@@ -188,6 +189,15 @@ class TestRun:
         truth_lines = (world_dir / "truth.csv").read_text().splitlines(keepends=True)
         dropped = truth_lines.pop(2).split(",")[0]  # the second image of batch 0
         (world_dir / "truth_missing_image.csv").write_text("".join(truth_lines))
+        image, tag = truth_lines[1].strip().split(",")
+        other = "OOD" if tag == "ID" else "ID"
+        (world_dir / "truth_twice.csv").write_text(
+            "".join(truth_lines) + f"{image},{other}\n"
+        )
+        dim = load_embeddings(world_dir / "batch_000.nspc").dim
+        save_embeddings(
+            EmbeddingMatrix((), np.empty((0, dim))), world_dir / "batch_empty.nspc", 2
+        )
         (world_dir / "batch_int_id.nspc").write_bytes(
             (world_dir / "batch_000.nspc").read_bytes()
         )
@@ -225,6 +235,8 @@ class TestRun:
             "truth_list": {**manifest, "truth": ["a"]},
             "fixtures_number": {**manifest, "client": {"mode": "replay", "fixtures": 3}},
             "truth_missing_image": {**manifest, "truth": "truth_missing_image.csv"},
+            "truth_twice": {**manifest, "truth": "truth_twice.csv"},
+            "batch_empty": {**manifest, "batches": ["batch_000.nspc", "batch_empty.nspc"]},
             # no truth file, whose lookup would reject the id first
             "batch_id_not_string": {
                 **{k: v for k, v in manifest.items() if k != "truth"},
@@ -235,13 +247,33 @@ class TestRun:
             },
             "env_endpoint_not_http": {**manifest, "client": {"mode": "http"}},
         }
+        # each input the manifest names is checked where it is read
+        missing = {
+            "config_missing": {**manifest, "config": "nope_config.json"},
+            "labels_missing": {**manifest, "labels": "nope_labels.json"},
+            "words_missing": {
+                **manifest, "corpus": {**manifest["corpus"], "words": "nope_words.json"}
+            },
+            "embeddings_missing": {
+                **manifest,
+                "corpus": {**manifest["corpus"], "embeddings": "nope_corpus.nspc"},
+            },
+            "batch_missing": {
+                **manifest, "batches": [*manifest["batches"], "nope_batch.nspc"]
+            },
+            "truth_missing": {**manifest, "truth": "nope_truth.csv"},
+            "fixtures_missing": {
+                **manifest, "client": {"mode": "replay", "fixtures": "nope_fx"}
+            },
+        }
+        variants.update(missing)
         monkeypatch.setenv("NEGTEXT_ENDPOINT", "ftp://example.test/api")
         cases = [("run", bad, "--out", tmp_path / "o")]
         for name, spec in variants.items():
             path = world_dir / f"manifest_bad_{name}.json"
             path.write_text(json.dumps(spec))
             cases.append(("run", path, "--out", tmp_path / "o"))
-        for name in ("label_not_string", "word_not_string"):
+        for name in ("label_not_string", "word_not_string", *missing):
             path = world_dir / f"manifest_bad_{name}.json"
             cases.append((
                 "sweep", "lambda", path, "--values", "0,1", "-o", tmp_path / "s.csv",
@@ -263,17 +295,28 @@ class TestRun:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         for name, message in (
             ("truth_missing_image", f"missing_image.csv: no tag for image {dropped!r}"),
+            (
+                "truth_twice",
+                f"truth_twice.csv, line {len(truth_lines) + 1}: "
+                f"image {image!r} is tagged twice",
+            ),
+            ("batch_empty", "batch_empty.nspc: batch holds no images"),
             ("endpoint_not_url", "must be an http(s) URL with a host, got 'not-a-url'"),
             ("env_endpoint_not_http", "got 'ftp://example.test/api'"),
             ("label_not_string", "labels_number.json: labels and prompt_template"),
             ("template_not_string", "template_number.json: labels and prompt_template"),
             ("word_not_string", "words_number.json: corpus words must be a JSON list"),
             ("batch_id_not_string", "batch_int_id.nspc: expected a list of 300 str ids"),
+            *(
+                (name, f"manifest path not found: {world_dir.resolve()}/nope_")
+                for name in missing
+            ),
         ):
             path = world_dir / f"manifest_bad_{name}.json"
             assert run_cli("run", path, "--out", tmp_path / "o") == 1
-            assert message in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+            assert message in capsys.readouterr().err, name
+        assert not (tmp_path / "o").exists() and not (tmp_path / "fx").exists()
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize(
         "endpoint",
@@ -490,7 +533,8 @@ class TestFixtures:
             "seed_bool": (concepts_file("seed_bool"), "concepts 'seed' must be"),
             "seed_negative": (concepts_file("seed_negative"), "concepts 'seed' must be"),
             "concepts_missing": (
-                {**client, "concepts": "nope.json"}, "manifest references missing paths"
+                {**client, "concepts": "nope.json"},
+                f"error: manifest path not found: {(world_dir / 'nope.json').resolve()}\n",
             ),
             "concepts_broken": (
                 {**client, "concepts": "truth.csv"}, "concepts is not valid JSON"
@@ -550,6 +594,20 @@ class TestFixtures:
             "warning: generation degraded; stale negative spaces were used\n"
         )
 
+    def test_replay_reads_no_client_file_of_the_manifest(self, world_dir, tmp_path):
+        fixtures, rec_out, rep_out = tmp_path / "fx", tmp_path / "rec", tmp_path / "rep"
+        assert run_cli(
+            "fixtures", "record", world_dir / "manifest.json",
+            "--fixtures", fixtures, "--out", rec_out,
+        ) == 0
+        client = {"mode": "synthetic", "concepts": "nope.json"}
+        path = write_manifest(world_dir, "replay_no_concepts", client=client)
+        assert run_cli(
+            "fixtures", "replay", path, "--fixtures", fixtures, "--out", rep_out
+        ) == 0
+        for name in ("records.csv", "report.json", "checkpoint.nckp"):
+            assert (rec_out / name).read_bytes() == (rep_out / name).read_bytes()
+
     def test_replay_without_fixtures_fails(self, world_dir, tmp_path):
         assert run_cli(
             "fixtures", "replay", world_dir / "manifest.json",
@@ -597,6 +655,18 @@ class TestEval:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert str(junk) in err[0] and named in err[0]
+
+    def test_truth_tagging_an_image_twice_fails_with_one_line(
+        self, world_dir, tmp_path, capsys
+    ):
+        out = self._run(world_dir, tmp_path)
+        truth = tmp_path / "t.csv"
+        truth.write_text("image_id,tag\nimg_a,ID\nimg_b,OOD\nimg_a,OOD\n")
+        capsys.readouterr()
+        assert run_cli("eval", out / "records.csv", "--truth", truth) == 1
+        assert capsys.readouterr().err == (
+            f"error: {truth}, line 4: image 'img_a' is tagged twice\n"
+        )
 
     def test_truth_with_wrong_header_fails_with_one_line(
         self, world_dir, tmp_path, capsys

@@ -1,5 +1,6 @@
 """Core type invariants, vector primitives, and file-format round trips."""
 import json
+import re
 import struct
 
 import numpy as np
@@ -86,6 +87,21 @@ class TestEmbeddingMatrix:
         data[-1, 5], data[0] = np.inf, 0.0
         with pytest.raises(DataError, match="non-finite"):
             embeddings._normalize_rows(data)
+
+    def test_division_keeps_the_bytes_of_rows_that_need_none(self):
+        # -0.0 and subnormal entries of a unit row survive next to a row
+        # that is divided by its norm
+        unit = np.array([[-0.0, 5e-324, 0.6, -0.8, 2.2e-308]])
+        data = np.vstack([unit, [[-0.0, 5e-324, 3.0, 4.0, 0.0]]])
+        rows = embeddings._normalize_rows(data)
+        assert rows[:1].view(np.uint64).tolist() == unit.view(np.uint64).tolist()
+        assert np.signbit(rows[1, 0]) and np.abs(np.linalg.norm(rows[1]) - 1.0) < 1e-15
+
+    def test_direct_construction_holds_unit_rows(self):
+        data = np.array([[3.0, 4.0], [0.0, -2.0]])
+        matrix = EmbeddingMatrix(("a", "b"), data)
+        assert np.array_equal(matrix.data, [[0.6, 0.8], [0.0, -1.0]])
+        assert data[0, 0] == 3.0 and not matrix.data.flags.writeable
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(DataError):
@@ -181,6 +197,31 @@ class TestFileFormat:
         message = "m.nspc: payload size 24, expected 48"
         with pytest.raises(FormatError, match=message) as excinfo:
             decode_nspc(raw, "m.nspc")
+        assert "\n" not in str(excinfo.value)
+
+    def test_load_checks_each_entry_for_finiteness_once(self, tmp_path, monkeypatch):
+        rows = unit_rows(np.random.default_rng(9), 2 * embeddings._ROW_RUN + 3, 4)
+        path = tmp_path / "m.nspc"
+        save_embeddings(EmbeddingMatrix.from_rows(map(str, range(len(rows))), rows), path)
+        checked = []
+        isfinite = np.isfinite
+
+        def counting_isfinite(x, *args, **kwargs):
+            checked.append(np.size(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        load_embeddings(path)
+        assert sum(checked) == rows.size
+
+    def test_non_finite_entry_rejected_with_one_line_naming_the_file(self, tmp_path):
+        path = tmp_path / "m.nspc"
+        save_embeddings(EmbeddingMatrix.from_rows(["a", "b"], np.eye(2)), path)
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.array([np.nan], "<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-finite") as excinfo:
+            load_embeddings(path)
         assert "\n" not in str(excinfo.value)
 
     def test_missing_sidecar_rejected(self, tmp_path):

@@ -563,6 +563,20 @@ class TestCheckpoint:
             f"{path} [cache]: rows must be NSPC version 2 (float64)"
         )
 
+    def test_non_finite_cache_row_rejected_with_one_line(self, saved):
+        # the cache rows are the one matrix a load does not normalize
+        world, path = saved
+        raw = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack("<Q", raw[8:16])
+        first = 16 + header_len + 20  # the cache blob's first entry
+        raw[first : first + 8] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as excinfo:
+            load_checkpoint(path, world.label_space, world.corpus)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}: ") and "non-finite" in message
+        assert "\n" not in message
+
     @pytest.mark.parametrize("where", ["header", "cache blob", "last space blob"])
     def test_truncated_file_rejected_with_its_path(self, saved, where):
         world, path = saved
