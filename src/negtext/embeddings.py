@@ -54,9 +54,11 @@ def _normalize_rows(data) -> np.ndarray:
                 raise DataError("zero-norm row cannot be normalized")
             run[extreme] /= peaks[:, None]
             norms[extreme] = np.linalg.norm(run[extreme], axis=1)
-        # dividing by 1.0 is exact: rows already within the band keep their bytes
+        # dividing by 1.0 is exact: rows already within the band keep their
+        # bytes, and a run of such rows is not divided at all
         needs = np.abs(norms - 1.0) > _NORM_SKIP_TOL
-        run /= np.where(needs, norms, 1.0)[:, None]
+        if np.any(needs):
+            run /= np.where(needs, norms, 1.0)[:, None]
     out.setflags(write=False)
     return out
 
@@ -199,6 +201,8 @@ class LabelSpace:
             raise FormatError(f"{path}: unreadable labels manifest ({exc!r})") from exc
         if not all(isinstance(text, str) for text in (*labels, template)):
             raise InputError(f"{path}: labels and prompt_template must be strings")
+        if not features_path.exists():
+            raise InputError(f"{path}: labels features not found: {features_path}")
         return cls(
             labels=labels,
             features=load_embeddings(features_path),

@@ -34,15 +34,32 @@ The ID part (the log-sum-exp over the labels) depends only on the image
 rows, so it is computed once per scored matrix by `id_part` and shared by
 every space through `negative_scores`.
 
-Three products go through one row-block helper, `_blockwise`: the ID part
-of `id_part`, each space's product in `negative_scores`, and the word-space
+Three products go through one tile helper, `_blockwise`: the ID part of
+`id_part`, each space's product in `negative_scores`, and the word-space
 selection's product in `max_label_similarity`. Each row's result depends on
 that row alone, so a large matrix is cut into contiguous row blocks by the
 rules below: the calling thread takes the first and a worker thread the
-second. Each block is walked in runs of about BLOCK_CELLS cells through one
-buffer per worker, so no product is held whole (1,000 images against
-10,000 negatives would take 80 MB). Every run makes the same BLAS product
-and row-wise numpy as the unsplit matrix, and the results keep every bit.
+second. Each block is walked in tiles of about BLOCK_CELLS cells through
+one buffer per worker, so no product is held whole (1,000 images against
+10,000 negatives would take 80 MB). A tile is a run of the block's rows
+times a run of the columns. Only the all-distinct reduction works per
+group, so only its tiles are narrower than the product: where the rules
+below split rows, its column runs are multiples of lcm(group_size,
+WIDTH_MULTIPLE) and at least MIN_BLOCK_ROWS wide, a narrower tail joining
+the run before it, and a block too tall for a near-square tile is cut
+into row runs as well. Each tile holds whole groups (the last may end in
+the ragged group) and adds their shares to its rows' totals in group
+order; the rows' last tile divides. The row-wise reductions (the ID part,
+the selection, the sentence count product and the tiny-temperature
+gather) walk whole-width row runs. BLAS packs the negatives for every
+product, so a tile as tall as the budget allows packs them once per row
+run, where whole-width runs would pack all 10,000 every 64 rows. Every
+tile makes the same BLAS product and row- or group-wise numpy as the
+unsplit matrix, and the results keep every bit.
+
+The benchmark (`perfbench/`) wraps `grouped_scores_batch` by name and is
+to wrap `id_part` and `negative_scores` too, so these three keep their
+names and signatures.
 """
 from __future__ import annotations
 
@@ -61,16 +78,18 @@ SCORE_WORKERS = 2
 # a block of under ~1200 cells through a small-matrix kernel, and when the
 # product's width is not a multiple of 8 its last columns round by where the
 # block starts (measured with OpenBLAS 0.3.31 on x86-64, 1 and 2 BLAS
-# threads). So a product is split only into blocks of at least
-# MIN_BLOCK_ROWS rows and MIN_BLOCK_ROWS columns, and only at a width that
-# is a multiple of WIDTH_MULTIPLE.
+# threads). So a product is split only into blocks and tiles of at least
+# MIN_BLOCK_ROWS rows and MIN_BLOCK_ROWS columns, only at a width that is a
+# multiple of WIDTH_MULTIPLE, and a tile's columns start at a multiple of
+# it (cut at column 265, the tiles of an 82 x 464 product at dim 8 rounded
+# otherwise).
 MIN_BLOCK_ROWS = 64
 WIDTH_MULTIPLE = 8
 # below this many score cells a worker costs more than it saves
 MIN_SPLIT_CELLS = 1 << 18
-# each worker walks its rows in runs of about this many product cells (8 MB
-# of float64), so a large product is never held whole
-BLOCK_CELLS = 1 << 20
+# each worker walks its block in tiles of about this many product cells
+# (4 MB of float64), so a large product is never held whole
+BLOCK_CELLS = 1 << 19
 # the 2 / temperature above which a repeated-row space shifts each group on
 # its own (see the module docstring): exp(-708.4) is the smallest normal
 # float, and 700 leaves room for the rows' norm tolerance
@@ -137,33 +156,66 @@ def _row_blocks(n_rows: int, width: int, cells: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _blockwise(rows, cols, cells: int, reduce) -> None:
-    """`reduce(lo, hi, rows[lo:hi] @ cols.T)` over runs of the `_row_blocks`
-    of a product whose scoring touches `cells` cells, the first block on the
-    calling thread and the rest on a per-call pool (a module-level pool would
-    hang a forked child). Where the rules above allow the width, each block
-    is walked in runs of at least MIN_BLOCK_ROWS rows and about BLOCK_CELLS
-    cells, a short tail joining the run before it; any other product is one
-    run. Once every block has stopped, the earliest block's exception is
-    raised unchanged."""
+def _runs(lo: int, hi: int, step: int) -> list[int]:
+    """Bounds of runs of `step` from `lo` to `hi`, a tail under
+    MIN_BLOCK_ROWS joining the run before it."""
+    bounds = list(range(lo, hi, step)) + [hi]
+    if len(bounds) > 2 and hi - bounds[-2] < MIN_BLOCK_ROWS:
+        del bounds[-2]
+    return bounds
+
+
+def _tile_steps(n_rows: int, width: int, group: int | None) -> tuple[int, int]:
+    """(rows, columns) of the tiles that walk a block of `n_rows` rows of a
+    product `width` columns wide. Where the rules above allow the width,
+    a tile holds about BLOCK_CELLS cells and at least MIN_BLOCK_ROWS rows.
+    Given a `group`, a block of at least MIN_BLOCK_ROWS rows is also cut
+    into column runs of a multiple of lcm(group, WIDTH_MULTIPLE), at least
+    MIN_BLOCK_ROWS wide: as wide as the budget allows over the block's
+    rows, or over a square tile's rows when the block is taller. Otherwise
+    a tile spans the width."""
+    if not _splittable(width):
+        return max(n_rows, 1), width
+    col_step = width
+    if group is not None and n_rows >= MIN_BLOCK_ROWS:
+        unit = math.lcm(group, WIDTH_MULTIPLE)
+        unit *= -(-MIN_BLOCK_ROWS // unit)
+        side = min(n_rows, math.isqrt(BLOCK_CELLS))
+        col_step = min(width, max(unit, BLOCK_CELLS // side // unit * unit))
+    return max(MIN_BLOCK_ROWS, BLOCK_CELLS // col_step), col_step
+
+
+def _blockwise(rows, cols, cells: int, reduce, group: int | None = None) -> None:
+    """`reduce(lo, hi, start, rows[lo:hi] @ cols[start:stop].T)` over the
+    tiles of the `_row_blocks` of a product whose scoring touches `cells`
+    cells, the first block on the calling thread and the rest on a per-call
+    pool (a module-level pool would hang a forked child). Each block is
+    walked in row runs, and each row run in column runs from left to right,
+    as `_tile_steps` sets them; a tail under MIN_BLOCK_ROWS joins the run
+    before it. Without a `group`, or where the rules above do not allow the
+    width, a tile spans the width. Once every block has stopped, the
+    earliest block's exception is raised unchanged."""
     n, width = rows.shape[0], cols.shape[0]
-    step = max(n, 1)
-    if _splittable(width):
-        step = max(MIN_BLOCK_ROWS, BLOCK_CELLS // width)
     walks = []
     for lo, hi in _row_blocks(n, width, cells):
-        bounds = list(range(lo, hi, step)) + [hi]
-        if len(bounds) > 2 and hi - bounds[-2] < MIN_BLOCK_ROWS:
-            del bounds[-2]
-        walks.append(bounds)
-    # one run-sized buffer per block, reused by each of its runs; the calling
-    # thread allocates them all, as a worker's own large temporaries would
-    # stay in its malloc arena
-    buffers = [np.empty((np.diff(b).max(initial=0), width)) for b in walks]
+        row_step, col_step = _tile_steps(hi - lo, width, group)
+        walks.append((_runs(lo, hi, row_step), _runs(0, width, col_step)))
+    # one tile-sized buffer per block, reused by each of its tiles; the
+    # calling thread allocates them all, as a worker's own large temporaries
+    # would stay in its malloc arena
+    buffers = [
+        np.empty((np.diff(r).max(initial=0), np.diff(c).max(initial=0)))
+        for r, c in walks
+    ]
 
-    def fill(bounds: list[int], buffer: np.ndarray) -> None:
-        for lo, hi in zip(bounds, bounds[1:]):
-            reduce(lo, hi, np.matmul(rows[lo:hi], cols.T, out=buffer[: hi - lo]))
+    def fill(walk: tuple[list[int], list[int]], buffer: np.ndarray) -> None:
+        row_bounds, col_bounds = walk
+        flat = buffer.reshape(-1)
+        for lo, hi in zip(row_bounds, row_bounds[1:]):
+            for start, stop in zip(col_bounds, col_bounds[1:]):
+                shape = (hi - lo, stop - start)
+                out = flat[: shape[0] * shape[1]].reshape(shape)
+                reduce(lo, hi, start, np.matmul(rows[lo:hi], cols[start:stop].T, out=out))
 
     with ThreadPoolExecutor(max(1, len(walks) - 1)) as pool:
         futures = [pool.submit(fill, *job) for job in zip(walks[1:], buffers[1:])]
@@ -183,7 +235,7 @@ def id_part(
     lse_id = np.empty(n)
     predictions = np.empty(n, dtype=np.intp)
 
-    def reduce(lo: int, hi: int, sims: np.ndarray) -> None:
+    def reduce(lo: int, hi: int, _start: int, sims: np.ndarray) -> None:
         predictions[lo:hi] = np.argmax(sims, axis=1)
         sims /= cfg.temperature
         lse_id[lo:hi] = _logsumexp_rows(sims)
@@ -200,7 +252,7 @@ def max_label_similarity(rows: np.ndarray, ids: LabelSpace) -> np.ndarray:
         raise DataError(f"row dim {rows.shape[1]} vs label dim {ids.features.dim}")
     max_sim = np.empty(rows.shape[0])
 
-    def reduce(lo: int, hi: int, sims: np.ndarray) -> None:
+    def reduce(lo: int, hi: int, _start: int, sims: np.ndarray) -> None:
         np.max(sims, axis=1, out=max_sim[lo:hi])
 
     _blockwise(rows, ids.features.data, max_sim.size * ids.n_classes, reduce)
@@ -251,32 +303,35 @@ def negative_scores(
 
     else:
         # each group shifted by its own maximum, in views of the columns in
-        # text order: the product itself when the rows are all distinct,
-        # else its columns gathered (a row shift could underflow a group)
-        full = neg.size - neg.size % g
-
+        # text order: a tile of whole groups (the last may end in the ragged
+        # group) when the rows are all distinct, else the product's columns
+        # gathered (a row shift could underflow a group)
         def lse_groups(sims: np.ndarray) -> np.ndarray:
             if inverse is None:
                 sims /= tau
             else:
                 sims = sims[:, inverse] / tau
+            full = sims.shape[1] - sims.shape[1] % g
             parts = [sims[:, :full].reshape(len(sims), full // g, g)]
-            if full < neg.size:  # a ragged last group
+            if full < sims.shape[1]:  # a ragged last group
                 parts.append(sims[:, None, full:])
             return np.concatenate([_logsumexp_rows(p) for p in parts], axis=1)
 
-    def reduce(lo: int, hi: int, sims: np.ndarray) -> None:
+    def reduce(lo: int, hi: int, start: int, sims: np.ndarray) -> None:
         # per-group score = 1 / (1 + exp(lse_neg - lse_id)); at a tiny
         # temperature the exp overflows to inf and the score to its limit 0
         with np.errstate(over="ignore"):
             shares = 1.0 / (1.0 + np.exp(lse_groups(sims) - lse_id[lo:hi, None]))
-        # summed in group order, not pairwise (see the module docstring)
+        # summed in group order, tile after tile, not pairwise (see the
+        # module docstring); the rows' last tile divides
         total = scores[lo:hi]
         for share in shares.T:
             total += share
-        total /= n_groups
+        if start + sims.shape[1] == rows.shape[0]:
+            total /= n_groups
 
-    _blockwise(images, rows, n * neg.size, reduce)
+    group = g if inverse is None else None
+    _blockwise(images, rows, n * neg.size, reduce, group)
     return scores
 
 

@@ -151,6 +151,20 @@ class TestRun:
         assert capsys.readouterr().err == f"error: manifest path not found: {missing}\n"
         assert not out.exists()
 
+    def test_missing_label_features_fail_with_one_line(self, world_dir, tmp_path, capsys):
+        # the features file is named by the labels manifest, not the manifest
+        labels = json.loads((world_dir / "labels.json").read_text())
+        labels_path = world_dir / "labels_features_missing.json"
+        labels_path.write_text(json.dumps({**labels, "features": "nope_labels.nspc"}))
+        bad = write_manifest(world_dir, "labels_features_missing", labels=labels_path.name)
+        out = tmp_path / "never"
+        assert run_cli("run", bad, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {labels_path}: labels features not found: "
+            f"{world_dir / 'nope_labels.nspc'}\n"
+        )
+        assert not out.exists()
+
     # numpy raises MemoryError for the first and ValueError past its size limit
     @pytest.mark.parametrize("capacity", [10**13, 10**16])
     def test_cache_too_large_to_allocate_fails_with_one_line(

@@ -1,4 +1,5 @@
 """Score functions against extended-precision oracles and hand traces."""
+import math
 import threading
 import time
 import tracemalloc
@@ -6,7 +7,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from negtext import scoring
@@ -531,31 +532,62 @@ class TestRowBlocks:
             assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 
+def tile_grid(runs: list, n: int, width: int) -> dict:
+    """Row run `(start, rows)` -> its tiles' `(start, columns)` in the order
+    they were made, from `TestWalkedScores.record_runs`; asserts that the
+    row runs cover the n rows once and each run's tiles its width once,
+    from left to right."""
+    grid = {}
+    for row, rows, col, cols, _ in runs:
+        grid.setdefault((row, rows), []).append((col, cols))
+    row_runs = sorted(grid)
+    assert [r for r, _ in row_runs] == [0] + [r + k for r, k in row_runs[:-1]]
+    assert sum(k for _, k in row_runs) == n
+    for tiles in grid.values():
+        assert [c for c, _ in tiles] == [0] + [c + k for c, k in tiles[:-1]]
+        assert sum(k for _, k in tiles) == width
+    return grid
+
+
 class TestWalkedScores:
-    """The ID and score products are walked in runs, as the selection's is:
+    """The ID and score products are walked in tiles, as the selection's is:
     their scores equal one unsplit product's and each worker holds one
-    run-sized buffer."""
+    tile-sized buffer. Only an all-distinct space's tiles are narrower than
+    the product: each holds whole groups, the last may end in the ragged one."""
 
     @staticmethod
     def record_runs(monkeypatch) -> list:
-        """(rows, width, buffer) of every product the scorer makes."""
+        """(row start, rows, column start, columns, buffer) of every product
+        the scorer makes, the starts read from the operands' offsets."""
         runs = []
         matmul = np.matmul
 
         def recorded(a, b, out):
-            runs.append((*out.shape, id(out.base)))
+            row = (a.ctypes.data - a.base.ctypes.data) // a.strides[0]
+            col = (b.ctypes.data - b.base.ctypes.data) // b.strides[1]
+            rows, cols = out.shape
+            runs.append((row, rows, col, cols, id(out.base)))
             return matmul(a, b, out=out)
 
         monkeypatch.setattr(np, "matmul", recorded)
         return runs
 
-    @pytest.mark.parametrize("m, distinct, n, block_cells", [
-        (10000, 10000, 880, None),  # 104-row runs; a 24-row tail joins the run before
-        (200, 200, 460, 100 * 200),  # 100-row runs; a 30-row tail joins the run before
-        (203, 203, 460, 100 * 203),  # a width that is not a multiple of 8: one run
-        (400, 200, 460, 100 * 200),  # the count path over 200 distinct rows
-    ])
-    def test_equal_one_unsplit_product(self, monkeypatch, m, distinct, n, block_cells):
+    CASES = [
+        (10000, 10000, 880, None, (440, 1000)),  # ten tiles per worker
+        (10000, 10000, 880, 100 * 200, (100, 200)),  # a 40-row tail joins its run
+        (1040, 1040, 460, 230 * 200, (230, 200)),  # a 40-column tail joins its tile
+        (200, 200, 460, 100 * 200, (100, 200)),  # one group unit wide: row runs
+        (203, 203, 460, 100 * 203, (460, 203)),  # a width not a multiple of 8: one run
+        (400, 200, 460, 100 * 200, (100, 200)),  # the count path: whole-width runs
+    ]
+
+    @pytest.mark.parametrize(
+        "m, distinct, n, block_cells, tile", CASES,
+        ids=["-".join(map(str, case[:4])) for case in CASES],
+    )
+    def test_equal_one_unsplit_product(
+        self, monkeypatch, m, distinct, n, block_cells, tile
+    ):
         monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
         if block_cells is not None:
             monkeypatch.setattr(scoring, "BLOCK_CELLS", block_cells)
@@ -574,7 +606,6 @@ class TestWalkedScores:
         runs.clear()
         scores = negative_scores(images, lse_id, neg, cfg)
         neg_runs = runs[:]
-        step = max(scoring.MIN_BLOCK_ROWS, scoring.BLOCK_CELLS // distinct)
 
         sims = images @ ids.features.data.T
         assert np.array_equal(predictions, np.argmax(sims, axis=1))
@@ -585,19 +616,101 @@ class TestWalkedScores:
         monkeypatch.setattr(scoring, "SCORE_WORKERS", 1)
         monkeypatch.setattr(scoring, "BLOCK_CELLS", n * distinct)
         assert np.array_equal(scores, negative_scores(images, lse_id, neg, cfg))
-        assert runs[len(neg_runs):] == [(n, distinct, runs[-1][2])]  # one run
+        assert [r[:4] for r in runs[len(neg_runs):]] == [(0, n, 0, distinct)]  # one run
 
         for products, width in ((id_runs, 200), (neg_runs, distinct)):
-            assert sum(rows for rows, _, _ in products) == n
-            assert {w for _, w, _ in products} == {width}
+            tile_grid(products, n, width)
             if width % scoring.WIDTH_MULTIPLE:
                 assert len(products) == 1
                 continue
-            assert len({buffer for _, _, buffer in products}) == 2  # one per worker
-            assert min(rows for rows, _, _ in products) >= scoring.MIN_BLOCK_ROWS
-        if distinct % scoring.WIDTH_MULTIPLE == 0:
-            assert len(neg_runs) > 2
-            assert step < max(rows for rows, _, _ in neg_runs) < step + scoring.MIN_BLOCK_ROWS
+            assert len({run[4] for run in products}) == 2  # one buffer per worker
+            assert min(run[1] for run in products) >= scoring.MIN_BLOCK_ROWS
+        assert {cols for _, _, _, cols, _ in id_runs} == {200}  # rows reduced whole
+        # each worker's first tile is one step; only a short tail makes one larger
+        first = [
+            (rows, cols) for row, rows, col, cols, _ in neg_runs
+            if row in (0, n // 2) and col == 0
+        ]
+        assert first == [tile] * len(first)
+        assert max(rows for _, rows, _, _, _ in neg_runs) < tile[0] + scoring.MIN_BLOCK_ROWS
+        assert max(cols for _, _, _, cols, _ in neg_runs) < tile[1] + scoring.MIN_BLOCK_ROWS
+
+    @given(
+        n=st.integers(64, 1000),
+        width=st.integers(8, 375).map(lambda k: 8 * k),
+        group=st.integers(1, 150),
+        block_cells=st.sampled_from([64 * 64, 100 * 300, 1 << 16]),
+        workers=st.integers(1, 3),
+    )
+    @example(n=880, width=1040, group=100, block_cells=230 * 200, workers=2)
+    @settings(max_examples=60, deadline=None)
+    def test_tiles_keep_the_rule(self, n, width, group, block_cells, workers):
+        # every tile at least MIN_BLOCK_ROWS rows and columns, starting on
+        # its block's row step and on a column step of whole group units;
+        # only a short tail is narrower or wider than the step
+        unit = math.lcm(group, scoring.WIDTH_MULTIPLE)
+        rng = np.random.default_rng(n * width + group)
+        neg = make_negative_space(m=width, dim=8, seed=group)
+        images = unit_rows(rng, n, 8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoring, "MIN_SPLIT_CELLS", 1)
+            mp.setattr(scoring, "BLOCK_CELLS", block_cells)
+            mp.setattr(scoring, "SCORE_WORKERS", workers)
+            runs = self.record_runs(mp)
+            negative_scores(images, np.zeros(n), neg, ScoreConfig(group_size=group))
+            blocks = scoring._row_blocks(n, width, n * width)
+        grid = tile_grid(runs, n, width)
+        assert len({run[4] for run in runs}) == len(blocks)
+        if width < scoring.MIN_BLOCK_ROWS:  # the rule cannot split it
+            assert list(grid) == [(0, n)]
+            return
+        for lo, hi in blocks:
+            row_runs = sorted(key for key in grid if lo <= key[0] < hi)
+            row_step = row_runs[0][1]
+            assert all((row - lo) % row_step == 0 for row, _ in row_runs)
+            assert all(
+                scoring.MIN_BLOCK_ROWS <= rows < row_step + scoring.MIN_BLOCK_ROWS
+                for _, rows in row_runs
+            )
+            for key in row_runs:
+                tiles = grid[key]
+                col_step = tiles[0][1]
+                assert col_step == width or col_step % unit == 0
+                assert all(col % col_step == 0 for col, _ in tiles)
+                assert all(
+                    scoring.MIN_BLOCK_ROWS <= cols < col_step + scoring.MIN_BLOCK_ROWS
+                    for _, cols in tiles
+                )
+                assert tiles == grid[row_runs[0]]  # one column walk per block
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(8, 768),
+        n=st.integers(64, 1000),
+        width=st.integers(8, 375).map(lambda k: 8 * k),
+        group=st.integers(3, 300),
+        block_cells=st.sampled_from([64 * 64, 100 * 300, 1 << 16]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_tiles_equal_the_full_product(
+        self, seed, dim, n, width, group, block_cells
+    ):
+        # a ragged last group in a tile of its own or joined to whole ones
+        assume(width % group)
+        rng = np.random.default_rng(seed)
+        ids = make_label_space(n=64, dim=dim, seed=seed)
+        neg = make_negative_space(m=width, dim=dim, seed=seed + 1)
+        images = unit_rows(rng, n, dim)
+        cfg = ScoreConfig(temperature=float(rng.choice([0.01, 1.0])), group_size=group)
+        expected = full_product_scores(images, ids, neg, cfg)
+        lse_id, _ = id_part(images, ids, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoring, "MIN_SPLIT_CELLS", 1)
+            mp.setattr(scoring, "BLOCK_CELLS", block_cells)
+            for workers in (1, 2, 3):
+                mp.setattr(scoring, "SCORE_WORKERS", workers)
+                got = negative_scores(images, lse_id, neg, cfg)
+                assert got.tobytes() == expected.tobytes(), workers
 
     def test_paper_shape_scores_hold_one_run_per_worker(self):
         # 1,000 images x 10,000 negatives: the whole product is 80 MB
@@ -611,7 +724,24 @@ class TestWalkedScores:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * scoring.BLOCK_CELLS * 8 + scores.nbytes
+        assert peak < 2.5 * scoring.BLOCK_CELLS * 8 + scores.nbytes
+
+    def test_checkpoint_rebuild_holds_one_tile_per_worker(self, monkeypatch):
+        # 20,000 cache rows against 10,000 word-space rows in groups of 100:
+        # each worker's 10,000 rows are cut into row runs too, so a tile
+        # stays within the budget; the products are not computed
+        runs = []
+        monkeypatch.setattr(np, "matmul", lambda a, b, out: runs.append(out.shape) or out)
+        rows, cols = np.zeros((20000, 8)), np.zeros((10000, 8))
+        tracemalloc.start()
+        try:
+            scoring._blockwise(rows, cols, rows.size, lambda *args: None, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(r * c for r, c in runs) == 20000 * 10000
+        assert max(r * c for r, c in runs) <= scoring.BLOCK_CELLS
+        assert peak < 2.5 * scoring.BLOCK_CELLS * 8
 
 
 class TestMaxLabelSimilarity:
