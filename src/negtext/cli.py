@@ -116,6 +116,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 class Manifest:
+    # a misspelt key would be ignored silently (a `truht` file, say, writes
+    # no report), so any other key is refused
+    KEYS = ("config", "client", "labels", "corpus", "batches", "truth",
+            "output_dir", "seed")
+
     def __init__(self, spec: dict, base_dir: Path):
         self.spec = spec
         self.base_dir = base_dir
@@ -128,6 +133,9 @@ class Manifest:
         spec = _read_json(path, "manifest")
         if not isinstance(spec, dict):
             raise InputError(f"{path}: manifest must be a JSON object")
+        unknown = [key for key in spec if key not in cls.KEYS]
+        if unknown:
+            raise ConfigError(f"{path}: unknown manifest key {unknown[0]!r}")
         return cls(spec, path.parent)
 
     def _path(self, rel) -> Path:

@@ -225,12 +225,14 @@ class LabelSpace:
         )
 
 
-def _merge_repeats(texts: tuple[str, ...], data: np.ndarray):
-    """The distinct rows of `data`, one per text, and the inverse.
+def _merge_repeats(texts: tuple[str, ...], data: np.ndarray, index=None):
+    """The distinct rows of the texts, one per text, and the inverse. Text
+    i's row is `data[i]`, or `data[index[i]]` given an `index`.
 
     A row merges into the first row of the same text only when the two are
     byte-equal as given, so the merge is exact for any embedding client.
-    The inverse is None, and `data` itself is returned, when nothing merges.
+    When nothing merges, `data` itself is returned with `index` as the
+    inverse (None when no `index` is given).
     """
     firsts: dict[str, int] = {}
     first = np.fromiter(
@@ -239,19 +241,20 @@ def _merge_repeats(texts: tuple[str, ...], data: np.ndarray):
         count=len(texts),
     )
     own = np.arange(len(texts))
+    at = own if index is None else index
     repeats = np.flatnonzero(first != own)
     # compare bytes, not values: -0.0 and 0.0 stay apart
     bits = data.view(np.uint64)
     for start in range(0, repeats.size, _ROW_RUN):
         part = repeats[start : start + _ROW_RUN]
-        differs = np.any(bits[part] != bits[first[part]], axis=1)
+        differs = np.any(bits[at[part]] != bits[at[first[part]]], axis=1)
         first[part[differs]] = part[differs]
     kept = np.flatnonzero(first == own)
     if kept.size == len(texts):
-        return data, None
+        return data, index
     inverse = np.searchsorted(kept, first)
     inverse.setflags(write=False)
-    return data[kept], inverse
+    return data[at[kept]], inverse
 
 
 @dataclass(frozen=True)
@@ -261,21 +264,35 @@ class NegativeSpace:
     A space's kind (word, sentence or lookalike) is the `StreamState`
     field, or the checkpoint header key, that holds it.
 
-    `rows` holds the space's distinct unit rows: text i's row is
-    `rows[inverse[i]]`, or `rows[i]` when `inverse` is None. Build a space
-    with `from_rows`, which stores a repeated text's row once; the word
-    space merges its corpus rows the same way, through `_merge_repeats`.
+    Text i's row is `rows[inverse[i]]`, or `rows[i]` when `inverse` is
+    None. A space takes one of two forms:
+
+    - stored: `rows` holds the space's distinct rows. `from_rows` builds
+      this form, storing a repeated text's row once; `inverse` is None
+      when no row repeats, and otherwise repeats an index (`merges`);
+    - selection: `rows` is a matrix the space shares and `inverse` picks
+      its rows, no index twice. The word space is, as a rule, a selection
+      of the corpus rows (`spaces.select_initial_nls`), so the caller's
+      corpus must outlive the stream. Scoring gathers a selection's rows
+      a column tile at a time, and the checkpoint writes its rows in text
+      order, as the stored form of the same texts.
+
     Scoring cuts the texts, in this order, into groups of
     `ScoreConfig.group_size`.
     """
 
     texts: tuple[str, ...]
-    rows: np.ndarray  # (distinct rows, dim) float64, read-only
+    rows: np.ndarray  # (rows, dim) float64, read-only
     inverse: np.ndarray | None  # (texts,) index into `rows`
+    # whether `inverse` repeats an index, set at construction
+    merges: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.texts) < 1:
             raise DataError("negative space must be non-empty")
+        inverse = self.inverse
+        merges = inverse is not None and np.bincount(inverse).max() > 1
+        object.__setattr__(self, "merges", merges)
 
     @property
     def size(self) -> int:
@@ -307,9 +324,11 @@ class NegativeSpace:
             inverse.setflags(write=False)
         return cls(texts, _normalize_rows(data), inverse)
 
-    def stored_rows(self) -> np.ndarray:
-        """One row per text, in text order."""
-        return self.rows if self.inverse is None else self.rows[self.inverse]
+    def stored_rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """One row per text of `texts[start:stop]`, in text order."""
+        if self.inverse is None:
+            return self.rows[start:stop]
+        return self.rows[self.inverse[start:stop]]
 
 
 @dataclass(frozen=True)

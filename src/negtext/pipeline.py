@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .clients import GenerationClient
-from .embeddings import LabelSpace, NegativeSpace, TestBatch, decode_nspc, encode_nspc
+from .embeddings import (
+    _ROW_RUN, LabelSpace, NegativeSpace, TestBatch, decode_nspc, encode_nspc
+)
 from .errors import (
     ConfigError, DataError, FormatError, GenerationError, InputError, check_field_types
 )
@@ -226,11 +228,15 @@ def run_stream(
 def _inputs_digest(state: StreamState) -> str:
     """sha256 of what a stream takes from its inputs alone: the config, the
     labels with their template and rows, and the word space's texts and rows
-    (one row per text, so the texts' count fixes where the rows part)."""
+    (one row per text, so the texts' count fixes where the rows part). The
+    word space's rows are hashed a run of texts at a time, so no copy of
+    them is gathered."""
     ids, nl = state.label_space, state.nl_space
     facts = [state.config.to_dict(), ids.labels, ids.prompt_template, nl.texts]
     digest = hashlib.sha256(json.dumps(facts, sort_keys=True).encode("utf-8"))
-    for rows in (ids.features.data, nl.stored_rows()):
+    digest.update(np.ascontiguousarray(ids.features.data, dtype="<f8"))
+    for start in range(0, nl.size, _ROW_RUN):
+        rows = nl.stored_rows(start, start + _ROW_RUN)
         digest.update(np.ascontiguousarray(rows, dtype="<f8"))
     return digest.hexdigest()
 
@@ -247,7 +253,7 @@ def _header_bytes(state: StreamState, digest: str, blob_sizes) -> bytes:
         "spaces": {
             name: {
                 "texts": list(space.texts),
-                "inverse": None if space.inverse is None else space.inverse.tolist(),
+                "inverse": space.inverse.tolist() if space.merges else None,
             }
             for name, space in spaces.items()
         },
@@ -259,8 +265,13 @@ def _header_bytes(state: StreamState, digest: str, blob_sizes) -> bytes:
 def save_checkpoint(state: StreamState, path) -> None:
     """Single-file checkpoint (version 3): a JSON header, then one NSPC
     version 2 (float64) container per matrix: the cached rows and the
-    sentence and lookalike spaces' distinct rows."""
-    matrices = (state.cache.matrix(), state.ens_space.rows, state.vsnl_space.rows)
+    sentence and lookalike spaces' distinct rows. Each space is written in
+    the stored form `from_rows` builds, so a selection's rows (the word
+    space's, while the others alias it) go in text order."""
+    spaces = (state.ens_space, state.vsnl_space)
+    matrices = (
+        state.cache.matrix(), *(s.rows if s.merges else s.stored_rows() for s in spaces)
+    )
     payloads = [encode_nspc(m, 2) for m in matrices]
     header_bytes = _header_bytes(
         state, _inputs_digest(state), [len(b) for b in payloads]

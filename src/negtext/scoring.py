@@ -11,12 +11,15 @@ into contiguous groups and per-group scores are averaged.
 `negative_scores` reduces a space's groups in one of two ways, without a
 Python loop over the groups' columns:
 
-- a space whose rows are all distinct (as a rule, the word and lookalike
-  spaces) views its product as `(rows, groups, group_size)`, the ragged
-  last group a view of its own, and shifts each group by its own maximum
-  in place. Its scores keep every bit of a product over every stored row
-  reduced group by group;
-- a space with repeated rows (the sentence space) divides its distinct
+- a space that merges no row (as a rule, the word and lookalike spaces)
+  views its product as `(rows, groups, group_size)`, the ragged last
+  group a view of its own, and shifts each group by its own maximum in
+  place. Its scores keep every bit of a product over every stored row
+  reduced group by group. Of the two forms of a space (see
+  `NegativeSpace`), a stored space's rows are the product's columns, and
+  a selection's (as a rule, the word space's corpus rows) are gathered in
+  text order a column tile at a time;
+- a space that merges repeated rows (the sentence space) divides its distinct
   columns by the temperature, shifts each row once by its maximum and
   exponentiates in place; a (distinct rows x groups) count matrix then
   gives every group's sum in one product. Its scores differ from the
@@ -44,18 +47,24 @@ one buffer per worker, so no product is held whole (1,000 images against
 10,000 negatives would take 80 MB). A tile is a run of the block's rows
 times a run of the columns. Only the all-distinct reduction works per
 group, so only its tiles are narrower than the product: where the rules
-below split rows, its column runs are multiples of lcm(group_size,
-WIDTH_MULTIPLE) and at least MIN_BLOCK_ROWS wide, a narrower tail joining
-the run before it, and a block too tall for a near-square tile is cut
-into row runs as well. Each tile holds whole groups (the last may end in
-the ragged group) and adds their shares to its rows' totals in group
-order; the rows' last tile divides. The row-wise reductions (the ID part,
-the selection, the sentence count product and the tiny-temperature
-gather) walk whole-width row runs. BLAS packs the negatives for every
-product, so a tile as tall as the budget allows packs them once per row
-run, where whole-width runs would pack all 10,000 every 64 rows. Every
-tile makes the same BLAS product and row- or group-wise numpy as the
-unsplit matrix, and the results keep every bit.
+below split rows, a block of at least MIN_BLOCK_ROWS rows walks column
+runs of a multiple of lcm(group_size, WIDTH_MULTIPLE), at least
+MIN_BLOCK_ROWS wide, a narrower tail joining the run before it, and is
+cut into row runs as well when it is too tall for a near-square tile.
+Each column run is walked row run after row run. A selection's column
+run is gathered once into the worker's buffer, beside its tile, and is
+narrow enough for its gathered rows to hold about BLOCK_CELLS cells too;
+a tile that spans the width gathers every chosen row. Each tile holds whole groups
+(the last may end in the ragged group) and adds their shares to its
+rows' totals in group order; the rows' last tile divides. The row-wise
+reductions (the ID part, the selection, the sentence count product and
+the tiny-temperature gather) walk whole-width row runs: cutting the
+selection's 1,000 label columns too measured slower (OpenBLAS 0.3.31,
+one thread). BLAS packs the negatives for every product, so a tile as
+tall as the budget allows packs them once per row run, where whole-width
+runs would pack all 10,000 every 64 rows. Every tile makes the same BLAS
+product, of the same bytes in the same layout, and the same row- or
+group-wise numpy as the unsplit matrix, and the results keep every bit.
 
 The benchmark (`perfbench/`) wraps `grouped_scores_batch` by name and is
 to wrap `id_part` and `negative_scores` too, so these three keep their
@@ -165,15 +174,18 @@ def _runs(lo: int, hi: int, step: int) -> list[int]:
     return bounds
 
 
-def _tile_steps(n_rows: int, width: int, group: int | None) -> tuple[int, int]:
+def _tile_steps(
+    n_rows: int, width: int, group: int | None, dim: int = 0
+) -> tuple[int, int]:
     """(rows, columns) of the tiles that walk a block of `n_rows` rows of a
     product `width` columns wide. Where the rules above allow the width,
     a tile holds about BLOCK_CELLS cells and at least MIN_BLOCK_ROWS rows.
     Given a `group`, a block of at least MIN_BLOCK_ROWS rows is also cut
     into column runs of a multiple of lcm(group, WIDTH_MULTIPLE), at least
     MIN_BLOCK_ROWS wide: as wide as the budget allows over the block's
-    rows, or over a square tile's rows when the block is taller. Otherwise
-    a tile spans the width."""
+    rows, or over a square tile's rows when the block is taller, and over
+    the `dim` entries of a gathered column. Otherwise a tile spans the
+    width."""
     if not _splittable(width):
         return max(n_rows, 1), width
     col_step = width
@@ -181,41 +193,53 @@ def _tile_steps(n_rows: int, width: int, group: int | None) -> tuple[int, int]:
         unit = math.lcm(group, WIDTH_MULTIPLE)
         unit *= -(-MIN_BLOCK_ROWS // unit)
         side = min(n_rows, math.isqrt(BLOCK_CELLS))
-        col_step = min(width, max(unit, BLOCK_CELLS // side // unit * unit))
+        budget = BLOCK_CELLS // max(side, dim)
+        col_step = min(width, max(unit, budget // unit * unit))
     return max(MIN_BLOCK_ROWS, BLOCK_CELLS // col_step), col_step
 
 
-def _blockwise(rows, cols, cells: int, reduce, group: int | None = None) -> None:
+def _blockwise(
+    rows, cols, cells: int, reduce, group: int | None = None, take=None
+) -> None:
     """`reduce(lo, hi, start, rows[lo:hi] @ cols[start:stop].T)` over the
     tiles of the `_row_blocks` of a product whose scoring touches `cells`
     cells, the first block on the calling thread and the rest on a per-call
-    pool (a module-level pool would hang a forked child). Each block is
-    walked in row runs, and each row run in column runs from left to right,
-    as `_tile_steps` sets them; a tail under MIN_BLOCK_ROWS joins the run
-    before it. Without a `group`, or where the rules above do not allow the
-    width, a tile spans the width. Once every block has stopped, the
-    earliest block's exception is raised unchanged."""
-    n, width = rows.shape[0], cols.shape[0]
+    pool (a module-level pool would hang a forked child). Given `take`, the
+    product's columns are `cols[take]`, each column run's rows gathered
+    into the worker's buffer. Each block is walked in column runs from left
+    to right, and each column run in row runs, as `_tile_steps` sets them;
+    a tail under MIN_BLOCK_ROWS joins the run before it. Without a
+    `group`, or where the rules above do not allow the width, a tile spans
+    the width. Once every block has stopped, the earliest block's exception
+    is raised unchanged."""
+    n = rows.shape[0]
+    width = cols.shape[0] if take is None else take.size
+    dim = 0 if take is None else cols.shape[1]
     walks = []
     for lo, hi in _row_blocks(n, width, cells):
-        row_step, col_step = _tile_steps(hi - lo, width, group)
+        row_step, col_step = _tile_steps(hi - lo, width, group, dim)
         walks.append((_runs(lo, hi, row_step), _runs(0, width, col_step)))
-    # one tile-sized buffer per block, reused by each of its tiles; the
-    # calling thread allocates them all, as a worker's own large temporaries
-    # would stay in its malloc arena
-    buffers = [
-        np.empty((np.diff(r).max(initial=0), np.diff(c).max(initial=0)))
-        for r, c in walks
-    ]
+    # one buffer per block, reused by each of its tiles: the tile, then a
+    # column run's gathered rows; the calling thread allocates them all, as
+    # a worker's own large temporaries would stay in its malloc arena
+    buffers = []
+    for row_bounds, col_bounds in walks:
+        tile = np.diff(row_bounds).max(initial=0) * np.diff(col_bounds).max(initial=0)
+        flat = np.empty(tile + np.diff(col_bounds).max(initial=0) * dim)
+        buffers.append((flat[:tile], flat[tile:]))
 
-    def fill(walk: tuple[list[int], list[int]], buffer: np.ndarray) -> None:
-        row_bounds, col_bounds = walk
-        flat = buffer.reshape(-1)
-        for lo, hi in zip(row_bounds, row_bounds[1:]):
-            for start, stop in zip(col_bounds, col_bounds[1:]):
-                shape = (hi - lo, stop - start)
-                out = flat[: shape[0] * shape[1]].reshape(shape)
-                reduce(lo, hi, start, np.matmul(rows[lo:hi], cols[start:stop].T, out=out))
+    def fill(walk, buffer) -> None:
+        (row_bounds, col_bounds), (tile, gathered) = walk, buffer
+        for start, stop in zip(col_bounds, col_bounds[1:]):
+            block = cols[start:stop]
+            if take is not None:
+                # laid out as the same rows of a copy of cols[take] would be;
+                # mode="clip" writes straight into `out`
+                block = gathered[: (stop - start) * dim].reshape(stop - start, dim)
+                np.take(cols, take[start:stop], axis=0, out=block, mode="clip")
+            for lo, hi in zip(row_bounds, row_bounds[1:]):
+                out = tile[: (hi - lo) * (stop - start)].reshape(hi - lo, stop - start)
+                reduce(lo, hi, start, np.matmul(rows[lo:hi], block.T, out=out))
 
     with ThreadPoolExecutor(max(1, len(walks) - 1)) as pool:
         futures = [pool.submit(fill, *job) for job in zip(walks[1:], buffers[1:])]
@@ -280,7 +304,7 @@ def negative_scores(
     cfg: ScoreConfig,
 ) -> np.ndarray:
     """Grouped score per image row from its precomputed ID part; negatives
-    cut in storage order into groups of `cfg.group_size`, each distinct row
+    cut in text order into groups of `cfg.group_size`, each distinct row
     multiplied once."""
     rows, inverse = neg.rows, neg.inverse
     if rows.shape[1] != images.shape[1]:
@@ -290,7 +314,7 @@ def negative_scores(
     g, tau = cfg.group_size, cfg.temperature
     n_groups = -(-neg.size // g)
 
-    if inverse is not None and 2.0 / tau <= ROW_SHIFT_SPAN:
+    if neg.merges and 2.0 / tau <= ROW_SHIFT_SPAN:
         # repeated rows: one shift per row, every group's sum from one product
         counts = _group_counts(inverse, rows.shape[0], g)
 
@@ -304,18 +328,20 @@ def negative_scores(
     else:
         # each group shifted by its own maximum, in views of the columns in
         # text order: a tile of whole groups (the last may end in the ragged
-        # group) when the rows are all distinct, else the product's columns
-        # gathered (a row shift could underflow a group)
+        # group) when no row merges, else the product's columns gathered (a
+        # row shift could underflow a group)
         def lse_groups(sims: np.ndarray) -> np.ndarray:
-            if inverse is None:
-                sims /= tau
-            else:
+            if neg.merges:
                 sims = sims[:, inverse] / tau
+            else:
+                sims /= tau
             full = sims.shape[1] - sims.shape[1] % g
             parts = [sims[:, :full].reshape(len(sims), full // g, g)]
             if full < sims.shape[1]:  # a ragged last group
                 parts.append(sims[:, None, full:])
             return np.concatenate([_logsumexp_rows(p) for p in parts], axis=1)
+
+    width = rows.shape[0] if neg.merges else neg.size
 
     def reduce(lo: int, hi: int, start: int, sims: np.ndarray) -> None:
         # per-group score = 1 / (1 + exp(lse_neg - lse_id)); at a tiny
@@ -327,11 +353,13 @@ def negative_scores(
         total = scores[lo:hi]
         for share in shares.T:
             total += share
-        if start + sims.shape[1] == rows.shape[0]:
+        if start + sims.shape[1] == width:
             total /= n_groups
 
-    group = g if inverse is None else None
-    _blockwise(images, rows, n * neg.size, reduce, group)
+    if neg.merges:
+        _blockwise(images, rows, n * neg.size, reduce)
+    else:  # tiles of whole groups; a selection's gathered run by run
+        _blockwise(images, rows, n * neg.size, reduce, g, inverse)
     return scores
 
 

@@ -50,7 +50,12 @@ def select_initial_nls(
     ids: LabelSpace,
     m: int,
 ) -> NegativeSpace:
-    """Pick the M corpus words most dissimilar to every ID text feature."""
+    """Pick the M corpus words most dissimilar to every ID text feature.
+
+    As a rule the space is a selection of the corpus rows (see
+    `NegativeSpace`): only when a repeated word's row is byte-equal to its
+    first row, and so merges, are the chosen rows copied.
+    """
     id_canon = ids.canon_labels()
     keep = np.array(
         [i for i, w in enumerate(corpus.words) if _canon_label(w) not in id_canon],
@@ -65,10 +70,11 @@ def select_initial_nls(
     rows = data if keep.size == corpus.features.rows else data[keep]
     order = np.argsort(max_label_similarity(rows, ids), kind="stable")[:m]
     chosen = keep[order]
+    chosen.setflags(write=False)
     texts = tuple(corpus.words[i] for i in chosen)
-    # every EmbeddingMatrix holds unit, finite rows, so the one gathered copy
-    # is the space's rows
-    rows, inverse = _merge_repeats(texts, data[chosen])
+    # every EmbeddingMatrix holds unit, finite, read-only rows, so the
+    # corpus rows, or the merged copy of them, are the space's rows
+    rows, inverse = _merge_repeats(texts, data, chosen)
     rows.setflags(write=False)
     return NegativeSpace(texts, rows, inverse)
 

@@ -141,6 +141,22 @@ class TestRun:
         assert capsys.readouterr().err == f"error: manifest needs {key!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, right", [("truht", "truth"), ("ouput_dir", "output_dir"), ("sed", "seed")]
+    )
+    def test_misspelt_manifest_key_fails_with_one_line(
+        self, world_dir, tmp_path, capsys, key, right
+    ):
+        # ignored, `truht` would write no report and `sed` seed the stream 0
+        manifest = json.loads((world_dir / "manifest.json").read_text())
+        manifest[key] = manifest.pop(right)
+        path = world_dir / f"manifest_{key}.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        assert run_cli("run", path, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {path}: unknown manifest key {key!r}\n"
+        assert not out.exists()
+
     def test_missing_input_fails_before_output(self, world_dir, tmp_path, capsys):
         # a replay client over no fixtures would degrade (exit 2); it fails
         client = {"mode": "replay", "fixtures": "fx_missing"}

@@ -1,19 +1,21 @@
 """Streaming loop: fusion weight, regeneration gating, checkpoints, causality."""
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from negtext import scoring
+from negtext import pipeline, scoring
 from negtext.embeddings import (
-    EmbeddingMatrix, TestBatch, batches_truth, decode_nspc, encode_nspc,
+    EmbeddingMatrix, NegativeSpace, TestBatch, batches_truth, decode_nspc, encode_nspc,
 )
 from negtext.errors import ConfigError, DataError, FormatError, GenerationError
 from negtext.metrics import compute_report, split_scores
 from negtext.mining import MiningConfig, classify_batch
 from negtext.pipeline import (
     PipelineConfig,
+    _inputs_digest,
     init_stream,
     load_checkpoint,
     process_batch,
@@ -277,12 +279,17 @@ def assert_states_equal(loaded, state):
     assert loaded.cache.ids == state.cache.ids
     assert loaded.cache.n_seen == state.cache.n_seen
     assert loaded.cache.matrix().tobytes() == state.cache.matrix().tobytes()
+    # the word space selects the same corpus rows; a space that still
+    # aliased it loads in the stored form, with the same rows in text order
+    assert loaded.nl_space.rows is state.nl_space.rows
+    assert np.array_equal(loaded.nl_space.inverse, state.nl_space.inverse)
     for name in ("nl_space", "ens_space", "vsnl_space"):
         got, saved = getattr(loaded, name), getattr(state, name)
         assert got.texts == saved.texts, name
-        assert got.rows.tobytes() == saved.rows.tobytes(), name
-        assert (got.inverse is None) == (saved.inverse is None), name
-        if got.inverse is not None:
+        assert got.stored_rows().tobytes() == saved.stored_rows().tobytes(), name
+        assert got.merges == saved.merges, name
+        if got.merges:
+            assert got.rows.tobytes() == saved.rows.tobytes(), name
             assert np.array_equal(got.inverse, saved.inverse), name
 
 
@@ -361,6 +368,39 @@ class TestCheckpoint:
         loaded = load_checkpoint(path, world.label_space, world.corpus)
         assert loaded.epoch == state.epoch and loaded.lambda_ == state.lambda_
         assert_states_equal(loaded, state)
+        # nothing was mined: both adaptive spaces still aliased the word space
+        assert state.ens_space is state.nl_space and loaded.ens_space.inverse is None
+
+    def test_selection_saves_as_its_stored_copy(self, tmp_path):
+        # before the first regeneration the adaptive spaces alias the word
+        # space; the file is the one a stored copy of it writes, rows in
+        # text order and no inverse
+        world, batches = small_setup(scenario="mixed", n_batches=1, per_side=40)
+        state = init_stream(world.label_space, world.corpus, small_config(), seed=42)
+        nl = state.nl_space
+        assert not nl.merges and np.shares_memory(nl.rows, world.corpus.features.data)
+        path, copied = tmp_path / "selection.nckp", tmp_path / "copy.nckp"
+        save_checkpoint(state, path)
+        copy = NegativeSpace.from_rows(nl.texts, nl.stored_rows())
+        assert copy.inverse is None
+        state.nl_space = state.ens_space = state.vsnl_space = copy
+        save_checkpoint(state, copied)
+        assert path.read_bytes() == copied.read_bytes()
+        assert _checkpoint_header(path)["spaces"]["ens"]["inverse"] is None
+
+    @pytest.mark.parametrize("row_run", [37, 512])
+    def test_inputs_digest_is_the_one_shot_sha256(self, monkeypatch, row_run):
+        # the word space's rows are hashed a run at a time, the last ragged
+        monkeypatch.setattr(pipeline, "_ROW_RUN", row_run)
+        world, _ = small_setup(scenario="mixed")
+        state = init_stream(world.label_space, world.corpus, small_config(), seed=42)
+        ids, nl = state.label_space, state.nl_space
+        assert nl.size % row_run and not nl.merges
+        facts = [state.config.to_dict(), ids.labels, ids.prompt_template, nl.texts]
+        one_shot = hashlib.sha256(json.dumps(facts, sort_keys=True).encode("utf-8"))
+        one_shot.update(ids.features.data.astype("<f8").tobytes())
+        one_shot.update(world.corpus.features.data[nl.inverse].astype("<f8").tobytes())
+        assert _inputs_digest(state) == one_shot.hexdigest()
 
     def test_header_holds_each_fact_once(self, saved):
         # the labels and the word space are the inputs', the cache's

@@ -23,6 +23,7 @@ from negtext.scoring import (
     max_label_similarity,
     negative_scores,
 )
+from negtext.spaces import CorpusCandidates, select_initial_nls
 
 from conftest import make_label_space, make_negative_space, unit_rows
 
@@ -712,6 +713,51 @@ class TestWalkedScores:
                 got = negative_scores(images, lse_id, neg, cfg)
                 assert got.tobytes() == expected.tobytes(), workers
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(8, 512),
+        n=st.integers(1, 700),
+        width=st.one_of(
+            st.integers(8, 190).map(lambda k: 8 * k), st.integers(1, 1500)
+        ),
+        group=st.integers(3, 300),
+        block_cells=st.sampled_from([64 * 64, 100 * 300, 1 << 16]),
+        temperature=st.sampled_from([0.01, 0.001]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_selection_scores_equal_its_stored_copy(
+        self, seed, dim, n, width, group, block_cells, temperature
+    ):
+        # the word space selects its rows from a corpus with an ID word
+        # filtered out; each column tile is gathered, at temperatures on both
+        # sides of ROW_SHIFT_SPAN, and its products are those of the copy
+        assume(width % group)  # a ragged last group
+        rng = np.random.default_rng(seed)
+        ids = make_label_space(n=64, dim=dim, seed=seed)
+        words = [f"w{i}" for i in range(width + 40)]
+        words[int(rng.integers(len(words)))] = "Label_7"
+        corpus = CorpusCandidates(
+            words=tuple(words),
+            features=EmbeddingMatrix.from_rows(
+                [f"c{i}" for i in range(len(words))], unit_rows(rng, len(words), dim)
+            ),
+        )
+        space = select_initial_nls(corpus, ids, width)
+        assert space.rows is corpus.features.data and not space.merges
+        stored = NegativeSpace.from_rows(space.texts, space.stored_rows())
+        assert stored.inverse is None
+        images = unit_rows(rng, n, dim)
+        cfg = ScoreConfig(temperature=temperature, group_size=group)
+        lse_id, _ = id_part(images, ids, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scoring, "MIN_SPLIT_CELLS", 1)
+            mp.setattr(scoring, "BLOCK_CELLS", block_cells)
+            for workers in (1, 2, 3):
+                mp.setattr(scoring, "SCORE_WORKERS", workers)
+                got = negative_scores(images, lse_id, space, cfg)
+                expected = negative_scores(images, lse_id, stored, cfg)
+                assert got.tobytes() == expected.tobytes(), workers
+
     def test_paper_shape_scores_hold_one_run_per_worker(self):
         # 1,000 images x 10,000 negatives: the whole product is 80 MB
         neg = make_negative_space(m=10000, dim=16, seed=73)
@@ -745,25 +791,33 @@ class TestWalkedScores:
 
 
 class TestMaxLabelSimilarity:
-    """The word-space selection's product, walked in blocks on the workers,
+    """The word-space selection's product, walked in tiles on the workers,
     equals the one product bit for bit and is never held whole."""
 
     # 100 rows per block at 72 labels: with 777 rows, three workers' blocks
     # of 259 rows end in a 59-row tail that joins the block before it
     CELLS = 100 * 72
 
-    @pytest.mark.parametrize("n_classes", [72, 75])
+    @pytest.mark.parametrize("n_classes", [72, 75, 200, 1000])
     @pytest.mark.parametrize("n", [1, 63, 64, 130, 777])
     def test_equals_the_one_product(self, monkeypatch, n_classes, n):
+        # 200 and 1,000 labels could be cut into column tiles; the rows are
+        # reduced whole-width, which measured faster
         monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
         monkeypatch.setattr(scoring, "BLOCK_CELLS", self.CELLS)
         ids = make_label_space(n=n_classes, dim=64, seed=41)
         rows = unit_rows(np.random.default_rng(42), n, 64)
         expected = np.max(rows @ ids.features.data.T, axis=1)
+        widths = []
+        matmul = np.matmul
+        monkeypatch.setattr(
+            np, "matmul", lambda a, b, out: widths.append(out.shape[1]) or matmul(a, b, out=out)
+        )
         for workers in (1, 2, 3):
             monkeypatch.setattr(scoring, "SCORE_WORKERS", workers)
             got = max_label_similarity(rows, ids)
             assert got.tobytes() == expected.tobytes(), workers
+        assert set(widths) == {n_classes}
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_blocks_keep_the_minimum_and_hold_one_block(self, monkeypatch, workers):
@@ -779,7 +833,7 @@ class TestMaxLabelSimilarity:
 
         def recorded(a, b, out):
             products.append(out.shape[0])
-            buffers.append(out.base.shape)
+            buffers.append((id(out.base), out.base.size))
             return matmul(a, b, out=out)
 
         monkeypatch.setattr(np, "matmul", recorded)
@@ -793,7 +847,7 @@ class TestMaxLabelSimilarity:
         assert min(products) >= scoring.MIN_BLOCK_ROWS
         assert max(products) < step + scoring.MIN_BLOCK_ROWS
         assert len(set(buffers)) <= workers
-        assert all(shape[0] < step + scoring.MIN_BLOCK_ROWS for shape in buffers)
+        assert all(size < (step + scoring.MIN_BLOCK_ROWS) * width for _, size in buffers)
         if workers == 3:
             assert step < max(products)  # a short tail joined its block
         # one block's product per worker; the whole product is never allocated

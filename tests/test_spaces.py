@@ -98,8 +98,10 @@ class TestSelectInitialNls:
             spaces_at.append(init_stream(ids, corpus, cfg, seed=0).nl_space)
         one, two = spaces_at
         assert one.texts == two.texts and (" LABEL_3" in one.texts) is False
-        assert one.rows.tobytes() == two.rows.tobytes()
-        assert one.inverse is None and two.inverse is None
+        # both select the corpus rows, the same ones
+        assert one.rows is corpus.features.data and two.rows is corpus.features.data
+        assert np.array_equal(one.inverse, two.inverse)
+        assert not one.merges and not two.merges
         keep = [i for i, w in enumerate(words) if w != " LABEL_3"]
         max_sim = np.max(corpus.features.data[keep] @ ids.features.data.T, axis=1)
         order = np.argsort(max_sim, kind="stable")[:300]
@@ -113,13 +115,17 @@ class TestSelectInitialNls:
             words[5] = "Label_1"
         corpus = make_corpus(words, unit_rows(np.random.default_rng(22), 40, 8))
         space = select_initial_nls(corpus, ids, 25)
-        assert "Label_1" not in space.texts and space.inverse is None
+        assert "Label_1" not in space.texts and not space.merges
+        # a selection: the corpus matrix itself, and the chosen rows' indices
         chosen = [words.index(w) for w in space.texts]
-        assert space.rows.tobytes() == corpus.features.data[chosen].tobytes()
+        assert space.rows is corpus.features.data
+        assert space.inverse.tolist() == chosen
+        stored = space.stored_rows()
+        assert stored.tobytes() == corpus.features.data[chosen].tobytes()
         # normalizing them again, as a client's rows are, changes no byte
-        again = NegativeSpace.from_rows(space.texts, space.rows)
-        assert again.rows.tobytes() == space.rows.tobytes()
-        assert not space.rows.flags.writeable
+        again = NegativeSpace.from_rows(space.texts, stored)
+        assert again.rows.tobytes() == stored.tobytes() and again.inverse is None
+        assert not space.rows.flags.writeable and not space.inverse.flags.writeable
 
     def test_repeated_word_with_byte_equal_row_merges(self):
         ids = make_label_space(n=2, dim=4, seed=23)
@@ -131,13 +137,15 @@ class TestSelectInitialNls:
         order = np.argsort(np.max(data @ ids.features.data.T, axis=1), kind="stable")
         assert space.texts == tuple(corpus.words[i] for i in order)
         assert space.rows.shape[0] == 3 and not space.rows.flags.writeable
+        assert space.merges
         a_rows = {space.inverse[i] for i, w in enumerate(space.texts) if w == "a"}
         assert len(a_rows) == 1
         assert space.stored_rows().tobytes() == data[order].tobytes()
 
     def test_holds_one_copy_of_the_chosen_rows(self):
-        # 4 labels keep the product at 4,000 x 4 cells: the chosen rows,
-        # 3,000 x 256, are by far the largest allocation
+        # the corpus's: 4 labels keep the product at 4,000 x 4 cells, so a
+        # second copy of the chosen rows, 3,000 x 256, would be by far the
+        # largest allocation
         ids = make_label_space(n=4, dim=256, seed=25)
         words = [f"w{i}" for i in range(4000)]
         corpus = make_corpus(words, unit_rows(np.random.default_rng(26), 4000, 256))
@@ -149,10 +157,39 @@ class TestSelectInitialNls:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert space.rows.nbytes == chosen_bytes
-        # one gathered copy and the selection's small arrays; normalizing
-        # that copy again would add two more (its own and the squared entries)
-        assert peak < chosen_bytes * 5 // 4, peak / chosen_bytes
+        assert np.shares_memory(space.rows, corpus.features.data)
+        # the selection's small arrays and its 4,000 x 4 product only
+        assert peak < chosen_bytes // 10, peak / chosen_bytes
+
+    def test_paper_shape_space_shares_the_corpus_and_scores_in_tiles(self):
+        # dim 512, 1,000 labels, M = 10,000 of 10,500 words, 1,000 images
+        ids = make_label_space(n=1000, dim=512, seed=27)
+        rng = np.random.default_rng(28)
+        corpus = make_corpus([f"w{i}" for i in range(10500)], unit_rows(rng, 10500, 512))
+        state = init_stream(ids, corpus, PipelineConfig(), seed=0)
+        space = state.nl_space
+        assert np.shares_memory(state.nl_space.rows, corpus.features.data)
+        assert state.ens_space is space and state.vsnl_space is space
+        images = unit_rows(rng, 1000, 512)
+        cfg = state.config.score
+        lse_id, _ = scoring.id_part(images, ids, cfg)
+        copy = NegativeSpace.from_rows(space.texts, space.stored_rows())
+        # 1,000 images: per worker a tile of 500 x 1,000 cells and its 1,000
+        # gathered rows of 512, each within the budget; gathering a copy of
+        # the word space (41 MB) or buffering each gather would exceed it.
+        # 100 images take one worker, whose gathered runs keep the budget
+        # too, though its tiles could be 5,200 columns wide
+        for n, workers in ((1000, scoring.SCORE_WORKERS), (100, 1)):
+            tracemalloc.start()
+            try:
+                got = scoring.negative_scores(images[:n], lse_id[:n], space, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            buffers = workers * 2 * scoring.BLOCK_CELLS * 8
+            assert peak < buffers + got.nbytes + (1 << 20), (n, peak / buffers)
+            expected = scoring.negative_scores(images[:n], lse_id[:n], copy, cfg)
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestEmbedSpace:
