@@ -17,13 +17,16 @@ A run is described by a JSON manifest:
     }
 
 Every mode reads labels, corpus, batches and truth from the files the
-manifest names, and `seed` seeds the stream. The synthetic client is the
-oracle of the world its concepts file names: `synth-world` writes it as
-{"scenario", "seed", "images"}, the world's scenario and seed and each
-image's concept. The HTTP endpoint and auth token fall back to
-the NEGTEXT_ENDPOINT / NEGTEXT_AUTH_TOKEN environment variables. Exit
-codes: 0 success, 2 success with degraded generation (stale negative
-spaces), 1 any error.
+manifest names, and `seed` seeds the stream. `Manifest.load` checks each
+block against its key table (MANIFEST_KEYS, CORPUS_KEYS, CLIENT_KEYS)
+before any file is read: an unknown key, a value of the wrong JSON type or
+a missing required key is refused, and a null value counts as absent. The
+synthetic client is the oracle of the world its concepts file names:
+`synth-world` writes it as {"scenario", "seed", "images"}, the world's
+scenario and seed and each image's concept. The HTTP endpoint and auth
+token fall back to the NEGTEXT_ENDPOINT / NEGTEXT_AUTH_TOKEN environment
+variables. Exit codes: 0 success, 2 success with degraded generation (stale
+negative spaces), 1 any error.
 """
 from __future__ import annotations
 
@@ -54,7 +57,7 @@ from .embeddings import (
     load_embeddings,
     save_embeddings,
 )
-from .errors import ConfigError, InputError, NegtextError
+from .errors import ConfigError, InputError, NegtextError, check_keys
 from .metrics import (
     checked_tag,
     compute_report,
@@ -115,12 +118,24 @@ class _Parser(argparse.ArgumentParser):
 # manifest handling
 
 
-class Manifest:
-    # a misspelt key would be ignored silently (a `truht` file, say, writes
-    # no report), so any other key is refused
-    KEYS = ("config", "client", "labels", "corpus", "batches", "truth",
-            "output_dir", "seed")
+# the keys of each manifest block and the JSON type each takes; a misspelt
+# key would be ignored silently (a `truht` file, say, writes no report), so
+# any other key is refused
+MANIFEST_KEYS = {
+    "config": "string or object", "client": "required object",
+    "labels": "required string", "corpus": "required object",
+    "batches": "required list of strings", "truth": "string",
+    "output_dir": "string", "seed": "integer",
+}
+CORPUS_KEYS = {"embeddings": "required string", "words": "required string"}
+CLIENT_KEYS = {
+    "synthetic": {"mode": "string", "concepts": "required string"},
+    "replay": {"mode": "string", "fixtures": "required string"},
+    "http": {"mode": "string", "endpoint": "string", "auth_token": "string"},
+}
 
+
+class Manifest:
     def __init__(self, spec: dict, base_dir: Path):
         self.spec = spec
         self.base_dir = base_dir
@@ -130,17 +145,25 @@ class Manifest:
         path = Path(path)
         if not path.exists():
             raise InputError(f"manifest not found: {path}")
-        spec = _read_json(path, "manifest")
-        if not isinstance(spec, dict):
-            raise InputError(f"{path}: manifest must be a JSON object")
-        unknown = [key for key in spec if key not in cls.KEYS]
-        if unknown:
-            raise ConfigError(f"{path}: unknown manifest key {unknown[0]!r}")
+        spec = check_keys(_read_json(path, "manifest"), MANIFEST_KEYS, path, "manifest")
+        spec["corpus"] = check_keys(spec["corpus"], CORPUS_KEYS, path, "corpus")
+        mode = spec["client"].get("mode")
+        if not isinstance(mode, str) or mode not in CLIENT_KEYS:
+            raise ConfigError(
+                f"{path}: client 'mode' must be one of {', '.join(CLIENT_KEYS)}, "
+                f"got {mode!r}"
+            )
+        # a synthetic block from before the concepts file names no world
+        hint = ""
+        if mode == "synthetic":
+            hint = "; re-run synth-world to write the world again"
+        spec["client"] = check_keys(
+            spec["client"], CLIENT_KEYS[mode], path, f"{mode} client", hint
+        )
+        _checked_seed(spec.get("seed", 0), f"{path}: manifest 'seed'")
         return cls(spec, path.parent)
 
-    def _path(self, rel) -> Path:
-        if not isinstance(rel, str):
-            raise InputError(f"manifest paths must be strings, got {rel!r}")
+    def _path(self, rel: str) -> Path:
         return (self.base_dir / rel).resolve()
 
     def _resolve(self, rel) -> Path:
@@ -151,15 +174,8 @@ class Manifest:
         return path
 
     @property
-    def client_spec(self) -> dict:
-        client = self.spec.get("client")
-        if not isinstance(client, dict) or "mode" not in client:
-            raise ConfigError("manifest needs a client block with a mode")
-        return client
-
-    @property
     def seed(self) -> int:
-        return _checked_seed(self.spec.get("seed", 0), "manifest 'seed'")
+        return self.spec.get("seed", 0)
 
     def output_dir(self, override=None) -> Path:
         out = override or self.spec.get("output_dir")
@@ -168,19 +184,17 @@ class Manifest:
         return self._path(out) if override is None else Path(out)
 
     def pipeline_config(self, overrides=None) -> PipelineConfig:
-        config = self.spec.get("config")
-        source = "manifest 'config'"
-        if config is None:
-            synthetic = self.client_spec["mode"] == "synthetic"
+        spec = self.spec.get("config")
+        if spec is None:
+            synthetic = self.spec["client"]["mode"] == "synthetic"
             spec = scenario_pipeline_config().to_dict() if synthetic else {}
-        elif isinstance(config, str):
-            path = self._resolve(config)
-            source = f"config file {path}"
+        elif isinstance(spec, str):
+            path = self._resolve(spec)
             spec = _read_json(path, "config")
-        else:
-            spec = config
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{source} must be a JSON object, got {spec!r}")
+            if not isinstance(spec, dict):
+                raise ConfigError(
+                    f"config file {path} must be a JSON object, got {spec!r}"
+                )
         spec = dict(spec)
         for key, value in (overrides or {}).items():
             _apply_override(spec, key, value)
@@ -262,17 +276,10 @@ def _is_http_url(endpoint) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
-def _oracle_client(
-    manifest: Manifest, client_spec: dict, batches: list[TestBatch]
-) -> GenerationClient:
+def _oracle_client(manifest: Manifest, batches: list[TestBatch]) -> GenerationClient:
     """The oracle of the world the manifest's concepts file names, told each
     image's concept by that file, which must name every batch image."""
-    if not client_spec.get("concepts"):
-        raise ConfigError(
-            "synthetic client needs a 'concepts' file; re-run synth-world "
-            "to write the world again"
-        )
-    path = manifest._resolve(client_spec["concepts"])
+    path = manifest._resolve(manifest.spec["client"]["concepts"])
     spec = _read_json(path, "concepts")
     if not isinstance(spec, dict) or spec.keys() != {"scenario", "seed", "images"}:
         raise InputError(
@@ -301,53 +308,40 @@ def _oracle_client(
 
 def _build_client(manifest: Manifest, batches: list[TestBatch]) -> GenerationClient:
     """The manifest's client for a stream of `batches`."""
-    client_spec = manifest.client_spec
-    mode = client_spec["mode"]
-    if mode == "synthetic":
-        return _oracle_client(manifest, client_spec, batches)
-    if mode == "replay":
-        fixtures = client_spec.get("fixtures")
-        if not fixtures:
-            raise ConfigError("replay client needs a fixtures directory")
-        return ReplayClient(manifest._resolve(fixtures))
-    if mode == "http":
-        endpoint = client_spec.get("endpoint") or os.environ.get(ENV_ENDPOINT)
-        if not endpoint:
-            raise ConfigError(
-                f"http client needs an endpoint ({ENV_ENDPOINT} or manifest)"
-            )
-        if not _is_http_url(endpoint):
-            raise ConfigError(
-                f"http client endpoint must be an http(s) URL with a host, "
-                f"got {endpoint!r}"
-            )
-        token = client_spec.get("auth_token") or os.environ.get(ENV_AUTH_TOKEN)
-        return HttpGenerationClient(endpoint, auth_token=token)
-    raise ConfigError(f"unknown client mode {mode!r}")
+    client_spec = manifest.spec["client"]
+    if client_spec["mode"] == "synthetic":
+        return _oracle_client(manifest, batches)
+    if client_spec["mode"] == "replay":
+        return ReplayClient(manifest._resolve(client_spec["fixtures"]))
+    endpoint = client_spec.get("endpoint") or os.environ.get(ENV_ENDPOINT)
+    if not endpoint:
+        raise ConfigError(f"http client needs an endpoint ({ENV_ENDPOINT} or manifest)")
+    if not _is_http_url(endpoint):
+        raise ConfigError(
+            f"http client endpoint must be an http(s) URL with a host, "
+            f"got {endpoint!r}"
+        )
+    token = client_spec.get("auth_token") or os.environ.get(ENV_AUTH_TOKEN)
+    return HttpGenerationClient(endpoint, auth_token=token)
 
 
 def _assemble_inputs(manifest: Manifest) -> RunInputs:
-    for key in ("labels", "corpus", "batches"):
-        if not manifest.spec.get(key):
-            raise ConfigError(f"manifest needs {key!r}")
-    corpus_spec, entries = manifest.spec["corpus"], manifest.spec["batches"]
-    if not isinstance(corpus_spec, dict) or not isinstance(entries, list):
-        raise InputError("manifest 'corpus' must be an object, 'batches' a list")
-    label_space = LabelSpace.from_manifest(manifest._resolve(manifest.spec["labels"]))
-    words_path = manifest._resolve(corpus_spec.get("words"))
+    spec = manifest.spec
+    label_space = LabelSpace.from_manifest(manifest._resolve(spec["labels"]))
+    words_path = manifest._resolve(spec["corpus"]["words"])
     words = _read_json(words_path, "corpus words")
     if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
         raise InputError(f"{words_path}: corpus words must be a JSON list of strings")
     corpus = CorpusCandidates(
         words=tuple(words),
-        features=load_embeddings(manifest._resolve(corpus_spec.get("embeddings"))),
+        features=load_embeddings(manifest._resolve(spec["corpus"]["embeddings"])),
     )
-    truth_path = manifest.spec.get("truth")
+    truth_path = spec.get("truth")
     if truth_path:
         truth_path = manifest._resolve(truth_path)
     truth = _load_truth_csv(truth_path) if truth_path else {}
     batches = []
-    for entry in entries:
+    for entry in spec["batches"]:
         path = manifest._resolve(entry)
         images = load_embeddings(path)
         if images.rows == 0:
@@ -477,29 +471,33 @@ def cmd_ingest(args) -> int:
             data = np.asarray(np.load(src), dtype=np.float64)
         except (ValueError, EOFError) as exc:  # pickled, non-numeric, cut or empty
             raise InputError(f"{src}: not a numeric .npy array ({exc})") from exc
-        ids = [
-            line.strip()
-            for line in Path(args.ids).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        try:
+            lines = Path(args.ids).read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{args.ids}: not UTF-8 text ({exc})") from exc
+        ids = [line.strip() for line in lines if line.strip()]
     elif src.suffix == ".csv":
         ids, rows = [], []
-        with src.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    values = [float(x) for x in row[1:]]
-                except ValueError as exc:  # e.g. a header row
-                    raise InputError(f"{src}, line {reader.line_num}: {exc}") from exc
-                if rows and len(values) != len(rows[0]):
-                    raise InputError(
-                        f"{src}, line {reader.line_num}: {len(values)} values, "
-                        f"expected {len(rows[0])}"
-                    )
-                ids.append(row[0])
-                rows.append(values)
+        try:
+            with src.open(newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                for row in reader:
+                    if not row:
+                        continue
+                    try:
+                        values = [float(x) for x in row[1:]]
+                    except ValueError as exc:  # e.g. a header row
+                        where = f"{src}, line {reader.line_num}"
+                        raise InputError(f"{where}: {exc}") from exc
+                    if rows and len(values) != len(rows[0]):
+                        raise InputError(
+                            f"{src}, line {reader.line_num}: {len(values)} values, "
+                            f"expected {len(rows[0])}"
+                        )
+                    ids.append(row[0])
+                    rows.append(values)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{src}: not UTF-8 text ({exc})") from exc
         data = np.asarray(rows, dtype=np.float64)
     else:
         raise InputError(f"unsupported input format {src.suffix!r} (.npy or .csv)")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, InputError
+from .errors import DataError, FormatError, InputError, check_keys
 
 MAGIC = b"NSPC"
 # format version -> row dtype: version 1 rows are float32 (ingested
@@ -159,6 +159,15 @@ def _canon_label(label: str) -> str:
     return " ".join(label.casefold().split())
 
 
+# the keys of a labels file (see `LabelSpace.save_manifest`) and the JSON
+# type each takes
+LABELS_FILE_KEYS = {
+    "labels": "required list of strings",
+    "features": "required string",
+    "prompt_template": "string",
+}
+
+
 @dataclass(frozen=True)
 class LabelSpace:
     """Ordered ID class names with their text features."""
@@ -194,19 +203,16 @@ class LabelSpace:
         path = Path(path)
         try:
             spec = json.loads(path.read_text(encoding="utf-8"))
-            features_path = path.parent / spec["features"]
-            labels = tuple(spec["labels"])
-            template = spec.get("prompt_template", "The nice <label>.")
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:  # also a file that is not UTF-8
             raise FormatError(f"{path}: unreadable labels manifest ({exc!r})") from exc
-        if not all(isinstance(text, str) for text in (*labels, template)):
-            raise InputError(f"{path}: labels and prompt_template must be strings")
+        spec = check_keys(spec, LABELS_FILE_KEYS, path, "labels file")
+        features_path = path.parent / spec["features"]
         if not features_path.exists():
             raise InputError(f"{path}: labels features not found: {features_path}")
         return cls(
-            labels=labels,
+            labels=tuple(spec["labels"]),
             features=load_embeddings(features_path),
-            prompt_template=template,
+            prompt_template=spec.get("prompt_template", "The nice <label>."),
         )
 
     def save_manifest(self, path, features_name: str, version: int = 1) -> None:

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the package, and the config type check."""
+"""Exception hierarchy shared across the package, and the config and
+manifest key checks."""
 import dataclasses
 import numbers
+import reprlib
 
 
 class NegtextError(Exception):
@@ -45,3 +47,41 @@ def check_field_types(config) -> None:
             isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type])
         ):
             raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
+
+
+# the JSON types a key table names, and the Python types that hold them
+_JSON_TYPES = {"string": str, "integer": int, "object": dict, "list of strings": list}
+
+
+def _is_json(value, name: str) -> bool:
+    return (
+        isinstance(value, _JSON_TYPES[name])
+        and not isinstance(value, bool)
+        and (name != "list of strings" or all(isinstance(v, str) for v in value))
+    )
+
+
+def check_keys(block, keys: dict, where, what: str, hint: str = "") -> dict:
+    """`block` without its null values, once checked against the key table
+    `keys`: `block` is a JSON object, `keys` names each of its keys, each
+    value that is not null is of the JSON type its key takes ("string or
+    object", say), and each key whose type `keys` marks "required" is there,
+    not null and not empty. Else a ConfigError naming the file `where`, the
+    block `what` and the key, and ending with `hint`."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where}: {what} must be a JSON object{hint}")
+    for key, value in block.items():
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown {what} key {key!r}{hint}")
+        types = keys[key].removeprefix("required ")
+        if value is not None and not any(
+            _is_json(value, name) for name in types.split(" or ")
+        ):
+            raise ConfigError(
+                f"{where}: {what} {key!r} must be of type {types}, "
+                f"got {reprlib.repr(value)}{hint}"
+            )
+    for key, types in keys.items():
+        if types.startswith("required ") and not block.get(key):
+            raise ConfigError(f"{where}: {what} needs {key!r}{hint}")
+    return {key: value for key, value in block.items() if value is not None}

@@ -167,13 +167,17 @@ def export_results(
 
 
 def read_csv_rows(path, columns) -> list[dict[str, str]]:
-    """Rows of a headed CSV; the header must name every one of `columns`."""
+    """Rows of a headed UTF-8 CSV; the header must name every one of `columns`."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-        return list(reader)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
+    return rows
 
 
 def load_records_csv(path) -> tuple[list[ScoreRecord], dict[str, str]]:
@@ -194,5 +198,12 @@ def load_records_csv(path) -> tuple[list[ScoreRecord], dict[str, str]]:
         except (TypeError, ValueError) as exc:  # short row or non-numeric cell
             raise InputError(f"{path}, line {line}: {exc}") from exc
         if row.get("tag"):
-            tags[row["image_id"]] = checked_tag(f"{path}, line {line}", row["tag"])
+            where, image_id = f"{path}, line {line}", row["image_id"]
+            tag = checked_tag(where, row["tag"])
+            # two batch files may share an image, but not tag it two ways
+            if tags.setdefault(image_id, tag) != tag:
+                raise InputError(
+                    f"{where}: image {image_id!r} is tagged {tag} here "
+                    f"but {tags[image_id]} on an earlier line"
+                )
     return records, tags

@@ -138,24 +138,54 @@ class TestRun:
         path = write_manifest(world_dir, f"null_{key}", **{key: None})
         out = tmp_path / "o"
         assert run_cli("run", path, "--out", out) == 1
-        assert capsys.readouterr().err == f"error: manifest needs {key!r}\n"
+        assert capsys.readouterr().err == f"error: {path}: manifest needs {key!r}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key, right", [("truht", "truth"), ("ouput_dir", "output_dir"), ("sed", "seed")]
+        "key, right",
+        [
+            ("truht", "truth"), ("ouput_dir", "output_dir"), ("sed", "seed"),
+            ("wrods", "words"), ("concept", "concepts"), ("auth_tokn", "auth_token"),
+            ("prompt_templat", "prompt_template"),
+        ],
     )
     def test_misspelt_manifest_key_fails_with_one_line(
         self, world_dir, tmp_path, capsys, key, right
     ):
-        # ignored, `truht` would write no report and `sed` seed the stream 0
+        # ignored, `truht` would write no report, `sed` seed the stream 0 and
+        # `prompt_templat` prompt with the default template
+        block = {
+            "wrods": "corpus", "concept": "synthetic client",
+            "auth_tokn": "http client", "prompt_templat": "labels file",
+        }.get(key, "manifest")
         manifest = json.loads((world_dir / "manifest.json").read_text())
-        manifest[key] = manifest.pop(right)
-        path = world_dir / f"manifest_{key}.json"
+        labels = json.loads((world_dir / "labels.json").read_text())
+        labels["prompt_template"] = "A photo of a <label>."
+        if block == "http client":
+            manifest["client"] = {"mode": "http", "auth_token": "t"}
+        node = {
+            "manifest": manifest, "corpus": manifest["corpus"], "labels file": labels
+        }.get(block, manifest["client"])
+        node[key] = node.pop(right)
+        path = named = world_dir / f"manifest_{key}.json"
+        if block == "labels file":
+            named = world_dir / f"labels_{key}.json"
+            named.write_text(json.dumps(labels))
+            manifest["labels"] = named.name
         path.write_text(json.dumps(manifest))
-        out = tmp_path / "o"
-        assert run_cli("run", path, "--out", out) == 1
-        assert capsys.readouterr().err == f"error: {path}: unknown manifest key {key!r}\n"
-        assert not out.exists()
+        message = f"error: {named}: unknown {block} key {key!r}"
+        if block == "synthetic client":
+            message += "; re-run synth-world to write the world again"
+        message += "\n"
+        out, fixtures = tmp_path / "o", tmp_path / "fx"
+        for argv in (
+            ("run", path, "--out", out),
+            ("fixtures", "record", path, "--fixtures", fixtures, "--out", out),
+            ("fixtures", "replay", path, "--fixtures", tmp_path, "--out", out),
+        ):
+            assert run_cli(*argv) == 1, argv
+            assert capsys.readouterr().err == message, argv
+            assert not out.exists() and not fixtures.exists()
 
     def test_missing_input_fails_before_output(self, world_dir, tmp_path, capsys):
         # a replay client over no fixtures would degrade (exit 2); it fails
@@ -214,6 +244,14 @@ class TestRun:
         (world_dir / "labels_number.json").write_text(json.dumps(labels))
         labels["labels"][1], labels["prompt_template"] = "x", 5
         (world_dir / "template_number.json").write_text(json.dumps(labels))
+        del labels["prompt_template"]
+        # a string would be read as one label per letter
+        (world_dir / "labels_abc.json").write_text(
+            json.dumps({**labels, "labels": "abc"})
+        )
+        (world_dir / "features_number.json").write_text(
+            json.dumps({**labels, "features": 5})
+        )
         words = json.loads((world_dir / "corpus_words.json").read_text())
         (world_dir / "words_number.json").write_text(json.dumps([7, *words[1:]]))
         truth_lines = (world_dir / "truth.csv").read_text().splitlines(keepends=True)
@@ -223,6 +261,9 @@ class TestRun:
         other = "OOD" if tag == "ID" else "ID"
         (world_dir / "truth_twice.csv").write_text(
             "".join(truth_lines) + f"{image},{other}\n"
+        )
+        (world_dir / "truth_latin1.csv").write_bytes(
+            (world_dir / "truth.csv").read_bytes() + b"img_\xe9,ID\n"
         )
         dim = load_embeddings(world_dir / "batch_000.nspc").dim
         save_embeddings(
@@ -253,6 +294,8 @@ class TestRun:
             },
             "label_not_string": {**manifest, "labels": "labels_number.json"},
             "template_not_string": {**manifest, "labels": "template_number.json"},
+            "labels_string": {**manifest, "labels": "labels_abc.json"},
+            "features_number": {**manifest, "labels": "features_number.json"},
             "word_not_string": {
                 **manifest,
                 "corpus": {**manifest["corpus"], "words": "words_number.json"},
@@ -264,6 +307,13 @@ class TestRun:
             "labels_number": {**manifest, "labels": 7},
             "truth_list": {**manifest, "truth": ["a"]},
             "fixtures_number": {**manifest, "client": {"mode": "replay", "fixtures": 3}},
+            "auth_token_number": {
+                **manifest, "client": {"mode": "http", "auth_token": 5}
+            },
+            "mode_unknown": {**manifest, "client": {"mode": "grpc"}},
+            "mode_not_string": {**manifest, "client": {"mode": ["http"]}},
+            "not_an_object": [manifest],
+            "truth_latin1": {**manifest, "truth": "truth_latin1.csv"},
             "truth_missing_image": {**manifest, "truth": "truth_missing_image.csv"},
             "truth_twice": {**manifest, "truth": "truth_twice.csv"},
             "batch_empty": {**manifest, "batches": ["batch_000.nspc", "batch_empty.nspc"]},
@@ -333,9 +383,38 @@ class TestRun:
             ("batch_empty", "batch_empty.nspc: batch holds no images"),
             ("endpoint_not_url", "must be an http(s) URL with a host, got 'not-a-url'"),
             ("env_endpoint_not_http", "got 'ftp://example.test/api'"),
-            ("label_not_string", "labels_number.json: labels and prompt_template"),
-            ("template_not_string", "template_number.json: labels and prompt_template"),
+            (
+                "label_not_string",
+                "labels_number.json: labels file 'labels' must be of type list of "
+                "strings, got ['class_00', 5, ",
+            ),
+            (
+                "template_not_string",
+                "template_number.json: labels file 'prompt_template' must be of type "
+                "string, got 5",
+            ),
             ("word_not_string", "words_number.json: corpus words must be a JSON list"),
+            (
+                "labels_string",
+                "labels_abc.json: labels file 'labels' must be of type list of "
+                "strings, got 'abc'",
+            ),
+            (
+                "features_number",
+                "features_number.json: labels file 'features' must be of type "
+                "string, got 5",
+            ),
+            (
+                "auth_token_number",
+                "auth_token_number.json: http client 'auth_token' must be of type "
+                "string, got 5",
+            ),
+            (
+                "mode_unknown",
+                "mode_unknown.json: client 'mode' must be one of synthetic, replay, "
+                "http, got 'grpc'",
+            ),
+            ("truth_latin1", "truth_latin1.csv: not UTF-8 text"),
             ("batch_id_not_string", "batch_int_id.nspc: expected a list of 300 str ids"),
             *(
                 (name, f"manifest path not found: {world_dir.resolve()}/nope_")
@@ -671,16 +750,23 @@ class TestEval:
     @pytest.mark.parametrize(
         "content, named",
         [
-            ("a,b\n1,2\n", "image_id"),
-            ("image_id,s_nl,s_ens,s_vsnl,s_ada,predicted_class,tag\n"
-             "img_1,0.5,0.5,0.5,abc,0,ID\n", "line 2"),
+            (b"a,b\n1,2\n", "image_id"),
+            (b"image_id,s_nl,s_ens,s_vsnl,s_ada,predicted_class,tag\n"
+             b"img_1,0.5,0.5,0.5,abc,0,ID\n", "line 2"),
+            (b"image_id,s_nl,s_ens,s_vsnl,s_ada,predicted_class,tag\n"
+             b"img_\xe9,0.5,0.5,0.5,0.5,0,ID\n", "not UTF-8 text"),
+            # counted twice as OOD, the metrics would be silently wrong
+            (b"image_id,s_nl,s_ens,s_vsnl,s_ada,predicted_class,tag\n"
+             b"a,0.5,0.5,0.5,0.5,0,ID\nb,0.5,0.5,0.5,0.5,0,OOD\n"
+             b"a,0.5,0.5,0.5,0.5,0,OOD\n",
+             "line 4: image 'a' is tagged OOD here but ID on an earlier line"),
         ],
     )
     def test_malformed_records_fail_with_one_line(
         self, tmp_path, capsys, content, named
     ):
         junk = tmp_path / "junk.csv"
-        junk.write_text(content)
+        junk.write_bytes(content)
         assert run_cli("eval", junk) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
@@ -871,24 +957,29 @@ class TestIngest:
     @pytest.mark.parametrize(
         "name, content, named",
         [
-            ("header.csv", b"id,a,b\nv0,1,2\n", "line 1"),
-            ("ragged.csv", b"v0,1,2\nv1,1,2,3\n", "line 2"),
-            ("pickled.npy", None, ""),
+            ("header.csv", b"id,a,b\nv0,1,2\n", "header.csv, line 1"),
+            ("ragged.csv", b"v0,1,2\nv1,1,2,3\n", "ragged.csv, line 2"),
+            ("latin1.csv", b"v0,1,2\nv\xe9,1,2\n", "latin1.csv: not UTF-8 text"),
+            (
+                "pickled.npy",
+                np.array([{"v": 1}, None], dtype=object),
+                "pickled.npy: not a numeric .npy array",
+            ),
+            ("eye.npy", np.eye(2), "ids.txt: not UTF-8 text"),
         ],
-        ids=["header", "ragged", "pickled"],
+        ids=["header", "ragged", "latin1", "pickled", "latin1_ids"],
     )
     def test_bad_input_fails_with_one_line(self, tmp_path, capsys, name, content, named):
         src = tmp_path / name
-        if content is None:
-            np.save(src, np.array([{"v": 1}, None], dtype=object), allow_pickle=True)
-        else:
+        if isinstance(content, bytes):
             src.write_bytes(content)
+        else:
+            np.save(src, content, allow_pickle=True)
         ids = tmp_path / "ids.txt"
-        ids.write_text("v0\nv1\n")
+        ids.write_bytes(b"v0\nv\xe9\n")  # read only for a numeric .npy
         assert run_cli("ingest", src, "--ids", ids, "-o", tmp_path / "v.nspc") == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
-        assert str(src) in err[0] and named in err[0]
+        assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / named}")
 
     def test_unsupported_format_fails(self, tmp_path):
         src = tmp_path / "v.parquet"
