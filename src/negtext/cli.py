@@ -20,7 +20,8 @@ Every mode reads labels, corpus, batches and truth from the files the
 manifest names, and `seed` seeds the stream. `Manifest.load` checks each
 block against its key table (MANIFEST_KEYS, CORPUS_KEYS, CLIENT_KEYS)
 before any file is read: an unknown key, a value of the wrong JSON type or
-a missing required key is refused, and a null value counts as absent. The
+a missing required key is refused, and a null value counts as absent. A
+path (an input file or directory) must not be the empty string. The
 synthetic client is the oracle of the world its concepts file names:
 `synth-world` writes it as {"scenario", "seed", "images"}, the world's
 scenario and seed and each image's concept. The HTTP endpoint and auth
@@ -122,15 +123,15 @@ class _Parser(argparse.ArgumentParser):
 # key would be ignored silently (a `truht` file, say, writes no report), so
 # any other key is refused
 MANIFEST_KEYS = {
-    "config": "string or object", "client": "required object",
-    "labels": "required string", "corpus": "required object",
-    "batches": "required list of strings", "truth": "string",
+    "config": "path or object", "client": "required object",
+    "labels": "required path", "corpus": "required object",
+    "batches": "required list of paths", "truth": "path",
     "output_dir": "string", "seed": "integer",
 }
-CORPUS_KEYS = {"embeddings": "required string", "words": "required string"}
+CORPUS_KEYS = {"embeddings": "required path", "words": "required path"}
 CLIENT_KEYS = {
-    "synthetic": {"mode": "string", "concepts": "required string"},
-    "replay": {"mode": "string", "fixtures": "required string"},
+    "synthetic": {"mode": "string", "concepts": "required path"},
+    "replay": {"mode": "string", "fixtures": "required path"},
     "http": {"mode": "string", "endpoint": "string", "auth_token": "string"},
 }
 

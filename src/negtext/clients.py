@@ -37,17 +37,19 @@ class GenerationClient(Protocol):
     """What the pipeline asks of a generation backend.
 
     `describe_image` may be called from several threads at once (one ENS
-    build keeps `spaces.DESCRIBE_WORKERS` requests in flight); the other
-    two methods are called from one thread. The clients here allow it: the
-    HTTP client shares a `requests.Session`, whose pool of 10 connections
-    exceeds the workers, and `RecordingClient` asks its live client and
+    build keeps `spaces.DESCRIBE_WORKERS` requests in flight), and
+    `similar_labels` and `embed_texts` while describes are in flight (a
+    batch regenerates its two spaces in two lanes); `embed_texts` is never
+    called twice at once. The clients here allow it: the HTTP client shares
+    a `requests.Session`, whose pool of 10 connections exceeds the
+    requests in flight, and `RecordingClient` asks its live client and
     writes a file once per distinct request.
 
     The pipeline checks each answer where it receives it: a description
     is a `str`, lookalike labels are a list or tuple of `str`, and an
     embedding is an array-like of `len(texts)` finite rows of the label
     dim. Any other answer, and any exception a call raises, degrades the
-    batch: its negative spaces stay as they were.
+    batch: the space the call was made for stays as it was.
     """
 
     def describe_image(self, image_ref: str, exclude_label: str) -> str: ...

@@ -49,16 +49,20 @@ def check_field_types(config) -> None:
             raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
-# the JSON types a key table names, and the Python types that hold them
-_JSON_TYPES = {"string": str, "integer": int, "object": dict, "list of strings": list}
+# the JSON types a key table names, and the Python types that hold them; a
+# path is a string that is not empty (an empty one would read as no file)
+_JSON_TYPES = {
+    "string": str, "path": str, "integer": int, "object": dict,
+    "list of strings": list, "list of paths": list,
+}
 
 
 def _is_json(value, name: str) -> bool:
-    return (
-        isinstance(value, _JSON_TYPES[name])
-        and not isinstance(value, bool)
-        and (name != "list of strings" or all(isinstance(v, str) for v in value))
-    )
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[name]):
+        return False
+    if name.startswith("list of "):  # "list of paths" holds "path" items
+        return all(_is_json(v, name.removeprefix("list of ")[:-1]) for v in value)
+    return name != "path" or value != ""
 
 
 def check_keys(block, keys: dict, where, what: str, hint: str = "") -> dict:

@@ -3,16 +3,19 @@
 Per batch: the batch joins the historical cache, negative images and the
 similar ID-class subset are mined from the cache (always against the
 fixed initial negative-label space), the two adaptive spaces are
-regenerated through the client, the mixing weight is recomputed from the
-mined negatives, and the batch is scored. Generation failures leave the
-previous spaces in force and flag the state as degraded instead of
-stalling the stream.
+regenerated through the client in two concurrent lanes (see `_regenerate`),
+the mixing weight is recomputed from the mined negatives, and the batch is
+scored. A layer whose generation fails keeps its previous space, the
+weight keeps its previous value, and the state is flagged as degraded
+instead of stalling the stream; the other layer's new space stands.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -131,40 +134,83 @@ def init_stream(
     )
 
 
-def _regenerate(state: StreamState, client: GenerationClient) -> float:
-    """Mine the cache, swap in fresh adaptive spaces and return their fusion
-    weight; the current weight, with the spaces kept, when nothing is mined."""
+def _generated(build, *args):
+    """`build(*args)`, or None when generation fails."""
+    try:
+        return build(*args)
+    except (GenerationError, DataError):  # e.g. a non-finite embedding
+        return None
+
+
+def _regenerate(
+    state: StreamState,
+    client: GenerationClient,
+    images: np.ndarray,
+    lse_id: np.ndarray,
+) -> tuple[float, np.ndarray | None]:
+    """Mine the cache and regenerate the adaptive spaces in two lanes; returns
+    the fusion weight and the batch's lookalike scores. When nothing is
+    mined, no lane starts: the current weight and None.
+
+    The lookalike lane runs on the calling thread: it generates its space,
+    swaps it into the state, scores the mined rows, then scores the batch
+    against the state's lookalike space. The sentence lane runs on one
+    worker of a per-call pool (a module-level pool would hang a forked
+    child): it requests the descriptions, waits until the lookalike lane
+    has swapped its space in or failed, then embeds the sentences and
+    scores the mined rows. So one embedding request is in flight at a
+    time, and the old lookalike space is gone before the second. A layer
+    whose generation fails keeps its space and flags the state degraded;
+    the weight is then the current one. Any other exception is raised once
+    both lanes have stopped.
+    """
     cfg = state.config
+    ids = state.label_space
     n = len(state.cache)
     mined = mine_negative_images(
         state.cache.ids, state.cache.nl_scores[:n], cfg.mining
     )
     if mined.empty:
-        return state.lambda_
+        return state.lambda_, None
     predictions = state.cache.predictions[:n]
     predicted_labels = {
-        image_id: state.label_space.labels[predictions[idx]]
+        image_id: ids.labels[predictions[idx]]
         for image_id, idx in zip(mined.image_ids, mined.indices)
     }
-    ens_space = generate_ens(
-        mined,
-        predicted_labels,
-        state.label_space,
-        client,
-        cfg.num_negatives,
-        seed=state.rng_seed,
-        epoch=state.epoch + 1,
-        len_max=cfg.sentence_len_max,
-    )
-    classes = mine_similar_classes(predictions, state.label_space, cfg.mining)
-    vsnl_space = generate_vsnl(classes, state.label_space, client, cfg.num_negatives)
+    classes = mine_similar_classes(predictions, ids, cfg.mining)
     neg_vectors = state.cache.matrix()[list(mined.indices)]
-    lse_id, _ = id_part(neg_vectors, state.label_space, cfg.score)
-    ens_scores = negative_scores(neg_vectors, lse_id, ens_space, cfg.score)
-    vsnl_scores = negative_scores(neg_vectors, lse_id, vsnl_space, cfg.score)
-    state.ens_space = ens_space
-    state.vsnl_space = vsnl_space
-    return adaptive_lambda(ens_scores, vsnl_scores)
+    lse_neg, _ = id_part(neg_vectors, ids, cfg.score)
+    epoch = state.epoch + 1
+    vsnl_settled = threading.Event()
+
+    def sentence_lane() -> tuple[NegativeSpace, np.ndarray]:
+        space = generate_ens(
+            mined, predicted_labels, ids, client, cfg.num_negatives,
+            seed=state.rng_seed, epoch=epoch, len_max=cfg.sentence_len_max,
+            before_embed=vsnl_settled.wait,
+        )
+        return space, negative_scores(neg_vectors, lse_neg, space, cfg.score)
+
+    with ThreadPoolExecutor(1) as pool:
+        ens_lane = pool.submit(_generated, sentence_lane)
+        try:
+            vsnl_space = _generated(
+                generate_vsnl, classes, ids, client, cfg.num_negatives
+            )
+            if vsnl_space is not None:
+                state.vsnl_space = vsnl_space
+        finally:
+            vsnl_settled.set()
+        if vsnl_space is not None:
+            vsnl_scores = negative_scores(neg_vectors, lse_neg, vsnl_space, cfg.score)
+        s_vsnl = negative_scores(images, lse_id, state.vsnl_space, cfg.score)
+        ens = ens_lane.result()
+    if ens is not None:
+        state.ens_space, ens_scores = ens
+    if ens is None or vsnl_space is None:
+        state.degraded = True
+        return state.lambda_, s_vsnl
+    return adaptive_lambda(ens_scores, vsnl_scores), s_vsnl
 
 
 def process_batch(
@@ -183,15 +229,12 @@ def process_batch(
     kept = slots >= 0
     state.cache.nl_scores[slots[kept]] = s_nl[kept]
     state.cache.predictions[slots[kept]] = predictions[kept]
-    lam = state.lambda_
+    lam, s_vsnl = state.lambda_, None
     if len(state.cache) > 0:
-        try:
-            lam = _regenerate(state, client)
-        except (GenerationError, DataError):  # e.g. a non-finite embedding
-            state.degraded = True
-
+        lam, s_vsnl = _regenerate(state, client, images, lse_id)
     s_ens = negative_scores(images, lse_id, state.ens_space, cfg.score)
-    s_vsnl = negative_scores(images, lse_id, state.vsnl_space, cfg.score)
+    if s_vsnl is None:
+        s_vsnl = negative_scores(images, lse_id, state.vsnl_space, cfg.score)
     records = [
         ScoreRecord(
             image_id=batch.images.ids[i],

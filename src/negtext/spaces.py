@@ -213,6 +213,7 @@ def generate_ens(
     seed: int,
     epoch: int = 0,
     len_max: int = SENTENCE_MAX_WORDS,
+    before_embed: Callable[[], object] | None = None,
 ) -> NegativeSpace:
     """Descriptive sentences for the mined negative images.
 
@@ -222,6 +223,8 @@ def generate_ens(
     round-robin pass sends waves of the next `M - len(sentences)` images,
     exactly the ones a request-by-request pass would reach, so the
     requests and the sentence order do not depend on `DESCRIBE_WORKERS`.
+    `before_embed`, if given, is called once the sentences are final and
+    before they are embedded.
     """
     if negatives.empty:
         raise InputError("no mined negative images")
@@ -262,6 +265,8 @@ def generate_ens(
     # most sentences repeat: test each distinct one once
     admitted = {s: _canon_label(s) not in id_canon for s in dict.fromkeys(sentences)}
     sentences = [s for s in sentences if admitted[s]]
+    if before_embed is not None:
+        before_embed()
     vectors = embed_space(sentences, ids, client)
     return NegativeSpace.from_rows(sentences, vectors)
 

@@ -142,6 +142,43 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "key",
+        [
+            "config", "labels", "truth", "corpus.embeddings", "corpus.words",
+            "batches", "concepts", "fixtures",
+        ],
+    )
+    def test_empty_path_fails_with_one_line(self, world_dir, tmp_path, capsys, key):
+        # an empty path reads as no file: `"truth": ""` would write no report
+        manifest = json.loads((world_dir / "manifest.json").read_text())
+        block, types, got, hint = "manifest", "path", "''", ""
+        name = key.removeprefix("corpus.")
+        if key == "config":
+            manifest["config"], types = "", "path or object"
+        elif key == "batches":
+            manifest["batches"] = [manifest["batches"][0], ""]
+            types, got = "list of paths", f"[{manifest['batches'][0]!r}, '']"
+        elif name != key:
+            manifest["corpus"][name], block = "", "corpus"
+        elif key == "concepts":
+            manifest["client"]["concepts"], block = "", "synthetic client"
+            hint = "; re-run synth-world to write the world again"
+        elif key == "fixtures":
+            manifest["client"] = {"mode": "replay", "fixtures": ""}
+            block = "replay client"
+        else:
+            manifest[key] = ""
+        path = world_dir / f"manifest_empty_{key}.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        assert run_cli("run", path, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: {block} {name!r} must be of type {types}, "
+            f"got {got}{hint}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "key, right",
         [
             ("truht", "truth"), ("ouput_dir", "output_dir"), ("sed", "seed"),
