@@ -60,6 +60,7 @@ from .embeddings import (
 )
 from .errors import ConfigError, InputError, NegtextError, check_keys
 from .metrics import (
+    SCORE_FMT,
     checked_tag,
     compute_report,
     export_results,
@@ -454,7 +455,7 @@ def cmd_sweep(args) -> int:
                     *split_scores(scored, inputs.truth, quantized=True)
                 )
                 writer.writerow(
-                    ["%g" % value, "%.9g" % report.auroc, "%.9g" % report.fpr95,
+                    ["%g" % value, SCORE_FMT % report.auroc, SCORE_FMT % report.fpr95,
                      report.n_id, report.n_ood]
                 )
                 fh.flush()

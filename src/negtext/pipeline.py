@@ -147,10 +147,11 @@ def _regenerate(
     client: GenerationClient,
     images: np.ndarray,
     lse_id: np.ndarray,
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float, np.ndarray]:
     """Mine the cache and regenerate the adaptive spaces in two lanes; returns
-    the fusion weight and the batch's lookalike scores. When nothing is
-    mined, no lane starts: the current weight and None.
+    the fusion weight and the batch's lookalike scores. When the cache is
+    empty or nothing is mined, no lane starts: the current weight and the
+    batch's scores against the current lookalike space.
 
     The lookalike lane runs on the calling thread: it generates its space,
     swaps it into the state, scores the mined rows, then scores the batch
@@ -167,11 +168,14 @@ def _regenerate(
     cfg = state.config
     ids = state.label_space
     n = len(state.cache)
-    mined = mine_negative_images(
-        state.cache.ids, state.cache.nl_scores[:n], cfg.mining
-    )
-    if mined.empty:
-        return state.lambda_, None
+    if n:
+        mined = mine_negative_images(
+            state.cache.ids, state.cache.nl_scores[:n], cfg.mining
+        )
+    if n == 0 or mined.empty:
+        return state.lambda_, negative_scores(
+            images, lse_id, state.vsnl_space, cfg.score
+        )
     predictions = state.cache.predictions[:n]
     predicted_labels = {
         image_id: ids.labels[predictions[idx]]
@@ -229,12 +233,8 @@ def process_batch(
     kept = slots >= 0
     state.cache.nl_scores[slots[kept]] = s_nl[kept]
     state.cache.predictions[slots[kept]] = predictions[kept]
-    lam, s_vsnl = state.lambda_, None
-    if len(state.cache) > 0:
-        lam, s_vsnl = _regenerate(state, client, images, lse_id)
+    lam, s_vsnl = _regenerate(state, client, images, lse_id)
     s_ens = negative_scores(images, lse_id, state.ens_space, cfg.score)
-    if s_vsnl is None:
-        s_vsnl = negative_scores(images, lse_id, state.vsnl_space, cfg.score)
     records = [
         ScoreRecord(
             image_id=batch.images.ids[i],

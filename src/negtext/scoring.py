@@ -9,29 +9,30 @@ exponents up to +-100) stay numerically safe. Negatives are partitioned
 into contiguous groups and per-group scores are averaged.
 
 `negative_scores` reduces a space's groups in one of two ways, without a
-Python loop over the groups' columns:
+Python loop over the groups' columns. Each writes every row's per-group
+log-sum-exps of the negatives into one (rows x groups) array:
 
-- a space that merges no row (as a rule, the word and lookalike spaces)
-  views its product as `(rows, groups, group_size)`, the ragged last
-  group a view of its own, and shifts each group by its own maximum in
-  place. Its scores keep every bit of a product over every stored row
-  reduced group by group. Of the two forms of a space (see
-  `NegativeSpace`), a stored space's rows are the product's columns, and
-  a selection's (as a rule, the word space's corpus rows) are gathered in
-  text order a column tile at a time;
-- a space that merges repeated rows (the sentence space) divides its distinct
-  columns by the temperature, shifts each row once by its maximum and
-  exponentiates in place; a (distinct rows x groups) count matrix then
-  gives every group's sum in one product. Its scores differ from the
-  group-by-group reduction by ~1e-15. One shift per row would underflow a
-  group lying more than ~708 below the row's maximum, which unit rows
-  allow once 2 / temperature exceeds that, so above ROW_SHIFT_SPAN its
-  columns are gathered into text order, one per text, and reduced as an
-  all-distinct space's are.
+- a space that merges repeated rows (the sentence space) divides its
+  distinct columns by the temperature, shifts each row once by its
+  maximum and exponentiates in place; a (distinct rows x groups) count
+  matrix then gives every group's sum in one product. Its scores differ
+  from the group-by-group reduction by ~1e-15. One shift per row would
+  underflow a group lying more than ~708 below the row's maximum, which
+  unit rows allow once 2 / temperature exceeds that, so above
+  ROW_SHIFT_SPAN such a space is reduced as every other one is;
+- every other space views its product's columns in text order as
+  `(rows, groups, group_size)`, the ragged last group a view of its own,
+  and shifts each group by its own maximum in place. Its scores keep
+  every bit of a product over one stored row per text reduced group by
+  group. Of the two forms of a space (see `NegativeSpace`), a stored
+  space's rows are the product's columns, and a selection's (as a rule,
+  the word space's corpus rows) are gathered in text order a column tile
+  at a time, as are a repeated-row space's above ROW_SHIFT_SPAN.
 
-Both sum the per-group scores in group order, then divide: a pairwise sum
-keeps sub-ulp deficits of scores near 1 that the sequential sum rounds
-away, and so moves the scores.
+After the walk, the per-group shares are computed in place in that array
+and summed in group order, once, then divided: a pairwise sum keeps
+sub-ulp deficits of scores near 1 that the sequential sum rounds away, and
+so moves the scores.
 
 The ID part (the log-sum-exp over the labels) depends only on the image
 rows, so it is computed once per scored matrix by `id_part` and shared by
@@ -43,9 +44,10 @@ selection's product in `max_label_similarity`. Each row's result depends on
 that row alone, so a large matrix is cut into contiguous row blocks by the
 rules below: the calling thread takes the first and a worker thread the
 second. Each block is walked in tiles of about BLOCK_CELLS cells through
-one buffer per worker, so no product is held whole (1,000 images against
-10,000 negatives would take 80 MB). A tile is a run of the block's rows
-times a run of the columns. Only the all-distinct reduction works per
+one buffer per worker, so a product the rules allow to split is never
+held whole (1,000 images against 10,000 negatives would take 80 MB); one
+whose width they do not allow is one tile. A tile is a run of the block's rows
+times a run of the columns. Only the group-by-group reduction works per
 group, so only its tiles are narrower than the product: where the rules
 below split rows, a block of at least MIN_BLOCK_ROWS rows walks column
 runs of a multiple of lcm(group_size, WIDTH_MULTIPLE), at least
@@ -54,11 +56,10 @@ cut into row runs as well when it is too tall for a near-square tile.
 Each column run is walked row run after row run. A selection's column
 run is gathered once into the worker's buffer, beside its tile, and is
 narrow enough for its gathered rows to hold about BLOCK_CELLS cells too;
-a tile that spans the width gathers every chosen row. Each tile holds whole groups
-(the last may end in the ragged group) and adds their shares to its
-rows' totals in group order; the rows' last tile divides. The row-wise
-reductions (the ID part, the selection, the sentence count product and
-the tiny-temperature gather) walk whole-width row runs: cutting the
+a tile that spans the width gathers every chosen row. Each tile holds whole
+groups (the last may end in the ragged group) and only writes their
+log-sum-exps. The row-wise reductions (the ID part, the selection and the
+sentence count product) walk whole-width row runs: cutting the
 selection's 1,000 label columns too measured slower (OpenBLAS 0.3.31,
 one thread). BLAS packs the negatives for every product, so a tile as
 tall as the budget allows packs them once per row run, where whole-width
@@ -306,63 +307,56 @@ def negative_scores(
     cfg: ScoreConfig,
 ) -> np.ndarray:
     """Grouped score per image row from its precomputed ID part; negatives
-    cut in text order into groups of `cfg.group_size`, each distinct row
-    multiplied once."""
-    rows, inverse = neg.rows, neg.inverse
+    cut in text order into groups of `cfg.group_size`."""
+    rows = neg.rows
     if rows.shape[1] != images.shape[1]:
         raise DataError(f"negative dim {rows.shape[1]} vs image dim {images.shape[1]}")
     n = images.shape[0]
-    scores = np.zeros(n)
     g, tau = cfg.group_size, cfg.temperature
     n_groups = -(-neg.size // g)
+    # each tile writes its rows' log-sum-exps of its groups' negatives
+    lse = np.empty((n, n_groups))
 
     if neg.merges and 2.0 / tau <= ROW_SHIFT_SPAN:
         # repeated rows: one shift per row, every group's sum from one product
-        counts = _group_counts(inverse, rows.shape[0], g)
+        counts = _group_counts(neg.inverse, rows.shape[0], g)
 
-        def lse_groups(sims: np.ndarray) -> np.ndarray:
+        def reduce(lo: int, hi: int, _start: int, sims: np.ndarray) -> None:
             sims /= tau
             shift = np.max(sims, axis=1, keepdims=True)
             sims -= shift
             np.exp(sims, out=sims)
-            return shift + np.log((sims @ counts)[:, :n_groups])
+            lse[lo:hi] = shift + np.log((sims @ counts)[:, :n_groups])
 
-    else:
-        # each group shifted by its own maximum, in views of the columns in
-        # text order: a tile of whole groups (the last may end in the ragged
-        # group) when no row merges, else the product's columns gathered (a
-        # row shift could underflow a group)
-        def lse_groups(sims: np.ndarray) -> np.ndarray:
-            if neg.merges:
-                sims = sims[:, inverse] / tau
-            else:
-                sims /= tau
-            full = sims.shape[1] - sims.shape[1] % g
-            parts = [sims[:, :full].reshape(len(sims), full // g, g)]
-            if full < sims.shape[1]:  # a ragged last group
-                parts.append(sims[:, None, full:])
-            return np.concatenate([_logsumexp_rows(p) for p in parts], axis=1)
-
-    width = rows.shape[0] if neg.merges else neg.size
-
-    def reduce(lo: int, hi: int, start: int, sims: np.ndarray) -> None:
-        # per-group score = 1 / (1 + exp(lse_neg - lse_id)); at a tiny
-        # temperature the exp overflows to inf and the score to its limit 0
-        with np.errstate(over="ignore"):
-            shares = 1.0 / (1.0 + np.exp(lse_groups(sims) - lse_id[lo:hi, None]))
-        # summed in group order, tile after tile, not pairwise (see the
-        # module docstring); the rows' last tile divides
-        total = scores[lo:hi]
-        for share in shares.T:
-            total += share
-        if start + sims.shape[1] == width:
-            total /= n_groups
-
-    if neg.merges:
         _blockwise(images, rows, n * neg.size, reduce)
-    else:  # tiles of whole groups; a selection's gathered run by run
-        _blockwise(images, rows, n * neg.size, reduce, g, inverse)
-    return scores
+    else:
+        # each group shifted by its own maximum, in views of a tile of whole
+        # groups in text order (the last may end in the ragged group)
+        def reduce(lo: int, hi: int, start: int, sims: np.ndarray) -> None:
+            sims /= tau
+            width = sims.shape[1]
+            full = width - width % g
+            out = lse[lo:hi, start // g : -(-(start + width) // g)]
+            whole = sims[:, :full].reshape(hi - lo, full // g, g)
+            out[:, : full // g] = _logsumexp_rows(whole)
+            if full < width:  # the ragged last group
+                out[:, -1:] = _logsumexp_rows(sims[:, None, full:])
+
+        # a selection's, or a repeated-row space's, columns gathered run by run
+        _blockwise(images, rows, n * neg.size, reduce, g, neg.inverse)
+
+    # per-group score = 1 / (1 + exp(lse_neg - lse_id)), in place; at a tiny
+    # temperature the exp overflows to inf and the score to its limit 0
+    lse -= lse_id[:, None]
+    with np.errstate(over="ignore"):
+        np.exp(lse, out=lse)
+    lse += 1.0
+    np.divide(1.0, lse, out=lse)
+    # summed in group order, not pairwise (see the module docstring)
+    scores = np.zeros(n)
+    for share in lse.T:
+        scores += share
+    return scores / n_groups
 
 
 def grouped_scores_batch(

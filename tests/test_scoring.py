@@ -337,8 +337,9 @@ class TestDistinctRows:
 class TestGroupReductions:
     """A repeated-row space gets every group's sum from one product of its
     exponentiated distinct columns, shifted once per row, with a count
-    matrix; an all-distinct space reduces its groups in place, each group
-    shifted by its own maximum. Both sum the group shares in group order."""
+    matrix; every other space (and a repeated-row one above ROW_SHIFT_SPAN)
+    reduces its groups in place, each group shifted by its own maximum.
+    Both sum the group shares in group order."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("tau, counted", [(0.01, True), (1e-3, False)])
@@ -730,7 +731,9 @@ class TestWalkedScores:
     ):
         # the word space selects its rows from a corpus with an ID word
         # filtered out; each column tile is gathered, at temperatures on both
-        # sides of ROW_SHIFT_SPAN, and its products are those of the copy
+        # sides of ROW_SHIFT_SPAN, and its products are those of the copy.
+        # Above the span a repeated-row space is gathered so too, and scores
+        # as its expanded copy, one stored row per text
         assume(width % group)  # a ragged last group
         rng = np.random.default_rng(seed)
         ids = make_label_space(n=64, dim=dim, seed=seed)
@@ -746,6 +749,15 @@ class TestWalkedScores:
         assert space.rows is corpus.features.data and not space.merges
         stored = NegativeSpace.from_rows(space.texts, space.stored_rows())
         assert stored.inverse is None
+        pairs = [(space, stored)]
+        if 2.0 / temperature > scoring.ROW_SHIFT_SPAN:
+            order = rng.integers(0, -(-width // 3), width)
+            order[-1] = order[0]
+            rows = corpus.features.data[order]
+            repeated = NegativeSpace.from_rows([f"s{j}" for j in order], rows)
+            assert repeated.merges == (width > 1)
+            expanded = NegativeSpace(repeated.texts, repeated.stored_rows(), None)
+            pairs.append((repeated, expanded))
         images = unit_rows(rng, n, dim)
         cfg = ScoreConfig(temperature=temperature, group_size=group)
         lse_id, _ = id_part(images, ids, cfg)
@@ -754,23 +766,33 @@ class TestWalkedScores:
             mp.setattr(scoring, "BLOCK_CELLS", block_cells)
             for workers in (1, 2, 3):
                 mp.setattr(scoring, "SCORE_WORKERS", workers)
-                got = negative_scores(images, lse_id, space, cfg)
-                expected = negative_scores(images, lse_id, stored, cfg)
-                assert got.tobytes() == expected.tobytes(), workers
+                for neg, copy in pairs:
+                    got = negative_scores(images, lse_id, neg, cfg)
+                    expected = negative_scores(images, lse_id, copy, cfg)
+                    assert got.tobytes() == expected.tobytes(), workers
 
     def test_paper_shape_scores_hold_one_run_per_worker(self):
-        # 1,000 images x 10,000 negatives: the whole product is 80 MB
-        neg = make_negative_space(m=10000, dim=16, seed=73)
+        # 1,000 images x 10,000 negatives: the whole product is 80 MB. A
+        # repeated-row space (10,000 texts over 264 rows, as a sentence
+        # space) above ROW_SHIFT_SPAN is walked in text order in tiles too
+        rng = np.random.default_rng(75)
+        base = unit_rows(rng, 264, 16)
+        order = np.concatenate([np.arange(264), rng.integers(0, 264, 10000 - 264)])
+        repeated = NegativeSpace.from_rows([f"s{j}" for j in order], base[order])
+        assert repeated.rows.shape[0] == 264
         ids = make_label_space(n=1000, dim=16, seed=74)
-        images = unit_rows(np.random.default_rng(75), 1000, 16)
-        lse_id, _ = id_part(images, ids, ScoreConfig())
-        tracemalloc.start()
-        try:
-            scores = negative_scores(images, lse_id, neg, ScoreConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * scoring.BLOCK_CELLS * 8 + scores.nbytes
+        images = unit_rows(rng, 1000, 16)
+        for neg, tau in [(make_negative_space(m=10000, dim=16, seed=73), 0.01),
+                         (repeated, 0.001)]:
+            cfg = ScoreConfig(temperature=tau)
+            lse_id, _ = id_part(images, ids, cfg)
+            tracemalloc.start()
+            try:
+                scores = negative_scores(images, lse_id, neg, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * scoring.BLOCK_CELLS * 8 + scores.nbytes, tau
 
     def test_checkpoint_rebuild_holds_one_tile_per_worker(self, monkeypatch):
         # 20,000 cache rows against 10,000 word-space rows in groups of 100:
