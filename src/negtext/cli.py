@@ -214,7 +214,7 @@ def _read_json(path: Path, what: str):
     """The parsed JSON file; `what` names it in the error."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # also a file that is not UTF-8
+    except (ValueError, RecursionError) as exc:  # also a file that is not UTF-8
         raise InputError(f"{path}: {what} is not valid JSON ({exc})") from exc
 
 
@@ -236,7 +236,7 @@ def _parse_set_flags(pairs) -> dict:
         key, raw = pair.split("=", 1)
         try:
             overrides[key] = json.loads(raw)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             overrides[key] = raw
     return overrides
 
@@ -469,8 +469,8 @@ def cmd_ingest(args) -> int:
     if src.suffix == ".npy":
         if not args.ids:
             raise InputError("--ids is required for .npy input")
-        try:
-            data = np.asarray(np.load(src), dtype=np.float64)
+        try:  # mapped, so a header claiming more rows than the file holds fails
+            data = np.array(np.load(src, mmap_mode="r"), dtype=np.float64)
         except (ValueError, EOFError) as exc:  # pickled, non-numeric, cut or empty
             raise InputError(f"{src}: not a numeric .npy array ({exc})") from exc
         try:
@@ -500,6 +500,8 @@ def cmd_ingest(args) -> int:
                     rows.append(values)
         except UnicodeDecodeError as exc:
             raise InputError(f"{src}: not UTF-8 text ({exc})") from exc
+        except csv.Error as exc:  # e.g. a field over the csv module's limit
+            raise InputError(f"{src}, line {reader.line_num}: {exc}") from exc
         data = np.asarray(rows, dtype=np.float64)
     else:
         raise InputError(f"unsupported input format {src.suffix!r} (.npy or .csv)")

@@ -140,7 +140,7 @@ def load_embeddings(path) -> EmbeddingMatrix:
         raise FormatError(f"{path}: missing id sidecar {sidecar.name}")
     try:
         ids = json.loads(sidecar.read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{sidecar}: not a JSON id list ({exc})") from exc
     data = decode_nspc(raw, path)
     if (
@@ -203,7 +203,7 @@ class LabelSpace:
         path = Path(path)
         try:
             spec = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # also a file that is not UTF-8
+        except (ValueError, RecursionError) as exc:  # also a file that is not UTF-8
             raise FormatError(f"{path}: unreadable labels manifest ({exc!r})") from exc
         spec = check_keys(spec, LABELS_FILE_KEYS, path, "labels file")
         features_path = path.parent / spec["features"]

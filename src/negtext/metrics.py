@@ -174,6 +174,9 @@ def read_csv_rows(path, columns) -> list[dict[str, str]]:
             rows = list(reader)
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
+        except csv.Error as exc:  # e.g. a field over the csv module's limit
+            # the DictReader's own line_num stops at the last row it returned
+            raise InputError(f"{path}, line {reader.reader.line_num}: {exc}") from exc
     missing = [c for c in columns if c not in (reader.fieldnames or ())]
     if missing:
         raise InputError(f"{path}: missing column(s) {', '.join(missing)}")

@@ -357,7 +357,7 @@ def load_checkpoint(path, ids: LabelSpace, corpus: CorpusCandidates) -> StreamSt
     try:
         header = json.loads(header_bytes.decode("utf-8"))
         expected = 16 + header_len + sum(header["blob_sizes"])
-    except (ValueError, KeyError, TypeError) as exc:  # cut or corrupted header
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # cut or corrupted
         raise FormatError(f"{path}: unreadable checkpoint header ({exc!r})") from exc
     if len(raw) != expected:
         raise FormatError(f"{path}: checkpoint size {len(raw)}, expected {expected}")

@@ -41,25 +41,23 @@ every space through `negative_scores`.
 Three products go through one tile helper, `_blockwise`: the ID part of
 `id_part`, each space's product in `negative_scores`, and the word-space
 selection's product in `max_label_similarity`. Each row's result depends on
-that row alone, so a large matrix is cut into contiguous row blocks by the
-rules below: the calling thread takes the first and a worker thread the
-second. Each block is walked in tiles of about BLOCK_CELLS cells through
-one buffer per worker, so a product the rules allow to split is never
-held whole (1,000 images against 10,000 negatives would take 80 MB); one
-whose width they do not allow is one tile. A tile is a run of the block's rows
-times a run of the columns. Only the group-by-group reduction works per
-group, so only its tiles are narrower than the product: where the rules
-below split rows, a block of at least MIN_BLOCK_ROWS rows walks column
-runs of a multiple of lcm(group_size, WIDTH_MULTIPLE), at least
-MIN_BLOCK_ROWS wide, a narrower tail joining the run before it, and is
-cut into row runs as well when it is too tall for a near-square tile.
-Each column run is walked row run after row run. A selection's column
-run is gathered once into the worker's buffer, beside its tile, and is
-narrow enough for its gathered rows to hold about BLOCK_CELLS cells too;
-a tile that spans the width gathers every chosen row. Each tile holds whole
-groups (the last may end in the ragged group) and only writes their
-log-sum-exps. The row-wise reductions (the ID part, the selection and the
-sentence count product) walk whole-width row runs: cutting the
+that row alone, so one rule cuts a large product: one grid of tiles,
+listed column run by column run and dealt in contiguous runs of that list
+to at most SCORE_WORKERS workers, the calling thread taking the first.
+Each worker walks its tiles through one buffer, so a product the rules
+below allow to split is never held whole (1,000 images against 10,000
+negatives would take 80 MB); one whose width they do not allow is one
+tile. The grid is set over one worker's share of the rows, its row runs
+no taller than that share. Only the group-by-group reduction cuts columns:
+where the rules split rows, a share of at least MIN_BLOCK_ROWS rows walks
+column runs of a multiple of lcm(group_size, WIDTH_MULTIPLE), at least
+MIN_BLOCK_ROWS wide (a narrower tail joins the run before it), in tiles
+near square within the budget that hold whole groups (the last may end in
+the ragged group) and only write their log-sum-exps. A worker gathers each
+of its column runs of a selection once, beside its tile, so only the run
+where two parts meet can be gathered twice; the gathered rows hold about
+BLOCK_CELLS cells too. The row-wise reductions (the ID part, the selection
+and the sentence count product) walk whole-width row runs: cutting the
 selection's 1,000 label columns too measured slower (OpenBLAS 0.3.31,
 one thread). BLAS packs the negatives for every product, so a tile as
 tall as the budget allows packs them once per row run, where whole-width
@@ -73,6 +71,7 @@ names and signatures.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -83,12 +82,12 @@ from .embeddings import LabelSpace, NegativeSpace
 from .errors import ConfigError, DataError, InputError, check_field_types
 
 SCORE_WORKERS = 2
-# A row block of a BLAS product rounds as the unsplit product only when it
-# runs the same kernel tiles. OpenBLAS sends a one-row block through gemv and
-# a block of under ~1200 cells through a small-matrix kernel, and when the
+# A tile of a BLAS product rounds as the unsplit product only when it runs
+# the same kernel tiles. OpenBLAS sends a one-row tile through gemv and a
+# tile of under ~1200 cells through a small-matrix kernel, and when the
 # product's width is not a multiple of 8 its last columns round by where the
-# block starts (measured with OpenBLAS 0.3.31 on x86-64, 1 and 2 BLAS
-# threads). So a product is split only into blocks and tiles of at least
+# tile starts (measured with OpenBLAS 0.3.31 on x86-64, 1 and 2 BLAS
+# threads). So a product is split only into tiles of at least
 # MIN_BLOCK_ROWS rows and MIN_BLOCK_ROWS columns, only at a width that is a
 # multiple of WIDTH_MULTIPLE, and a tile's columns start at a multiple of
 # it (cut at column 265, the tiles of an 82 x 464 product at dim 8 rounded
@@ -97,8 +96,8 @@ MIN_BLOCK_ROWS = 64
 WIDTH_MULTIPLE = 8
 # below this many score cells a worker costs more than it saves
 MIN_SPLIT_CELLS = 1 << 18
-# each worker walks its block in tiles of about this many product cells
-# (4 MB of float64), so a large product is never held whole
+# a tile holds about this many product cells (4 MB of float64), so a large
+# product is never held whole
 BLOCK_CELLS = 1 << 19
 # the 2 / temperature above which a repeated-row space shifts each group on
 # its own (see the module docstring): exp(-708.4) is the smallest normal
@@ -152,20 +151,9 @@ def _logsumexp_rows(scaled: np.ndarray) -> np.ndarray:
 
 
 def _splittable(width: int) -> bool:
-    """Whether row blocks of a product this wide round as the whole product
+    """Whether tiles of a product this wide round as the whole product
     (the rules above)."""
     return width >= MIN_BLOCK_ROWS and width % WIDTH_MULTIPLE == 0
-
-
-def _row_blocks(n_rows: int, width: int, cells: int) -> list[tuple[int, int]]:
-    """Contiguous `(lo, hi)` row blocks covering `n_rows` rows of a product
-    `width` columns wide whose scoring touches `cells` cells: one block per
-    score worker where the rules above allow it, else one block."""
-    k = 1
-    if cells >= MIN_SPLIT_CELLS and _splittable(width):
-        k = max(1, min(SCORE_WORKERS, n_rows // MIN_BLOCK_ROWS))
-    bounds = [n_rows * i // k for i in range(k + 1)]
-    return list(zip(bounds, bounds[1:]))
 
 
 def _runs(lo: int, hi: int, step: int) -> list[int]:
@@ -180,15 +168,14 @@ def _runs(lo: int, hi: int, step: int) -> list[int]:
 def _tile_steps(
     n_rows: int, width: int, group: int | None, dim: int = 0
 ) -> tuple[int, int]:
-    """(rows, columns) of the tiles that walk a block of `n_rows` rows of a
-    product `width` columns wide. Where the rules above allow the width,
-    a tile holds about BLOCK_CELLS cells and at least MIN_BLOCK_ROWS rows.
-    Given a `group`, a block of at least MIN_BLOCK_ROWS rows is also cut
+    """(rows, columns) of the tiles of a product `width` columns wide, of
+    which a worker takes `n_rows` rows. Where the rules above allow the
+    width, a tile holds about BLOCK_CELLS cells and at least MIN_BLOCK_ROWS
+    rows. Given a `group`, `n_rows` of at least MIN_BLOCK_ROWS are also cut
     into column runs of a multiple of lcm(group, WIDTH_MULTIPLE), at least
-    MIN_BLOCK_ROWS wide: as wide as the budget allows over the block's
-    rows, or over a square tile's rows when the block is taller, and over
-    the `dim` entries of a gathered column. Otherwise a tile spans the
-    width."""
+    MIN_BLOCK_ROWS wide: as wide as the budget allows over those rows, or
+    over a square tile's rows when they are more, and over the `dim`
+    entries of a gathered column. Otherwise a tile spans the width."""
     if not _splittable(width):
         return max(n_rows, 1), width
     col_step = width
@@ -205,48 +192,48 @@ def _blockwise(
     rows, cols, cells: int, reduce, group: int | None = None, take=None
 ) -> None:
     """`reduce(lo, hi, start, rows[lo:hi] @ cols[start:stop].T)` over the
-    tiles of the `_row_blocks` of a product whose scoring touches `cells`
-    cells, the first block on the calling thread and the rest on a per-call
-    pool (a module-level pool would hang a forked child). Given `take`, the
-    product's columns are `cols[take]`, each column run's rows gathered
-    into the worker's buffer. Each block is walked in column runs from left
-    to right, and each column run in row runs, as `_tile_steps` sets them;
-    a tail under MIN_BLOCK_ROWS joins the run before it. Without a
-    `group`, or where the rules above do not allow the width, a tile spans
-    the width. Once every block has stopped, the earliest block's exception
-    is raised unchanged."""
+    tiles of the grid `_tile_steps` sets over one worker's share of a
+    product whose scoring touches `cells` cells, dealt as the module
+    docstring says: the first part on the calling thread and the rest on a
+    per-call pool (a module-level pool would hang a forked child). Given
+    `take`, the product's columns are `cols[take]`, each of a part's column
+    runs gathered once into its buffer. Once every part has stopped, the
+    earliest part's exception is raised unchanged."""
     n = rows.shape[0]
     width = cols.shape[0] if take is None else take.size
     dim = 0 if take is None else cols.shape[1]
-    walks = []
-    for lo, hi in _row_blocks(n, width, cells):
-        row_step, col_step = _tile_steps(hi - lo, width, group, dim)
-        walks.append((_runs(lo, hi, row_step), _runs(0, width, col_step)))
-    # one buffer per block, reused by each of its tiles: the tile, then a
+    k = 1
+    if cells >= MIN_SPLIT_CELLS and _splittable(width):
+        k = max(1, min(SCORE_WORKERS, n // MIN_BLOCK_ROWS))
+    share = max(1, -(-n // k))
+    row_step, col_step = _tile_steps(share, width, group, dim)
+    row_bounds = _runs(0, n, min(row_step, share))
+    col_bounds = _runs(0, width, col_step)
+    runs = zip(col_bounds, col_bounds[1:]), zip(row_bounds, row_bounds[1:])
+    tiles = list(itertools.product(*runs))  # column run by column run
+    parts = [tiles[len(tiles) * i // k : len(tiles) * (i + 1) // k] for i in range(k)]
+    # one buffer per part, reused by each of its tiles: the tile, then a
     # column run's gathered rows; the calling thread allocates them all, as
     # a worker's own large temporaries would stay in its malloc arena
-    buffers = []
-    for row_bounds, col_bounds in walks:
-        tile = np.diff(row_bounds).max(initial=0) * np.diff(col_bounds).max(initial=0)
-        flat = np.empty(tile + np.diff(col_bounds).max(initial=0) * dim)
-        buffers.append((flat[:tile], flat[tile:]))
+    size = np.diff(row_bounds).max(initial=0) * np.diff(col_bounds).max(initial=0)
+    buffers = [np.empty(size + np.diff(col_bounds).max(initial=0) * dim) for _ in parts]
 
-    def fill(walk, buffer) -> None:
-        (row_bounds, col_bounds), (tile, gathered) = walk, buffer
-        for start, stop in zip(col_bounds, col_bounds[1:]):
+    def fill(part, buffer) -> None:
+        tile, gathered = buffer[:size], buffer[size:]
+        for (start, stop), run in itertools.groupby(part, key=lambda t: t[0]):
             block = cols[start:stop]
             if take is not None:
                 # laid out as the same rows of a copy of cols[take] would be;
                 # mode="clip" writes straight into `out`
                 block = gathered[: (stop - start) * dim].reshape(stop - start, dim)
                 np.take(cols, take[start:stop], axis=0, out=block, mode="clip")
-            for lo, hi in zip(row_bounds, row_bounds[1:]):
+            for _, (lo, hi) in run:
                 out = tile[: (hi - lo) * (stop - start)].reshape(hi - lo, stop - start)
                 reduce(lo, hi, start, np.matmul(rows[lo:hi], block.T, out=out))
 
-    with ThreadPoolExecutor(max(1, len(walks) - 1)) as pool:
-        futures = [pool.submit(fill, *job) for job in zip(walks[1:], buffers[1:])]
-        fill(walks[0], buffers[0])
+    with ThreadPoolExecutor(max(1, len(parts) - 1)) as pool:
+        futures = [pool.submit(fill, *job) for job in zip(parts[1:], buffers[1:])]
+        fill(parts[0], buffers[0])
     for future in futures:
         future.result()
 
@@ -291,7 +278,7 @@ def _group_counts(
 ) -> np.ndarray:
     """(distinct rows x groups) float matrix: how many texts of each group
     have each distinct row. Its width is padded with zero columns to a
-    splittable product width, so that every row block of `E @ counts`
+    splittable product width, so that every row run of `E @ counts`
     rounds as the unsplit product."""
     groups = -(-inverse.size // group_size)
     width = max(MIN_BLOCK_ROWS, -(-groups // WIDTH_MULTIPLE) * WIDTH_MULTIPLE)

@@ -265,6 +265,8 @@ def generate_ens(
     # most sentences repeat: test each distinct one once
     admitted = {s: _canon_label(s) not in id_canon for s in dict.fromkeys(sentences)}
     sentences = [s for s in sentences if admitted[s]]
+    if not sentences:
+        raise GenerationError("every sentence is an ID label", image_id=sources[0])
     if before_embed is not None:
         before_embed()
     vectors = embed_space(sentences, ids, client)

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, fixtures, sweeps."""
 import csv
+import io
 import json
 import os
 import shutil
@@ -313,6 +314,17 @@ class TestRun:
         (world_dir / "batch_int_id.nspc.ids.json").write_text(
             json.dumps([12345, *batch_ids[1:]])
         )
+        # nested past the recursion limit, in every JSON file a run reads
+        deep = "[" * 200_000 + "]" * 200_000
+        (world_dir / "deep.json").write_text(deep)
+        (world_dir / "batch_deep_ids.nspc").write_bytes(
+            (world_dir / "batch_000.nspc").read_bytes()
+        )
+        (world_dir / "batch_deep_ids.nspc.ids.json").write_text(deep)
+        # a field over the csv module's limit of 131,072 characters
+        (world_dir / "truth_long_field.csv").write_text(
+            "".join(truth_lines) + "img_x," + "I" * 131_073 + "\n"
+        )
         variants = {
             "seed": {**manifest, "seed": "abc"},
             # only a JSON integer: no float is truncated, no bool taken for 0 or 1
@@ -363,6 +375,17 @@ class TestRun:
                 **manifest, "client": {"mode": "http", "endpoint": "not-a-url"}
             },
             "env_endpoint_not_http": {**manifest, "client": {"mode": "http"}},
+            "deep_config": {**manifest, "config": "deep.json"},
+            "deep_labels": {**manifest, "labels": "deep.json"},
+            "deep_words": {**manifest, "corpus": {**manifest["corpus"], "words": "deep.json"}},
+            "deep_concepts": {
+                **manifest, "client": {"mode": "synthetic", "concepts": "deep.json"}
+            },
+            "deep_batch_ids": {
+                **{k: v for k, v in manifest.items() if k != "truth"},
+                "batches": ["batch_deep_ids.nspc"],
+            },
+            "truth_long_field": {**manifest, "truth": "truth_long_field.csv"},
         }
         # each input the manifest names is checked where it is read
         missing = {
@@ -386,6 +409,7 @@ class TestRun:
         variants.update(missing)
         monkeypatch.setenv("NEGTEXT_ENDPOINT", "ftp://example.test/api")
         cases = [("run", bad, "--out", tmp_path / "o")]
+        cases.append(("run", world_dir / "deep.json", "--out", tmp_path / "o"))
         for name, spec in variants.items():
             path = world_dir / f"manifest_bad_{name}.json"
             path.write_text(json.dumps(spec))
@@ -453,6 +477,12 @@ class TestRun:
             ),
             ("truth_latin1", "truth_latin1.csv: not UTF-8 text"),
             ("batch_id_not_string", "batch_int_id.nspc: expected a list of 300 str ids"),
+            *(
+                (name, "deep.json: ") for name in
+                ("deep_config", "deep_labels", "deep_words", "deep_concepts")
+            ),
+            ("deep_batch_ids", "batch_deep_ids.nspc.ids.json: not a JSON id list"),
+            ("truth_long_field", "truth_long_field.csv, line "),
             *(
                 (name, f"manifest path not found: {world_dir.resolve()}/nope_")
                 for name in missing
@@ -797,6 +827,13 @@ class TestEval:
              b"a,0.5,0.5,0.5,0.5,0,ID\nb,0.5,0.5,0.5,0.5,0,OOD\n"
              b"a,0.5,0.5,0.5,0.5,0,OOD\n",
              "line 4: image 'a' is tagged OOD here but ID on an earlier line"),
+            # a field over the csv module's limit of 131,072 characters
+            pytest.param(
+                b"image_id,s_nl,s_ens,s_vsnl,s_ada,predicted_class,tag\n"
+                + b"a" * 131_073 + b",0.5,0.5,0.5,0.5,0,ID\n",
+                "line 2: field larger than field limit",
+                id="long-field",
+            ),
         ],
     )
     def test_malformed_records_fail_with_one_line(
@@ -970,6 +1007,15 @@ class TestSweep:
         ) == 1
 
 
+def _npy_header(*shape) -> bytes:
+    """The header of a float64 .npy file of `shape`, without its data."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        out, {"descr": "<f8", "fortran_order": False, "shape": shape}
+    )
+    return out.getvalue()
+
+
 class TestIngest:
     def test_csv_roundtrip(self, tmp_path):
         src = tmp_path / "v.csv"
@@ -1003,8 +1049,15 @@ class TestIngest:
                 "pickled.npy: not a numeric .npy array",
             ),
             ("eye.npy", np.eye(2), "ids.txt: not UTF-8 text"),
+            (
+                "long.csv",
+                b"v0,1,2\nv1," + b"1" * 131_073 + b",2\n",
+                "long.csv, line 2: field larger than field limit",
+            ),
+            # a header claiming 10^11 rows (2.18 TiB) over no data
+            ("huge.npy", _npy_header(10**11, 3), "huge.npy: not a numeric .npy array"),
         ],
-        ids=["header", "ragged", "latin1", "pickled", "latin1_ids"],
+        ids=["header", "ragged", "latin1", "pickled", "latin1_ids", "long_field", "huge"],
     )
     def test_bad_input_fails_with_one_line(self, tmp_path, capsys, name, content, named):
         src = tmp_path / name

@@ -8,7 +8,8 @@ import pytest
 
 from negtext import pipeline, scoring
 from negtext.embeddings import (
-    EmbeddingMatrix, NegativeSpace, TestBatch, batches_truth, decode_nspc, encode_nspc,
+    EmbeddingMatrix, LabelSpace, NegativeSpace, TestBatch, batches_truth, decode_nspc,
+    encode_nspc,
 )
 from negtext.errors import ConfigError, DataError, FormatError, GenerationError
 from negtext.metrics import compute_report, split_scores
@@ -174,6 +175,19 @@ class FailingClient:
         raise GenerationError("endpoint down")
 
 
+class IdLabelDescriber:
+    """Describes each image as another ID label; generates the rest as
+    `inner` does."""
+
+    def __init__(self, inner, labels):
+        self.labels, self.described = labels, []
+        self.similar_labels, self.embed_texts = inner.similar_labels, inner.embed_texts
+
+    def describe_image(self, image_ref, exclude_label):
+        self.described.append(image_ref)
+        return next(label for label in self.labels if label != exclude_label)
+
+
 class TestDegradedGeneration:
     def test_failure_keeps_previous_spaces_and_flags_state(self):
         world, batches = small_setup(per_side=150)
@@ -188,6 +202,24 @@ class TestDegradedGeneration:
         # spaces that never regenerate fuse two copies of the word space,
         # which is what lets the frozen baseline be read from s_nl
         assert all(r.s_ada == r.s_nl for r in records)
+
+    def test_sentences_that_are_all_id_labels_degrade(self):
+        # each image described as another ID label of three words: the
+        # sentence space keeps its texts and the stream goes on
+        world, batches = small_setup(per_side=150)
+        base = world.label_space
+        labels = tuple(f"{label} id class" for label in base.labels)
+        ids = LabelSpace(labels, base.features, base.prompt_template)
+        client = IdLabelDescriber(world.oracle_client(), labels)
+        records, state = run_stream(
+            batches, ids, world.corpus, client, small_config(), seed=42
+        )
+        assert client.described and state.degraded
+        assert state.ens_space is state.nl_space
+        assert state.vsnl_space is not state.nl_space  # the lookalikes regenerate
+        assert [r.image_id for r in records] == [
+            i for b in batches for i in b.images.ids
+        ]
 
     def test_non_finite_embedding_degrades_instead_of_raising(self):
         world, batches = small_setup(scenario="mixed", n_batches=3, per_side=100)
@@ -300,15 +332,25 @@ def _checkpoint_header(path):
 
 
 def _edit_header(path, edit):
+    """Rewrites the header of the checkpoint at `path` as `edit` changes it
+    in place, or as the bytes it returns."""
     raw = path.read_bytes()
     (header_len,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16 : 16 + header_len])
-    edit(header)
-    new_header = json.dumps(header, sort_keys=True).encode("utf-8")
+    new_header = edit(header)
+    if not isinstance(new_header, bytes):
+        new_header = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(
         raw[:8] + struct.pack("<Q", len(new_header)) + new_header
         + raw[16 + header_len :]
     )
+
+
+def _nested_past_the_recursion_limit(header) -> bytes:
+    """The header with its cache field a JSON array nested 200,000 deep."""
+    text = json.dumps({**header, "cache": None})
+    deep = "[" * 200_000 + "]" * 200_000
+    return text.replace('"cache": null', f'"cache": {deep}').encode()
 
 
 @pytest.fixture(scope="module")
@@ -515,6 +557,7 @@ class TestCheckpoint:
         lambda header: header["cache"]["rng_state"]["state"].update(state=1.0),
         lambda header: header["cache"].update(capacity=20000),
         lambda header: header.update(labels=["a"]),
+        _nested_past_the_recursion_limit,
     ], ids=["no-texts", "no-spaces", "no-cache", "no-vsnl",
             "history-not-list", "texts-not-rows", "history-not-number",
             "history-out-of-range", "text-not-str", "degraded-not-bool",
@@ -524,11 +567,15 @@ class TestCheckpoint:
             "cache-id-not-str", "rng-seed-bool", "rng-seed-list",
             "digest-wrong", "inverse-short", "inverse-negative", "inverse-float",
             "rng-flag-bool", "rng-state-float", "stored-capacity",
-            "stored-labels"])
+            "stored-labels", "nested-past-recursion-limit"])
     def test_bad_header_field_rejected_with_one_line(self, saved, edit):
         world, path = saved
         _edit_header(path, edit)
-        with pytest.raises(FormatError, match=f"{path}: bad checkpoint header field") as excinfo:
+        # a header that does not parse is unreadable; one that does has a bad field
+        problem = "bad checkpoint header field"
+        if edit is _nested_past_the_recursion_limit:
+            problem = "unreadable checkpoint header"
+        with pytest.raises(FormatError, match=f"{path}: {problem}") as excinfo:
             load_checkpoint(path, world.label_space, world.corpus)
         assert "\n" not in str(excinfo.value)
 
@@ -708,15 +755,16 @@ class TestSimilarityPass:
         and lookalike products split) against one score worker."""
         world = SyntheticWorld(scenario_world_config("mixed", seed=42))
         batches = world.make_batches(5, 400, 400)
-        row_blocks = scoring._row_blocks
         splits = []
 
-        def counted(*args):
-            blocks = row_blocks(*args)
-            splits.append(len(blocks) > 1)
-            return blocks
+        class Counted(scoring.ThreadPoolExecutor):
+            """A score pool that notes each part it is dealt."""
 
-        monkeypatch.setattr(scoring, "_row_blocks", counted)
+            def submit(self, *args, **kwargs):
+                splits.append(True)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(scoring, "ThreadPoolExecutor", Counted)
         monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
         runs = []
         for workers in (1, scoring.SCORE_WORKERS):

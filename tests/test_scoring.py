@@ -388,10 +388,12 @@ class TestGroupReductions:
         cfg = ScoreConfig()
         lse_id, _ = id_part(images, ids, cfg)
         results = []
+        runs = record_runs(monkeypatch)
         for workers in (1, 2, 3):
             monkeypatch.setattr(scoring, "SCORE_WORKERS", workers)
-            assert len(scoring._row_blocks(1000, 264, 1000 * 10000)) == workers
+            runs.clear()
             results.append(negative_scores(images, lse_id, neg, cfg))
+            assert len(dealt_parts(runs, 1000, 264)) == workers
         for got in results[1:]:
             assert np.array_equal(results[0], got)
 
@@ -416,7 +418,8 @@ def repeated_space(rng, distinct, dim):
 
 
 class TestRowBlocks:
-    """Scores split into row blocks across threads equal the one-block scores."""
+    """Scores dealt to the score workers in parts of one tile grid equal the
+    one-worker scores."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -456,20 +459,29 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_no_block_below_the_minimum(self, monkeypatch, workers):
+        # every row run of a product dealt to more than one worker keeps
+        # MIN_BLOCK_ROWS rows; the products are not computed
         monkeypatch.setattr(scoring, "SCORE_WORKERS", workers)
+        monkeypatch.setattr(np, "matmul", lambda a, b, out: out)
         big = scoring.MIN_SPLIT_CELLS
         for n in range(0, 700):
-            for width in (8, 63, 64, 100, 1000):
+            for width, group in ((8, None), (63, None), (64, None), (100, None),
+                                 (1000, None), (1000, 9)):
                 for cells in (big - 1, big):
-                    blocks = scoring._row_blocks(n, width, cells)
-                    lows, highs = zip(*blocks)
-                    assert lows[0] == 0 and highs[-1] == n
-                    assert list(lows[1:]) == list(highs[:-1])
-                    assert len(blocks) <= workers
+                    runs = []
+                    scoring._blockwise(
+                        np.zeros((n, 8)), np.zeros((width, 8)), cells,
+                        lambda lo, hi, start, sims: runs.append(
+                            (lo, hi - lo, start, sims.shape[1], id(sims.base))
+                        ),
+                        group,
+                    )
+                    parts = dealt_parts(runs, n, width)
+                    assert len(parts) <= workers
                     splittable = cells >= big and width >= 64 and width % 8 == 0
-                    if len(blocks) > 1:
+                    if len(parts) > 1:
                         assert splittable
-                        assert min(hi - lo for lo, hi in blocks) >= scoring.MIN_BLOCK_ROWS
+                        assert min(run[1] for run in runs) >= scoring.MIN_BLOCK_ROWS
                     elif splittable and workers > 1:
                         assert n < 2 * scoring.MIN_BLOCK_ROWS
 
@@ -491,7 +503,7 @@ class TestRowBlocks:
             in_caller = threading.current_thread() is threading.main_thread()
             if in_caller == (failing == "caller"):
                 raise boom
-            time.sleep(0.05)  # the other block is still running when one fails
+            time.sleep(0.05)  # the other part is still running when one fails
             finished.append(threading.current_thread().name)
             return logsumexp(scaled)
 
@@ -506,7 +518,7 @@ class TestRowBlocks:
                 call()
             assert excinfo.value is boom
             assert threading.active_count() == baseline
-            if failing == "caller":  # the worker's block ran to its end
+            if failing == "caller":  # the worker's part ran to its end
                 assert finished and len(set(finished)) == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -519,6 +531,12 @@ class TestRowBlocks:
         monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", min_cells)
         rng = np.random.default_rng(34)
         images = unit_rows(rng, 150, 8)
+        runs = record_runs(monkeypatch)
+        # only the last call's products: the space's
+        blockwise = scoring._blockwise
+        monkeypatch.setattr(
+            scoring, "_blockwise", lambda *args: runs.clear() or blockwise(*args)
+        )
         ids = make_label_space(n=64, dim=8, seed=35)
         data = np.vstack([images[:48], unit_rows(rng, 48, 8)])
         # all 96 rows distinct, then 120 texts over them (the first 24 twice)
@@ -526,19 +544,33 @@ class TestRowBlocks:
             neg = NegativeSpace.from_rows([f"neg_{i}" for i in order], data[order])
             assert neg.rows.shape[0] == 96
             assert (neg.inverse is None) == (order.size == 96)
-            assert len(scoring._row_blocks(150, 96, 150 * neg.size)) == (
-                2 if min_cells == 1 else 1
-            )
             cfg = ScoreConfig(temperature=1e-300, group_size=16)
             scores = grouped_scores_batch(images, ids, neg, cfg)
+            assert len({run[4] for run in runs}) == (2 if min_cells == 1 else 1)
             assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 
+def record_runs(monkeypatch) -> list:
+    """(row start, rows, column start, columns, buffer) of every product
+    the scorer makes, the starts read from the operands' offsets."""
+    runs = []
+    matmul = np.matmul
+
+    def recorded(a, b, out):
+        row = (a.ctypes.data - a.base.ctypes.data) // a.strides[0]
+        col = (b.ctypes.data - b.base.ctypes.data) // b.strides[1]
+        rows, cols = out.shape
+        runs.append((row, rows, col, cols, id(out.base)))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    return runs
+
+
 def tile_grid(runs: list, n: int, width: int) -> dict:
-    """Row run `(start, rows)` -> its tiles' `(start, columns)` in the order
-    they were made, from `TestWalkedScores.record_runs`; asserts that the
-    row runs cover the n rows once and each run's tiles its width once,
-    from left to right."""
+    """Row run `(start, rows)` -> its tiles' `(start, columns)` by column
+    start, from `record_runs`; asserts that the row runs cover the n rows
+    once and each run's tiles its width once."""
     grid = {}
     for row, rows, col, cols, _ in runs:
         grid.setdefault((row, rows), []).append((col, cols))
@@ -546,9 +578,29 @@ def tile_grid(runs: list, n: int, width: int) -> dict:
     assert [r for r, _ in row_runs] == [0] + [r + k for r, k in row_runs[:-1]]
     assert sum(k for _, k in row_runs) == n
     for tiles in grid.values():
+        tiles.sort()
         assert [c for c, _ in tiles] == [0] + [c + k for c, k in tiles[:-1]]
         assert sum(k for _, k in tiles) == width
     return grid
+
+
+def dealt_parts(runs: list, n: int, width: int) -> list:
+    """Each worker's tiles `(row, rows, col, cols)` in the order it made
+    them, the parts in the order they were dealt, from the runs of one
+    product (see `tile_grid`); asserts that the parts are contiguous runs
+    of the grid's tiles listed column run by column run, so that together
+    they make each tile once."""
+    if n == 0:
+        assert runs == []
+        return []
+    tile_grid(runs, n, width)
+    parts = {}
+    for run in runs:
+        parts.setdefault(run[4], []).append(run[:4])
+    listed = sorted((run[:4] for run in runs), key=lambda tile: (tile[2], tile[0]))
+    parts = sorted(parts.values(), key=lambda part: listed.index(part[0]))
+    assert [tile for part in parts for tile in part] == listed
+    return parts
 
 
 class TestWalkedScores:
@@ -557,28 +609,11 @@ class TestWalkedScores:
     tile-sized buffer. Only an all-distinct space's tiles are narrower than
     the product: each holds whole groups, the last may end in the ragged one."""
 
-    @staticmethod
-    def record_runs(monkeypatch) -> list:
-        """(row start, rows, column start, columns, buffer) of every product
-        the scorer makes, the starts read from the operands' offsets."""
-        runs = []
-        matmul = np.matmul
-
-        def recorded(a, b, out):
-            row = (a.ctypes.data - a.base.ctypes.data) // a.strides[0]
-            col = (b.ctypes.data - b.base.ctypes.data) // b.strides[1]
-            rows, cols = out.shape
-            runs.append((row, rows, col, cols, id(out.base)))
-            return matmul(a, b, out=out)
-
-        monkeypatch.setattr(np, "matmul", recorded)
-        return runs
-
     CASES = [
         (10000, 10000, 880, None, (440, 1000)),  # ten tiles per worker
-        (10000, 10000, 880, 100 * 200, (100, 200)),  # a 40-row tail joins its run
+        (10000, 10000, 880, 100 * 200, (100, 200)),  # 100-row runs and an 80-row one
         (1040, 1040, 460, 230 * 200, (230, 200)),  # a 40-column tail joins its tile
-        (200, 200, 460, 100 * 200, (100, 200)),  # one group unit wide: row runs
+        (200, 200, 460, 100 * 200, (100, 200)),  # one group unit wide: a 60-row tail joins
         (203, 203, 460, 100 * 203, (460, 203)),  # a width not a multiple of 8: one run
         (400, 200, 460, 100 * 200, (100, 200)),  # the count path: whole-width runs
     ]
@@ -602,7 +637,7 @@ class TestWalkedScores:
         assert neg.rows.shape[0] == distinct and (neg.inverse is None) == (m == distinct)
         images = unit_rows(rng, n, dim)
         cfg = ScoreConfig()
-        runs = self.record_runs(monkeypatch)
+        runs = record_runs(monkeypatch)
         lse_id, predictions = id_part(images, ids, cfg)
         id_runs = runs[:]
         runs.clear()
@@ -621,18 +656,16 @@ class TestWalkedScores:
         assert [r[:4] for r in runs[len(neg_runs):]] == [(0, n, 0, distinct)]  # one run
 
         for products, width in ((id_runs, 200), (neg_runs, distinct)):
-            tile_grid(products, n, width)
+            parts = dealt_parts(products, n, width)
             if width % scoring.WIDTH_MULTIPLE:
                 assert len(products) == 1
                 continue
             assert len({run[4] for run in products}) == 2  # one buffer per worker
+            assert len(parts) == 2
             assert min(run[1] for run in products) >= scoring.MIN_BLOCK_ROWS
         assert {cols for _, _, _, cols, _ in id_runs} == {200}  # rows reduced whole
         # each worker's first tile is one step; only a short tail makes one larger
-        first = [
-            (rows, cols) for row, rows, col, cols, _ in neg_runs
-            if row in (0, n // 2) and col == 0
-        ]
+        first = [part[0][1::2] for part in dealt_parts(neg_runs, n, distinct)]
         assert first == [tile] * len(first)
         assert max(rows for _, rows, _, _, _ in neg_runs) < tile[0] + scoring.MIN_BLOCK_ROWS
         assert max(cols for _, _, _, cols, _ in neg_runs) < tile[1] + scoring.MIN_BLOCK_ROWS
@@ -648,7 +681,7 @@ class TestWalkedScores:
     @settings(max_examples=60, deadline=None)
     def test_tiles_keep_the_rule(self, n, width, group, block_cells, workers):
         # every tile at least MIN_BLOCK_ROWS rows and columns, starting on
-        # its block's row step and on a column step of whole group units;
+        # the grid's row step and on a column step of whole group units;
         # only a short tail is narrower or wider than the step
         unit = math.lcm(group, scoring.WIDTH_MULTIPLE)
         rng = np.random.default_rng(n * width + group)
@@ -658,32 +691,33 @@ class TestWalkedScores:
             mp.setattr(scoring, "MIN_SPLIT_CELLS", 1)
             mp.setattr(scoring, "BLOCK_CELLS", block_cells)
             mp.setattr(scoring, "SCORE_WORKERS", workers)
-            runs = self.record_runs(mp)
+            runs = record_runs(mp)
             negative_scores(images, np.zeros(n), neg, ScoreConfig(group_size=group))
-            blocks = scoring._row_blocks(n, width, n * width)
+        parts = dealt_parts(runs, n, width)
         grid = tile_grid(runs, n, width)
-        assert len({run[4] for run in runs}) == len(blocks)
+        assert len({run[4] for run in runs}) == len(parts)
+        assert len(parts) == min(workers, n // scoring.MIN_BLOCK_ROWS, len(runs))
         if width < scoring.MIN_BLOCK_ROWS:  # the rule cannot split it
             assert list(grid) == [(0, n)]
             return
-        for lo, hi in blocks:
-            row_runs = sorted(key for key in grid if lo <= key[0] < hi)
-            row_step = row_runs[0][1]
-            assert all((row - lo) % row_step == 0 for row, _ in row_runs)
+        row_runs = sorted(grid)
+        row_step = row_runs[0][1]
+        assert row_step <= -(-n // len(parts))  # no taller than a worker's share
+        assert all(row % row_step == 0 for row, _ in row_runs)
+        assert all(
+            scoring.MIN_BLOCK_ROWS <= rows < row_step + scoring.MIN_BLOCK_ROWS
+            for _, rows in row_runs
+        )
+        for key in row_runs:
+            tiles = grid[key]
+            col_step = tiles[0][1]
+            assert col_step == width or col_step % unit == 0
+            assert all(col % col_step == 0 for col, _ in tiles)
             assert all(
-                scoring.MIN_BLOCK_ROWS <= rows < row_step + scoring.MIN_BLOCK_ROWS
-                for _, rows in row_runs
+                scoring.MIN_BLOCK_ROWS <= cols < col_step + scoring.MIN_BLOCK_ROWS
+                for _, cols in tiles
             )
-            for key in row_runs:
-                tiles = grid[key]
-                col_step = tiles[0][1]
-                assert col_step == width or col_step % unit == 0
-                assert all(col % col_step == 0 for col, _ in tiles)
-                assert all(
-                    scoring.MIN_BLOCK_ROWS <= cols < col_step + scoring.MIN_BLOCK_ROWS
-                    for _, cols in tiles
-                )
-                assert tiles == grid[row_runs[0]]  # one column walk per block
+            assert tiles == grid[row_runs[0]]  # one column walk per product
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -816,8 +850,8 @@ class TestMaxLabelSimilarity:
     """The word-space selection's product, walked in tiles on the workers,
     equals the one product bit for bit and is never held whole."""
 
-    # 100 rows per block at 72 labels: with 777 rows, three workers' blocks
-    # of 259 rows end in a 59-row tail that joins the block before it
+    # 100-row runs at 72 labels: 750 rows end in a 50-row tail that joins
+    # the run before it
     CELLS = 100 * 72
 
     @pytest.mark.parametrize("n_classes", [72, 75, 200, 1000])
@@ -846,7 +880,7 @@ class TestMaxLabelSimilarity:
         monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
         monkeypatch.setattr(scoring, "BLOCK_CELLS", self.CELLS)
         monkeypatch.setattr(scoring, "SCORE_WORKERS", workers)
-        n, width = 777, 72
+        n, width = 750, 72
         step = self.CELLS // width
         ids = make_label_space(n=width, dim=64, seed=43)
         rows = unit_rows(np.random.default_rng(44), n, 64)
@@ -870,16 +904,15 @@ class TestMaxLabelSimilarity:
         assert max(products) < step + scoring.MIN_BLOCK_ROWS
         assert len(set(buffers)) <= workers
         assert all(size < (step + scoring.MIN_BLOCK_ROWS) * width for _, size in buffers)
-        if workers == 3:
-            assert step < max(products)  # a short tail joined its block
-        # one block's product per worker; the whole product is never allocated
+        assert step < max(products)  # a short tail joined its run
+        # one tile per worker; the whole product is never allocated
         assert peak < n * width * 8
 
     @pytest.mark.parametrize("n_classes", [56, 75])
     def test_label_count_the_rules_cannot_split_keeps_one_product(
         self, monkeypatch, n_classes
     ):
-        # a block of a ragged-width or narrow product can round otherwise
+        # a tile of a ragged-width or narrow product can round otherwise
         monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
         monkeypatch.setattr(scoring, "BLOCK_CELLS", self.CELLS)
         products = []

@@ -82,8 +82,8 @@ class TestSelectInitialNls:
 
     @pytest.mark.parametrize("excluded", [False, True], ids=["all-words", "id-word"])
     def test_stream_word_space_equal_at_one_and_two_workers(self, monkeypatch, excluded):
-        # 64 labels and blocks of 70 rows: the selection's product splits
-        # between two workers and each walks several blocks
+        # 64 labels and tiles of 70 rows: the selection's product splits
+        # between two workers and each walks several tiles
         monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
         monkeypatch.setattr(scoring, "BLOCK_CELLS", 64 * 70)
         ids = make_label_space(n=64, dim=64, seed=11)
@@ -161,7 +161,9 @@ class TestSelectInitialNls:
         # the selection's small arrays and its 4,000 x 4 product only
         assert peak < chosen_bytes // 10, peak / chosen_bytes
 
-    def test_paper_shape_space_shares_the_corpus_and_scores_in_tiles(self):
+    def test_paper_shape_space_shares_the_corpus_and_scores_in_tiles(
+        self, monkeypatch
+    ):
         # dim 512, 1,000 labels, M = 10,000 of 10,500 words, 1,000 images
         ids = make_label_space(n=1000, dim=512, seed=27)
         rng = np.random.default_rng(28)
@@ -178,14 +180,23 @@ class TestSelectInitialNls:
         # gathered rows of 512, each within the budget; gathering a copy of
         # the word space (41 MB) or buffering each gather would exceed it.
         # 100 images take one worker, whose gathered runs keep the budget
-        # too, though its tiles could be 5,200 columns wide
+        # too, though its tiles could be 5,200 columns wide. Each worker
+        # gathers only its own column runs, each once: 10,000 rows a call
+        gathered = []
+        take = np.take
+        monkeypatch.setattr(
+            np, "take",
+            lambda a, indices, **kw: gathered.append(len(indices)) or take(a, indices, **kw),
+        )
         for n, workers in ((1000, scoring.SCORE_WORKERS), (100, 1)):
+            gathered.clear()
             tracemalloc.start()
             try:
                 got = scoring.negative_scores(images[:n], lse_id[:n], space, cfg)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert sum(gathered) == space.size == 10000, n
             buffers = workers * 2 * scoring.BLOCK_CELLS * 8
             assert peak < buffers + got.nbytes + (1 << 20), (n, peak / buffers)
             expected = scoring.negative_scores(images[:n], lse_id[:n], copy, cfg)
@@ -376,11 +387,22 @@ class TestGenerateEns:
         )
         assert space.texts == ("just two words ok",)
 
-    def test_nothing_admissible_raises(self):
-        client = ScriptedClient(dim=4, descriptions={"i0": ["label_0 label_0 label_0"] * 3})
-        ids = make_label_space(n=1, dim=4, seed=11)
+    @pytest.mark.parametrize(
+        "labels, description",
+        [
+            (("label_0",), "label_0 label_0 label_0"),
+            # admitted as a sentence, then dropped as an ID label
+            (("red fox cub", "grey wolf pup"), "Grey wolf  pup"),
+        ],
+        ids=["excluded-label", "other-id-label"],
+    )
+    def test_nothing_admissible_raises(self, labels, description):
+        client = ScriptedClient(dim=4, descriptions={"i0": [description] * 3})
+        base = make_label_space(n=len(labels), dim=4, seed=11)
+        ids = LabelSpace(labels, base.features)
         with pytest.raises(GenerationError):
-            generate_ens(mined(["i0"]), {"i0": "label_0"}, ids, client, 1, seed=0)
+            generate_ens(mined(["i0"]), {"i0": labels[0]}, ids, client, 1, seed=0)
+        assert client.embed_calls == []
 
     def test_empty_negatives_rejected(self):
         ids = make_label_space(n=1, dim=4, seed=12)
