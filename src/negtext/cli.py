@@ -631,10 +631,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# an empty path names the working directory, or reads as no file
+PATH_FLAGS = ("out", "fixtures", "truth", "ids")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in PATH_FLAGS:
+            if getattr(args, flag, None) == "":
+                raise InputError(f"--{flag} must name a path, got ''")
         return args.func(args)
     except NegtextError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,29 +41,34 @@ every space through `negative_scores`.
 Three products go through one tile helper, `_blockwise`: the ID part of
 `id_part`, each space's product in `negative_scores`, and the word-space
 selection's product in `max_label_similarity`. Each row's result depends on
-that row alone, so one rule cuts a large product: one grid of tiles,
-listed column run by column run and dealt in contiguous runs of that list
-to at most SCORE_WORKERS workers, the calling thread taking the first.
-Each worker walks its tiles through one buffer, so a product the rules
-below allow to split is never held whole (1,000 images against 10,000
-negatives would take 80 MB); one whose width they do not allow is one
-tile. The grid is set over one worker's share of the rows, its row runs
-no taller than that share. Only the group-by-group reduction cuts columns:
-where the rules split rows, a share of at least MIN_BLOCK_ROWS rows walks
+that row alone, so one rule cuts every product, whatever its width: its
+columns are padded with zero rows to `_padded(width)` and the reductions
+read only the real ones. The padded product is one grid of tiles, listed
+column run by column run and dealt in contiguous runs of that list to at
+most SCORE_WORKERS workers, the calling thread taking the first, once its
+padded cells reach MIN_SPLIT_CELLS. Each worker walks its tiles through one
+buffer, so a product is never held whole (1,000 images against 10,000
+negatives would take 80 MB). The grid is set over one worker's share of
+the rows, its row runs no taller than that share. Only the group-by-group
+reduction cuts columns: a share of at least MIN_BLOCK_ROWS rows walks
 column runs of a multiple of lcm(group_size, WIDTH_MULTIPLE), at least
 MIN_BLOCK_ROWS wide (a narrower tail joins the run before it), in tiles
 near square within the budget that hold whole groups (the last may end in
 the ragged group) and only write their log-sum-exps. A worker gathers each
-of its column runs of a selection once, beside its tile, so only the run
-where two parts meet can be gathered twice; the gathered rows hold about
-BLOCK_CELLS cells too. The row-wise reductions (the ID part, the selection
-and the sentence count product) walk whole-width row runs: cutting the
-selection's 1,000 label columns too measured slower (OpenBLAS 0.3.31,
-one thread). BLAS packs the negatives for every product, so a tile as
-tall as the budget allows packs them once per row run, where whole-width
-runs would pack all 10,000 every 64 rows. Every tile makes the same BLAS
-product, of the same bytes in the same layout, and the same row- or
-group-wise numpy as the unsplit matrix, and the results keep every bit.
+of its column runs of a selection, or of a product that needs padding,
+once, beside its tile and followed by the padding's zero rows, so only the
+run where two parts meet can be gathered twice; the gathered rows hold
+about BLOCK_CELLS cells too. The row-wise reductions (the ID part, the
+selection and the sentence count product) walk whole-width row runs:
+cutting the selection's 1,000 label columns too measured slower (OpenBLAS
+0.3.31, one thread). BLAS packs the negatives for every product, so a tile
+as tall as the budget allows packs them once per row run, where
+whole-width runs would pack all 10,000 every 64 rows. Every tile makes the
+same BLAS product, of the same bytes in the same layout, and the same row-
+or group-wise numpy as the whole padded matrix, and the results keep every
+bit of it. Where the width is not a multiple of WIDTH_MULTIPLE, the real
+columns of the padded product can differ in their last bits from those of
+an unpadded one.
 
 The benchmark (`perfbench/`) wraps `grouped_scores_batch` by name and is
 to wrap `id_part` and `negative_scores` too, so these three keep their
@@ -87,14 +92,17 @@ SCORE_WORKERS = 2
 # tile of under ~1200 cells through a small-matrix kernel, and when the
 # product's width is not a multiple of 8 its last columns round by where the
 # tile starts (measured with OpenBLAS 0.3.31 on x86-64, 1 and 2 BLAS
-# threads). So a product is split only into tiles of at least
-# MIN_BLOCK_ROWS rows and MIN_BLOCK_ROWS columns, only at a width that is a
-# multiple of WIDTH_MULTIPLE, and a tile's columns start at a multiple of
-# it (cut at column 265, the tiles of an 82 x 464 product at dim 8 rounded
-# otherwise).
+# threads). So every product is padded with zero rows to a width that is a
+# multiple of WIDTH_MULTIPLE and at least MIN_BLOCK_ROWS (`_padded`), it is
+# split only into tiles of at least MIN_BLOCK_ROWS rows and MIN_BLOCK_ROWS
+# columns, and a tile's columns start at a multiple of WIDTH_MULTIPLE (cut
+# at column 265, the tiles of an 82 x 464 product at dim 8 rounded
+# otherwise). Halving the rows of a ragged product rounded otherwise too,
+# unpadded (35 of 40 random products at dim 512, one BLAS thread), and
+# never when padded.
 MIN_BLOCK_ROWS = 64
 WIDTH_MULTIPLE = 8
-# below this many score cells a worker costs more than it saves
+# below this many padded product cells a worker costs more than it saves
 MIN_SPLIT_CELLS = 1 << 18
 # a tile holds about this many product cells (4 MB of float64), so a large
 # product is never held whole
@@ -150,10 +158,11 @@ def _logsumexp_rows(scaled: np.ndarray) -> np.ndarray:
     return shift[..., 0] + np.log(np.sum(scaled, axis=-1))
 
 
-def _splittable(width: int) -> bool:
-    """Whether tiles of a product this wide round as the whole product
-    (the rules above)."""
-    return width >= MIN_BLOCK_ROWS and width % WIDTH_MULTIPLE == 0
+def _padded(width: int) -> int:
+    """The columns a product `width` columns wide is padded to with zero
+    rows, so that its tiles round as the whole padded product (the rules
+    above)."""
+    return max(MIN_BLOCK_ROWS, -(-width // WIDTH_MULTIPLE) * WIDTH_MULTIPLE)
 
 
 def _runs(lo: int, hi: int, step: int) -> list[int]:
@@ -168,16 +177,14 @@ def _runs(lo: int, hi: int, step: int) -> list[int]:
 def _tile_steps(
     n_rows: int, width: int, group: int | None, dim: int = 0
 ) -> tuple[int, int]:
-    """(rows, columns) of the tiles of a product `width` columns wide, of
-    which a worker takes `n_rows` rows. Where the rules above allow the
-    width, a tile holds about BLOCK_CELLS cells and at least MIN_BLOCK_ROWS
-    rows. Given a `group`, `n_rows` of at least MIN_BLOCK_ROWS are also cut
-    into column runs of a multiple of lcm(group, WIDTH_MULTIPLE), at least
-    MIN_BLOCK_ROWS wide: as wide as the budget allows over those rows, or
-    over a square tile's rows when they are more, and over the `dim`
-    entries of a gathered column. Otherwise a tile spans the width."""
-    if not _splittable(width):
-        return max(n_rows, 1), width
+    """(rows, columns) of the tiles of a product padded to `width` columns
+    (`_padded`), of which a worker takes `n_rows` rows. A tile holds about
+    BLOCK_CELLS cells and at least MIN_BLOCK_ROWS rows. Given a `group`,
+    `n_rows` of at least MIN_BLOCK_ROWS are also cut into column runs of a
+    multiple of lcm(group, WIDTH_MULTIPLE), at least MIN_BLOCK_ROWS wide: as
+    wide as the budget allows over those rows, or over a square tile's rows
+    when they are more, and over the `dim` entries of a gathered column.
+    Otherwise a tile spans the width."""
     col_step = width
     if group is not None and n_rows >= MIN_BLOCK_ROWS:
         unit = math.lcm(group, WIDTH_MULTIPLE)
@@ -188,27 +195,30 @@ def _tile_steps(
     return max(MIN_BLOCK_ROWS, BLOCK_CELLS // col_step), col_step
 
 
-def _blockwise(
-    rows, cols, cells: int, reduce, group: int | None = None, take=None
-) -> None:
-    """`reduce(lo, hi, start, rows[lo:hi] @ cols[start:stop].T)` over the
-    tiles of the grid `_tile_steps` sets over one worker's share of a
-    product whose scoring touches `cells` cells, dealt as the module
-    docstring says: the first part on the calling thread and the rest on a
-    per-call pool (a module-level pool would hang a forked child). Given
-    `take`, the product's columns are `cols[take]`, each of a part's column
-    runs gathered once into its buffer. Once every part has stopped, the
+def _blockwise(rows, cols, reduce, group: int | None = None, take=None) -> None:
+    """`reduce(lo, hi, start, rows[lo:hi] @ cols[start:end].T)` over the
+    tiles of the grid `_tile_steps` sets over one worker's share of the
+    product padded to `_padded` columns, `reduce` given only a tile's real
+    columns; dealt as the module docstring says: the first part on the
+    calling thread and the rest on a per-call pool (a module-level pool
+    would hang a forked child). Given `take`, the product's columns are
+    `cols[take]`. Those, and the columns of a product that needs padding,
+    are gathered a column run at a time into a part's buffer, each of its
+    runs once, the padding's rows zeroed. Once every part has stopped, the
     earliest part's exception is raised unchanged."""
     n = rows.shape[0]
     width = cols.shape[0] if take is None else take.size
+    padded = _padded(width)
+    if padded != width and take is None:
+        take = np.arange(width)
     dim = 0 if take is None else cols.shape[1]
     k = 1
-    if cells >= MIN_SPLIT_CELLS and _splittable(width):
+    if n * padded >= MIN_SPLIT_CELLS:
         k = max(1, min(SCORE_WORKERS, n // MIN_BLOCK_ROWS))
     share = max(1, -(-n // k))
-    row_step, col_step = _tile_steps(share, width, group, dim)
+    row_step, col_step = _tile_steps(share, padded, group, dim)
     row_bounds = _runs(0, n, min(row_step, share))
-    col_bounds = _runs(0, width, col_step)
+    col_bounds = _runs(0, padded, col_step)
     runs = zip(col_bounds, col_bounds[1:]), zip(row_bounds, row_bounds[1:])
     tiles = list(itertools.product(*runs))  # column run by column run
     parts = [tiles[len(tiles) * i // k : len(tiles) * (i + 1) // k] for i in range(k)]
@@ -221,15 +231,20 @@ def _blockwise(
     def fill(part, buffer) -> None:
         tile, gathered = buffer[:size], buffer[size:]
         for (start, stop), run in itertools.groupby(part, key=lambda t: t[0]):
-            block = cols[start:stop]
+            block, end = cols[start:stop], min(stop, width)
             if take is not None:
-                # laid out as the same rows of a copy of cols[take] would be;
-                # mode="clip" writes straight into `out`
+                # laid out as the same rows of a copy of cols[take] would be,
+                # then the padding's rows, zeroed so that no stale bytes (a
+                # NaN, say) enter the product; mode="clip" writes straight
+                # into `out`
                 block = gathered[: (stop - start) * dim].reshape(stop - start, dim)
-                np.take(cols, take[start:stop], axis=0, out=block, mode="clip")
+                real = block[: end - start]
+                np.take(cols, take[start:end], axis=0, out=real, mode="clip")
+                block[end - start :] = 0.0
             for _, (lo, hi) in run:
                 out = tile[: (hi - lo) * (stop - start)].reshape(hi - lo, stop - start)
-                reduce(lo, hi, start, np.matmul(rows[lo:hi], block.T, out=out))
+                np.matmul(rows[lo:hi], block.T, out=out)
+                reduce(lo, hi, start, out[:, : end - start])
 
     with ThreadPoolExecutor(max(1, len(parts) - 1)) as pool:
         futures = [pool.submit(fill, *job) for job in zip(parts[1:], buffers[1:])]
@@ -254,7 +269,7 @@ def id_part(
         sims /= cfg.temperature
         lse_id[lo:hi] = _logsumexp_rows(sims)
 
-    _blockwise(images, ids.features.data, n * ids.n_classes, reduce)
+    _blockwise(images, ids.features.data, reduce)
     return lse_id, predictions
 
 
@@ -269,7 +284,7 @@ def max_label_similarity(rows: np.ndarray, ids: LabelSpace) -> np.ndarray:
     def reduce(lo: int, hi: int, _start: int, sims: np.ndarray) -> None:
         np.max(sims, axis=1, out=max_sim[lo:hi])
 
-    _blockwise(rows, ids.features.data, max_sim.size * ids.n_classes, reduce)
+    _blockwise(rows, ids.features.data, reduce)
     return max_sim
 
 
@@ -277,11 +292,11 @@ def _group_counts(
     inverse: np.ndarray, n_distinct: int, group_size: int
 ) -> np.ndarray:
     """(distinct rows x groups) float matrix: how many texts of each group
-    have each distinct row. Its width is padded with zero columns to a
-    splittable product width, so that every row run of `E @ counts`
-    rounds as the unsplit product."""
+    have each distinct row. Its width is padded with zero columns to
+    `_padded(groups)`, as every product is, so that every row run of
+    `E @ counts` rounds as the whole product."""
     groups = -(-inverse.size // group_size)
-    width = max(MIN_BLOCK_ROWS, -(-groups // WIDTH_MULTIPLE) * WIDTH_MULTIPLE)
+    width = _padded(groups)
     cells = inverse * width + np.arange(inverse.size) // group_size
     counts = np.bincount(cells, minlength=n_distinct * width)
     return counts.reshape(n_distinct, width).astype(np.float64)
@@ -301,8 +316,9 @@ def negative_scores(
     n = images.shape[0]
     g, tau = cfg.group_size, cfg.temperature
     n_groups = -(-neg.size // g)
-    # each tile writes its rows' log-sum-exps of its groups' negatives
-    lse = np.empty((n, n_groups))
+    # each tile writes its rows' log-sum-exps of its groups' negatives; the
+    # count product writes its padding columns too (see `_group_counts`)
+    lse = np.empty((n, _padded(n_groups)))
 
     if neg.merges and 2.0 / tau <= ROW_SHIFT_SPAN:
         # repeated rows: one shift per row, every group's sum from one product
@@ -313,9 +329,11 @@ def negative_scores(
             shift = np.max(sims, axis=1, keepdims=True)
             sims -= shift
             np.exp(sims, out=sims)
-            lse[lo:hi] = shift + np.log((sims @ counts)[:, :n_groups])
+            sums = np.matmul(sims, counts, out=lse[lo:hi])[:, :n_groups]
+            np.log(sums, out=sums)
+            sums += shift
 
-        _blockwise(images, rows, n * neg.size, reduce)
+        _blockwise(images, rows, reduce)
     else:
         # each group shifted by its own maximum, in views of a tile of whole
         # groups in text order (the last may end in the ragged group)
@@ -330,8 +348,9 @@ def negative_scores(
                 out[:, -1:] = _logsumexp_rows(sims[:, None, full:])
 
         # a selection's, or a repeated-row space's, columns gathered run by run
-        _blockwise(images, rows, n * neg.size, reduce, g, neg.inverse)
+        _blockwise(images, rows, reduce, g, neg.inverse)
 
+    lse = lse[:, :n_groups]
     # per-group score = 1 / (1 + exp(lse_neg - lse_id)), in place; at a tiny
     # temperature the exp overflows to inf and the score to its limit 0
     lse -= lse_id[:, None]

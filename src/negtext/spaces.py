@@ -66,9 +66,7 @@ def select_initial_nls(
             f"corpus holds {keep.size} usable words, {m} requested"
         )
     data = corpus.features.data
-    # most corpora hold no ID label: then the corpus rows need no copy
-    rows = data if keep.size == corpus.features.rows else data[keep]
-    order = np.argsort(max_label_similarity(rows, ids), kind="stable")[:m]
+    order = np.argsort(max_label_similarity(data, ids)[keep], kind="stable")[:m]
     chosen = keep[order]
     chosen.setflags(write=False)
     texts = tuple(corpus.words[i] for i in chosen)

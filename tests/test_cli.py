@@ -146,11 +146,40 @@ class TestRun:
         "key",
         [
             "config", "labels", "truth", "corpus.embeddings", "corpus.words",
-            "batches", "concepts", "fixtures",
+            "batches", "concepts", "fixtures", "--out", "--fixtures", "--truth",
+            "--ids",
         ],
     )
-    def test_empty_path_fails_with_one_line(self, world_dir, tmp_path, capsys, key):
-        # an empty path reads as no file: `"truth": ""` would write no report
+    def test_empty_path_fails_with_one_line(
+        self, world_dir, tmp_path, capsys, monkeypatch, key
+    ):
+        # an empty path reads as no file: `"truth": ""` would write no report,
+        # `--truth ""` score by the records' own tags, and `--out ""` or
+        # `--fixtures ""` write to the working directory
+        monkeypatch.chdir(tmp_path)
+        if key.startswith("--"):
+            path = world_dir / "manifest.json"
+            argvs = {
+                "--out": [
+                    ("run", path, "--out", ""),
+                    ("fixtures", "record", path, "--fixtures", "fx", "--out", ""),
+                    ("sweep", "lambda", path, "--values", "0,1", "-o", ""),
+                    ("synth-world", "far", "-o", ""),
+                    ("ingest", "v.csv", "-o", ""),
+                ],
+                "--fixtures": [
+                    ("fixtures", action, path, "--fixtures", "", "--out", "o")
+                    for action in ("record", "replay")
+                ],
+                "--truth": [("eval", "records.csv", "--truth", "")],
+                "--ids": [("ingest", "v.npy", "--ids", "", "-o", "v.nspc")],
+            }[key]
+            message = f"error: {key} must name a path, got ''\n"
+            for argv in argvs:
+                assert run_cli(*argv) == 1, argv
+                assert capsys.readouterr().err == message, argv
+                assert list(tmp_path.iterdir()) == [], argv
+            return
         manifest = json.loads((world_dir / "manifest.json").read_text())
         block, types, got, hint = "manifest", "path", "''", ""
         name = key.removeprefix("corpus.")

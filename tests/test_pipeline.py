@@ -750,11 +750,15 @@ class TestSimilarityPass:
         assert state.lambda_history[-1] == pytest.approx(pin["lambda_final"], abs=1e-9)
 
 
-    def test_mixed_stream_is_bit_equal_on_one_score_worker(self, monkeypatch):
+    @pytest.mark.parametrize("repeating", [False, True])
+    def test_mixed_stream_is_bit_equal_on_one_score_worker(self, monkeypatch, repeating):
         """Split scoring (thresholds lowered so the regression stream's word
-        and lookalike products split) against one score worker."""
+        and lookalike products split) against one score worker; also with
+        lookalike lists that repeat across classes, so that the lookalike
+        space is ragged and its products are padded."""
         world = SyntheticWorld(scenario_world_config("mixed", seed=42))
         batches = world.make_batches(5, 400, 400)
+        sizes = set()
         splits = []
 
         class Counted(scoring.ThreadPoolExecutor):
@@ -770,13 +774,39 @@ class TestSimilarityPass:
         for workers in (1, scoring.SCORE_WORKERS):
             monkeypatch.setattr(scoring, "SCORE_WORKERS", workers)
             splits.clear()
+            client = world.oracle_client()
+            if repeating:
+                client = RepeatingLookalikes(client, world.label_space.labels[0])
             records, state = run_stream(
-                batches, world.label_space, world.corpus, world.oracle_client(),
+                batches, world.label_space, world.corpus, client,
                 scenario_pipeline_config(), seed=42,
             )
             runs.append((records, state.lambda_history, any(splits)))
+            sizes.add(state.vsnl_space.size)
         assert runs[0][2] is False and runs[1][2] is True
         assert runs[0][:2] == runs[1][:2]
+        ragged = {size for size in sizes if size % scoring.WIDTH_MULTIPLE}
+        assert bool(ragged) == repeating, sizes
+
+
+class RepeatingLookalikes:
+    """The oracle client, except that every class's lookalike list opens
+    with the first three of one class's, as a real MLLM repeats labels
+    across classes: the lookalike space keeps fewer than M texts."""
+
+    def __init__(self, oracle, shared_class: str):
+        self.oracle = oracle
+        self.shared_class = shared_class
+
+    def describe_image(self, image_ref, exclude_label):
+        return self.oracle.describe_image(image_ref, exclude_label)
+
+    def similar_labels(self, class_name, count):
+        shared = self.oracle.similar_labels(self.shared_class, 3)
+        return shared + self.oracle.similar_labels(class_name, count)[3:]
+
+    def embed_texts(self, texts):
+        return self.oracle.embed_texts(texts)
 
 
 class TestCausality:

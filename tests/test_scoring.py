@@ -55,9 +55,17 @@ def grouped_score_oracle(v, ids, neg, cfg):
     return float(np.mean(scores))
 
 
+def padded_product(rows, cols):
+    """`rows @ cols.T` as one product over `cols` padded with zero rows to
+    `scoring._padded` of their count, the padding's columns dropped: the
+    scorer pads every product so, and its tiles round as this product."""
+    pad = np.zeros((scoring._padded(cols.shape[0]) - cols.shape[0], cols.shape[1]))
+    return (rows @ np.vstack([cols, pad]).T)[:, : cols.shape[0]]
+
+
 def group_shares(images, ids, neg, cfg):
     """(images x groups) per-group scores from one product over every
-    stored negative row."""
+    stored negative row (zero-padded, see `padded_product`)."""
     tau = cfg.temperature
 
     def lse(sims):
@@ -65,8 +73,8 @@ def group_shares(images, ids, neg, cfg):
         shift = np.max(scaled, axis=1, keepdims=True)
         return shift[:, 0] + np.log(np.sum(np.exp(scaled - shift), axis=1))
 
-    lse_id = lse(images @ ids.features.data.T)
-    sim_neg = images @ neg.stored_rows().T
+    lse_id = lse(padded_product(images, ids.features.data))
+    sim_neg = padded_product(images, neg.stored_rows())
     g = cfg.group_size
     with np.errstate(over="ignore"):  # a share's limit 0 at a small tau
         return np.stack([
@@ -459,31 +467,31 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_no_block_below_the_minimum(self, monkeypatch, workers):
-        # every row run of a product dealt to more than one worker keeps
-        # MIN_BLOCK_ROWS rows; the products are not computed
+        # a product is dealt to more than one worker once its padded cells
+        # reach MIN_SPLIT_CELLS, and then every row run keeps MIN_BLOCK_ROWS
+        # rows; the reductions see the real columns only, and the products
+        # are not computed
         monkeypatch.setattr(scoring, "SCORE_WORKERS", workers)
         monkeypatch.setattr(np, "matmul", lambda a, b, out: out)
-        big = scoring.MIN_SPLIT_CELLS
         for n in range(0, 700):
             for width, group in ((8, None), (63, None), (64, None), (100, None),
                                  (1000, None), (1000, 9)):
-                for cells in (big - 1, big):
-                    runs = []
-                    scoring._blockwise(
-                        np.zeros((n, 8)), np.zeros((width, 8)), cells,
-                        lambda lo, hi, start, sims: runs.append(
-                            (lo, hi - lo, start, sims.shape[1], id(sims.base))
-                        ),
-                        group,
-                    )
-                    parts = dealt_parts(runs, n, width)
-                    assert len(parts) <= workers
-                    splittable = cells >= big and width >= 64 and width % 8 == 0
-                    if len(parts) > 1:
-                        assert splittable
-                        assert min(run[1] for run in runs) >= scoring.MIN_BLOCK_ROWS
-                    elif splittable and workers > 1:
-                        assert n < 2 * scoring.MIN_BLOCK_ROWS
+                runs = []
+                scoring._blockwise(
+                    np.zeros((n, 8)), np.zeros((width, 8)),
+                    lambda lo, hi, start, sims: runs.append(
+                        (lo, hi - lo, start, sims.shape[1], id(sims.base))
+                    ),
+                    group,
+                )
+                parts = dealt_parts(runs, n, width)
+                assert len(parts) <= workers
+                splittable = n * scoring._padded(width) >= scoring.MIN_SPLIT_CELLS
+                if len(parts) > 1:
+                    assert splittable
+                    assert min(run[1] for run in runs) >= scoring.MIN_BLOCK_ROWS
+                elif splittable and workers > 1:
+                    assert n < 2 * scoring.MIN_BLOCK_ROWS
 
     @pytest.mark.parametrize("failing", ["caller", "worker"])
     def test_a_failing_block_raises_its_exception_after_every_block_stops(
@@ -551,18 +559,34 @@ class TestRowBlocks:
 
 
 def record_runs(monkeypatch) -> list:
-    """(row start, rows, column start, columns, buffer) of every product
-    the scorer makes, the starts read from the operands' offsets."""
+    """(row start, rows, column start, columns, buffer) of every tile
+    product the scorer makes, the starts read from the operands' offsets: a
+    gathered run's column start from that of the indices it was gathered
+    by. The columns are the padded tile's. A sentence space's count
+    product, whose right operand is its count matrix rather than a view of
+    the negatives, is made but not recorded."""
     runs = []
-    matmul = np.matmul
+    matmul, take = np.matmul, np.take
+    gathered = {}  # a gathered run's address -> its first column
+
+    def taken(a, indices, axis=None, out=None, mode="raise"):
+        if out is not None:
+            offset = indices.ctypes.data - indices.base.ctypes.data
+            gathered[out.ctypes.data] = offset // indices.strides[0]
+        return take(a, indices, axis=axis, out=out, mode=mode)
 
     def recorded(a, b, out):
+        if b.base is None:
+            return matmul(a, b, out=out)
         row = (a.ctypes.data - a.base.ctypes.data) // a.strides[0]
-        col = (b.ctypes.data - b.base.ctypes.data) // b.strides[1]
+        col = gathered.get(b.ctypes.data)
+        if col is None:
+            col = (b.ctypes.data - b.base.ctypes.data) // b.strides[1]
         rows, cols = out.shape
         runs.append((row, rows, col, cols, id(out.base)))
         return matmul(a, b, out=out)
 
+    monkeypatch.setattr(np, "take", taken)
     monkeypatch.setattr(np, "matmul", recorded)
     return runs
 
@@ -606,15 +630,17 @@ def dealt_parts(runs: list, n: int, width: int) -> list:
 class TestWalkedScores:
     """The ID and score products are walked in tiles, as the selection's is:
     their scores equal one unsplit product's and each worker holds one
-    tile-sized buffer. Only an all-distinct space's tiles are narrower than
-    the product: each holds whole groups, the last may end in the ragged one."""
+    tile-sized buffer. Every product is padded with zero rows to
+    `scoring._padded` columns. Only an all-distinct space's tiles are
+    narrower than the product: each holds whole groups, the last may end in
+    the ragged one."""
 
     CASES = [
         (10000, 10000, 880, None, (440, 1000)),  # ten tiles per worker
         (10000, 10000, 880, 100 * 200, (100, 200)),  # 100-row runs and an 80-row one
         (1040, 1040, 460, 230 * 200, (230, 200)),  # a 40-column tail joins its tile
         (200, 200, 460, 100 * 200, (100, 200)),  # one group unit wide: a 60-row tail joins
-        (203, 203, 460, 100 * 203, (460, 203)),  # a width not a multiple of 8: one run
+        (203, 203, 460, 100 * 203, (101, 208)),  # padded to 208: the tail joins
         (400, 200, 460, 100 * 200, (100, 200)),  # the count path: whole-width runs
     ]
 
@@ -650,22 +676,20 @@ class TestWalkedScores:
         assert np.array_equal(lse_id, scoring._logsumexp_rows(sims))
         if neg.inverse is None:
             assert np.array_equal(scores, full_product_scores(images, ids, neg, cfg))
+        padded = scoring._padded(distinct)
         monkeypatch.setattr(scoring, "SCORE_WORKERS", 1)
-        monkeypatch.setattr(scoring, "BLOCK_CELLS", n * distinct)
+        monkeypatch.setattr(scoring, "BLOCK_CELLS", n * padded)
         assert np.array_equal(scores, negative_scores(images, lse_id, neg, cfg))
-        assert [r[:4] for r in runs[len(neg_runs):]] == [(0, n, 0, distinct)]  # one run
+        assert [r[:4] for r in runs[len(neg_runs):]] == [(0, n, 0, padded)]  # one run
 
-        for products, width in ((id_runs, 200), (neg_runs, distinct)):
+        for products, width in ((id_runs, 200), (neg_runs, padded)):
             parts = dealt_parts(products, n, width)
-            if width % scoring.WIDTH_MULTIPLE:
-                assert len(products) == 1
-                continue
             assert len({run[4] for run in products}) == 2  # one buffer per worker
             assert len(parts) == 2
             assert min(run[1] for run in products) >= scoring.MIN_BLOCK_ROWS
         assert {cols for _, _, _, cols, _ in id_runs} == {200}  # rows reduced whole
         # each worker's first tile is one step; only a short tail makes one larger
-        first = [part[0][1::2] for part in dealt_parts(neg_runs, n, distinct)]
+        first = [part[0][1::2] for part in dealt_parts(neg_runs, n, padded)]
         assert first == [tile] * len(first)
         assert max(rows for _, rows, _, _, _ in neg_runs) < tile[0] + scoring.MIN_BLOCK_ROWS
         assert max(cols for _, _, _, cols, _ in neg_runs) < tile[1] + scoring.MIN_BLOCK_ROWS
@@ -808,7 +832,8 @@ class TestWalkedScores:
     def test_paper_shape_scores_hold_one_run_per_worker(self):
         # 1,000 images x 10,000 negatives: the whole product is 80 MB. A
         # repeated-row space (10,000 texts over 264 rows, as a sentence
-        # space) above ROW_SHIFT_SPAN is walked in text order in tiles too
+        # space) above ROW_SHIFT_SPAN is walked in text order in tiles too,
+        # and so is a space of 9,999 texts, padded to 10,000 columns
         rng = np.random.default_rng(75)
         base = unit_rows(rng, 264, 16)
         order = np.concatenate([np.arange(264), rng.integers(0, 264, 10000 - 264)])
@@ -817,7 +842,8 @@ class TestWalkedScores:
         ids = make_label_space(n=1000, dim=16, seed=74)
         images = unit_rows(rng, 1000, 16)
         for neg, tau in [(make_negative_space(m=10000, dim=16, seed=73), 0.01),
-                         (repeated, 0.001)]:
+                         (repeated, 0.001),
+                         (make_negative_space(m=9999, dim=16, seed=76), 0.01)]:
             cfg = ScoreConfig(temperature=tau)
             lse_id, _ = id_part(images, ids, cfg)
             tracemalloc.start()
@@ -828,6 +854,39 @@ class TestWalkedScores:
                 tracemalloc.stop()
             assert peak < 2.5 * scoring.BLOCK_CELLS * 8 + scores.nbytes, tau
 
+    @pytest.mark.parametrize("product", ["labels", "counts"])
+    def test_ragged_widths_hold_tiles_not_the_product(self, product):
+        # 5,000 images against 1,001 labels, or against a sentence space of
+        # 10,000 texts over 2,001 distinct rows: the whole products are 40
+        # and 80 MB, and padded to 1,008 and 2,008 columns they walk tiles
+        rng = np.random.default_rng(77)
+        n, dim = 5000, 16
+        images = unit_rows(rng, n, dim)
+        cfg = ScoreConfig()
+        if product == "labels":
+            ids = make_label_space(n=1001, dim=dim, seed=78)
+            call = lambda: id_part(images, ids, cfg)
+            held = n * 16  # the log-sum-exps and predictions
+        else:
+            base = unit_rows(rng, 2001, dim)
+            order = np.concatenate([np.arange(2001), rng.integers(0, 2001, 10000 - 2001)])
+            neg = NegativeSpace.from_rows([f"s{j}" for j in order], base[order])
+            assert neg.rows.shape[0] == 2001 and neg.merges
+            lse_id = np.zeros(n)
+            call = lambda: negative_scores(images, lse_id, neg, cfg)
+            # the per-group array and the count matrix, 100 groups padded
+            # to 104 columns
+            held = (n + 2001) * 104 * 8
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two workers' tiles, each beside a gathered run and a copy of the
+        # tile (argmax copies a tile whose rows are not contiguous)
+        assert peak < 5 * scoring.BLOCK_CELLS * 8 + held, peak
+
     def test_checkpoint_rebuild_holds_one_tile_per_worker(self, monkeypatch):
         # 20,000 cache rows against 10,000 word-space rows in groups of 100:
         # each worker's 10,000 rows are cut into row runs too, so a tile
@@ -837,7 +896,7 @@ class TestWalkedScores:
         rows, cols = np.zeros((20000, 8)), np.zeros((10000, 8))
         tracemalloc.start()
         try:
-            scoring._blockwise(rows, cols, rows.size, lambda *args: None, 100)
+            scoring._blockwise(rows, cols, lambda *args: None, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -858,12 +917,13 @@ class TestMaxLabelSimilarity:
     @pytest.mark.parametrize("n", [1, 63, 64, 130, 777])
     def test_equals_the_one_product(self, monkeypatch, n_classes, n):
         # 200 and 1,000 labels could be cut into column tiles; the rows are
-        # reduced whole-width, which measured faster
+        # reduced whole-width, which measured faster. 75 labels are padded
+        # to 80 columns
         monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
         monkeypatch.setattr(scoring, "BLOCK_CELLS", self.CELLS)
         ids = make_label_space(n=n_classes, dim=64, seed=41)
         rows = unit_rows(np.random.default_rng(42), n, 64)
-        expected = np.max(rows @ ids.features.data.T, axis=1)
+        expected = np.max(padded_product(rows, ids.features.data), axis=1)
         widths = []
         matmul = np.matmul
         monkeypatch.setattr(
@@ -873,7 +933,7 @@ class TestMaxLabelSimilarity:
             monkeypatch.setattr(scoring, "SCORE_WORKERS", workers)
             got = max_label_similarity(rows, ids)
             assert got.tobytes() == expected.tobytes(), workers
-        assert set(widths) == {n_classes}
+        assert set(widths) == {scoring._padded(n_classes)}
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_blocks_keep_the_minimum_and_hold_one_block(self, monkeypatch, workers):
@@ -909,10 +969,12 @@ class TestMaxLabelSimilarity:
         assert peak < n * width * 8
 
     @pytest.mark.parametrize("n_classes", [56, 75])
-    def test_label_count_the_rules_cannot_split_keeps_one_product(
+    def test_narrow_or_ragged_label_count_walks_padded_tiles(
         self, monkeypatch, n_classes
     ):
-        # a tile of a ragged-width or narrow product can round otherwise
+        # a tile of a ragged-width or narrow product can round otherwise, so
+        # the labels are padded to 64 and 80 columns and their tiles round
+        # as the one padded product
         monkeypatch.setattr(scoring, "MIN_SPLIT_CELLS", 1)
         monkeypatch.setattr(scoring, "BLOCK_CELLS", self.CELLS)
         products = []
@@ -922,9 +984,10 @@ class TestMaxLabelSimilarity:
         )
         ids = make_label_space(n=n_classes, dim=64, seed=46)
         rows = unit_rows(np.random.default_rng(47), 777, 64)
-        expected = np.max(rows @ ids.features.data.T, axis=1)
+        expected = np.max(padded_product(rows, ids.features.data), axis=1)
         assert max_label_similarity(rows, ids).tobytes() == expected.tobytes()
-        assert products == [(777, n_classes)]
+        assert len(products) > 1 and sum(rows for rows, _ in products) == 777
+        assert {cols for _, cols in products} == {scoring._padded(n_classes)}
 
     def test_dim_mismatch_rejected(self):
         ids = make_label_space(n=64, dim=8, seed=45)

@@ -143,9 +143,9 @@ class TestSelectInitialNls:
         assert space.stored_rows().tobytes() == data[order].tobytes()
 
     def test_holds_one_copy_of_the_chosen_rows(self):
-        # the corpus's: 4 labels keep the product at 4,000 x 4 cells, so a
-        # second copy of the chosen rows, 3,000 x 256, would be by far the
-        # largest allocation
+        # the corpus's: the 4 labels are padded to 64 columns, so the product
+        # is one 2 MB tile of 4,000 x 64 cells, and a second copy of the
+        # chosen rows, 3,000 x 256 (6 MB), would be the largest allocation
         ids = make_label_space(n=4, dim=256, seed=25)
         words = [f"w{i}" for i in range(4000)]
         corpus = make_corpus(words, unit_rows(np.random.default_rng(26), 4000, 256))
@@ -158,8 +158,8 @@ class TestSelectInitialNls:
         finally:
             tracemalloc.stop()
         assert np.shares_memory(space.rows, corpus.features.data)
-        # the selection's small arrays and its 4,000 x 4 product only
-        assert peak < chosen_bytes // 10, peak / chosen_bytes
+        # the selection's small arrays and its 4,000 x 64 tile only
+        assert peak < 4000 * 64 * 8 + chosen_bytes // 10, peak / chosen_bytes
 
     def test_paper_shape_space_shares_the_corpus_and_scores_in_tiles(
         self, monkeypatch
