@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import LabelSpace, TestBatch
+from .embeddings import _NORM_SKIP_TOL, _ROW_RUN, LabelSpace, TestBatch
 from .errors import ConfigError, DataError, InputError, check_field_types
 
 
@@ -192,9 +192,17 @@ class HistoryCache:
             )
         if data.shape != (len(ids), self._data.shape[1]):
             raise ValueError(f"cache rows {data.shape} do not match its ids and dim")
-        # unlike every other loaded matrix, cache rows skip `_normalize_rows`
-        if not np.isfinite(data).all():
-            raise DataError("non-finite entries in cache rows")
+        # unlike every other loaded matrix, cache rows skip `_normalize_rows`,
+        # so each must be unit norm, as the batch row it was copied from is; a
+        # non-finite entry makes a NaN or infinite norm. Checked a run at a
+        # time, as a whole-matrix norm would square a copy of every row
+        for start in range(0, len(data), _ROW_RUN):
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(data[start : start + _ROW_RUN], axis=1)
+            off = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_SKIP_TOL))
+            if off.size:
+                row = off[0]
+                raise DataError(f"cache row {start + row} has norm {norms[row]}, not 1")
         self._rng.bit_generator.state = state["rng_state"]
         self._ids = list(ids)
         self._data[: len(ids)] = data

@@ -41,34 +41,44 @@ every space through `negative_scores`.
 Three products go through one tile helper, `_blockwise`: the ID part of
 `id_part`, each space's product in `negative_scores`, and the word-space
 selection's product in `max_label_similarity`. Each row's result depends on
-that row alone, so one rule cuts every product, whatever its width: its
-columns are padded with zero rows to `_padded(width)` and the reductions
-read only the real ones. The padded product is one grid of tiles, listed
-column run by column run and dealt in contiguous runs of that list to at
-most SCORE_WORKERS workers, the calling thread taking the first, once its
-padded cells reach MIN_SPLIT_CELLS. Each worker walks its tiles through one
-buffer, so a product is never held whole (1,000 images against 10,000
-negatives would take 80 MB). The grid is set over one worker's share of
-the rows, its row runs no taller than that share. Only the group-by-group
-reduction cuts columns: a share of at least MIN_BLOCK_ROWS rows walks
-column runs of a multiple of lcm(group_size, WIDTH_MULTIPLE), at least
-MIN_BLOCK_ROWS wide (a narrower tail joins the run before it), in tiles
-near square within the budget that hold whole groups (the last may end in
-the ragged group) and only write their log-sum-exps. A worker gathers each
-of its column runs of a selection, or of a product that needs padding,
-once, beside its tile and followed by the padding's zero rows, so only the
-run where two parts meet can be gathered twice; the gathered rows hold
-about BLOCK_CELLS cells too. The row-wise reductions (the ID part, the
-selection and the sentence count product) walk whole-width row runs:
-cutting the selection's 1,000 label columns too measured slower (OpenBLAS
-0.3.31, one thread). BLAS packs the negatives for every product, so a tile
-as tall as the budget allows packs them once per row run, where
-whole-width runs would pack all 10,000 every 64 rows. Every tile makes the
-same BLAS product, of the same bytes in the same layout, and the same row-
-or group-wise numpy as the whole padded matrix, and the results keep every
-bit of it. Where the width is not a multiple of WIDTH_MULTIPLE, the real
-columns of the padded product can differ in their last bits from those of
-an unpadded one.
+that row alone, so these rules cut every product, whatever its width:
+
+- Padding: the product's columns are padded with zero rows to
+  `_padded(width)`, a multiple of WIDTH_MULTIPLE and at least
+  MIN_BLOCK_ROWS; the reductions read only the real columns.
+- Workers: once its padded cells reach MIN_SPLIT_CELLS, a product is dealt
+  to at most SCORE_WORKERS workers, and to no more than its rows fill
+  shares of MIN_BLOCK_ROWS; the calling thread takes the first part.
+- Tiles: the padded product is one grid of tiles of about BLOCK_CELLS
+  cells, set over one worker's share of the rows and listed column run by
+  column run; the list is dealt in contiguous runs. Each worker walks its
+  tiles through one buffer, so a product is never held whole (1,000 images
+  against 10,000 negatives would take 80 MB).
+- Row runs: at least MIN_BLOCK_ROWS rows (or all of a product's fewer
+  rows) and no taller than a share; a shorter tail joins the run before it.
+- Column runs: only the group-by-group reduction over a share of at least
+  MIN_BLOCK_ROWS rows cuts columns, into runs of whole
+  lcm(group_size, WIDTH_MULTIPLE) units, at least MIN_BLOCK_ROWS wide (a
+  narrower tail joins the run before it) and as wide as BLOCK_CELLS allows
+  (`_tile_steps`). A tile so holds whole groups and only writes their
+  log-sum-exps. The row-wise reductions (the ID part, the selection and the
+  sentence count product) walk whole-width row runs: cutting the
+  selection's 1,000 label columns measured slower (OpenBLAS 0.3.31).
+- Gathering: a worker gathers each of its column runs of a selection, or of
+  a product that needs padding, once, into its buffer beside the tile and
+  followed by the padding's zeroed rows; only the run where two parts meet
+  can be gathered twice. A column run cut to BLOCK_CELLS gathers about that
+  many cells too.
+
+BLAS packs the negatives for every product, so a tile as tall as the
+budget allows packs them once per row run, where whole-width runs would
+pack all 10,000 every 64 rows. Every tile makes the same BLAS product, of
+the same bytes in the same layout, and the same row- or group-wise numpy as
+the whole padded matrix, and on the BLAS measured (see MIN_BLOCK_ROWS) the
+results keep every bit of it; `tests/test_scoring.py` checks that premise
+on the BLAS in use. Where the width is not a multiple of
+WIDTH_MULTIPLE, the real columns of the padded product can differ in their
+last bits from those of an unpadded one.
 
 The benchmark (`perfbench/`) wraps `grouped_scores_batch` by name and is
 to wrap `id_part` and `negative_scores` too, so these three keep their

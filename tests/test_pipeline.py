@@ -650,18 +650,21 @@ class TestCheckpoint:
             f"{path} [cache]: rows must be NSPC version 2 (float64)"
         )
 
-    def test_non_finite_cache_row_rejected_with_one_line(self, saved):
-        # the cache rows are the one matrix a load does not normalize
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entry, reason", [(np.nan, "norm nan"), (1e300, "norm inf")])
+    def test_non_finite_cache_row_rejected_with_one_line(self, saved, entry, reason):
+        # the cache rows are the one matrix a load does not normalize; an
+        # entry of 1e300 is finite, but its row's norm overflows
         world, path = saved
         raw = bytearray(path.read_bytes())
         (header_len,) = struct.unpack("<Q", raw[8:16])
         first = 16 + header_len + 20  # the cache blob's first entry
-        raw[first : first + 8] = struct.pack("<d", np.nan)
+        raw[first : first + 8] = struct.pack("<d", entry)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError) as excinfo:
             load_checkpoint(path, world.label_space, world.corpus)
         message = str(excinfo.value)
-        assert message.startswith(f"{path}: ") and "non-finite" in message
+        assert message.startswith(f"{path}: ") and reason in message
         assert "\n" not in message
 
     @pytest.mark.parametrize("where", ["header", "cache blob", "last space blob"])
