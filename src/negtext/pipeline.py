@@ -381,7 +381,10 @@ def load_checkpoint(path, ids: LabelSpace, corpus: CorpusCandidates) -> StreamSt
         digest = _inputs_digest(state)
         if header["digest"] != digest:
             raise ValueError("digest is not that of the config, labels and word space")
-        state.cache.load_state(header["cache"], matrices["cache"])
+        try:  # a row off the unit sphere is a fault of the blob, not the header
+            state.cache.load_state(header["cache"], matrices["cache"])
+        except DataError as exc:
+            raise FormatError(f"{path} [cache]: {exc}") from exc
         spaces = header["spaces"]
         state.ens_space, state.vsnl_space = (
             NegativeSpace.from_rows(

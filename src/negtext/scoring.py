@@ -275,7 +275,11 @@ def id_part(
     predictions = np.empty(n, dtype=np.intp)
 
     def reduce(lo: int, hi: int, _start: int, sims: np.ndarray) -> None:
-        predictions[lo:hi] = np.argmax(sims, axis=1)
+        # the first column equal to the row's maximum is the row's argmax; a
+        # mask of it, an eighth of the tile, stands in for the copy of the
+        # tile np.argmax makes when its rows are a padded tile's real columns
+        top = np.max(sims, axis=1, keepdims=True)
+        predictions[lo:hi] = np.argmax(sims == top, axis=1)
         sims /= cfg.temperature
         lse_id[lo:hi] = _logsumexp_rows(sims)
 

@@ -251,6 +251,20 @@ class OracleClient:
     coarse and lands near the parent ID prototype, since a short phrase
     cannot separate a lookalike from its parent class. Deterministic for
     a fixed world seed regardless of call order.
+
+    An embedding row is a pure function of its text and the tokens
+    registered when it is asked for: a text whose label (the text with the
+    prompt template stripped) is a token perturbs that token's vector, any
+    other text the vector of the longest token it holds as a word, and a
+    text that holds none is a free unit row; each draw is seeded by the
+    text alone. The client does work in proportion to the distinct rows it
+    gives: a request embeds each of its distinct texts once, a twin's
+    vector is drawn when the twin is first named, and the tokens' longest-
+    first order is re-sorted only once the table has grown. The rows of
+    texts whose label is a token are kept, at most two per token (the bare
+    token and its prompt): a token's vector is never replaced, so such a
+    row never changes. Rows of other texts are not kept, as a token
+    registered later can change them.
     """
 
     def __init__(self, world: SyntheticWorld, concepts: dict[str, str]):
@@ -258,6 +272,8 @@ class OracleClient:
         self.concepts = concepts  # image id -> concept name
         self.cfg = world.cfg
         self._tokens: dict[str, np.ndarray] = {}
+        self._longest_first: list[str] = []
+        self._token_rows: dict[str, np.ndarray] = {}  # text -> its kept row
         # ID label text features are reachable by name too
         for concept, row in zip(
             world.id_concepts, world.label_space.features.data
@@ -329,25 +345,31 @@ class OracleClient:
         i = 0
         while len(out) < count:
             token = f"{class_name} twin {i}"
-            rng = np.random.default_rng(
-                _hash_seed(self.cfg.seed, "twin", class_name, i)
-            )
-            self._tokens.setdefault(token, _rotate(anchor, twin_angle, rng))
+            if token not in self._tokens:
+                rng = np.random.default_rng(
+                    _hash_seed(self.cfg.seed, "twin", class_name, i)
+                )
+                self._tokens[token] = _rotate(anchor, twin_angle, rng)
             out.append(token)
             i += 1
         return out
 
     def _embed_one(self, text: str) -> np.ndarray:
-        stripped = text
+        row = self._token_rows.get(text)
+        if row is not None:
+            return row
+        label = text
         template = self.world.label_space.prompt_template
         prefix, _, suffix = template.partition("<label>")
         if text.startswith(prefix) and text.endswith(suffix):
-            stripped = text[len(prefix) : len(text) - len(suffix)]
-        if stripped in self._tokens:
-            base = self._tokens[stripped]
-        else:
-            base = None
-            for token in sorted(self._tokens, key=len, reverse=True):
+            label = text[len(prefix) : len(text) - len(suffix)]
+        base = self._tokens.get(label)
+        keep = base is not None
+        if base is None:
+            # tokens are only ever added, so a table of another size has grown
+            if len(self._longest_first) != len(self._tokens):
+                self._longest_first = sorted(self._tokens, key=len, reverse=True)
+            for token in self._longest_first:
                 if f" {token} " in f" {text} ":
                     base = self._tokens[token]
                     break
@@ -357,10 +379,16 @@ class OracleClient:
                 )
                 return _unit(rng, self.cfg.dim)
         rng = np.random.default_rng(_hash_seed(self.cfg.seed, "embed", text))
-        return _perturb(base, self.cfg.text_noise, rng)
+        row = _perturb(base, self.cfg.text_noise, rng)
+        if keep:
+            self._token_rows[text] = row
+        return row
 
     def embed_texts(self, texts: list[str]) -> np.ndarray:
-        return np.stack([self._embed_one(t) for t in texts])
+        # one row per distinct text, gathered for each of its repeats
+        slots: dict[str, int] = {}
+        index = [slots.setdefault(text, len(slots)) for text in texts]
+        return np.stack([self._embed_one(text) for text in slots])[index]
 
 
 SCENARIOS = ("far", "near", "mixed")

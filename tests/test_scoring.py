@@ -710,18 +710,23 @@ class TestWalkedScores:
                 tracemalloc.stop()
             assert peak < 2.5 * scoring.BLOCK_CELLS * 8 + scores.nbytes, tau
 
-    @pytest.mark.parametrize("product", ["labels", "counts"])
+    @pytest.mark.parametrize("product", ["labels", "paper labels", "counts"])
     def test_ragged_widths_hold_tiles_not_the_product(self, product):
-        # 5,000 images against 1,001 labels, or against a sentence space of
-        # 10,000 texts over 2,001 distinct rows: the whole products are 40
-        # and 80 MB, and padded to 1,008 and 2,008 columns they walk tiles
+        # 5,000 images against 1,001 labels (or the paper's 1,000), or
+        # against a sentence space of 10,000 texts over 2,001 distinct
+        # rows: the whole products are 40 and 80 MB, and padded to 1,008
+        # and 2,008 columns they walk tiles
         rng = np.random.default_rng(77)
         n, dim = 5000, 16
         images = unit_rows(rng, n, dim)
         cfg = ScoreConfig()
-        if product == "labels":
-            ids = make_label_space(n=1001, dim=dim, seed=78)
+        if product != "counts":
+            labels = 1000 if product == "paper labels" else 1001
+            ids = make_label_space(n=labels, dim=dim, seed=78)
             call = lambda: id_part(images, ids, cfg)
+            # two workers' tiles, each beside its argmax mask (an eighth of a
+            # tile) and gathered labels, and never a copy of a tile
+            tiles = 3
             held = n * 16  # the log-sum-exps and predictions
         else:
             base = unit_rows(rng, 2001, dim)
@@ -730,6 +735,9 @@ class TestWalkedScores:
             assert neg.rows.shape[0] == 2001 and neg.merges
             lse_id = np.zeros(n)
             call = lambda: negative_scores(images, lse_id, neg, cfg)
+            # two workers' tiles, each beside a gathered run, and the
+            # temporaries of the per-group shares
+            tiles = 5
             # the per-group array and the count matrix, 100 groups padded
             # to 104 columns
             held = (n + 2001) * 104 * 8
@@ -739,9 +747,7 @@ class TestWalkedScores:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # two workers' tiles, each beside a gathered run and a copy of the
-        # tile (argmax copies a tile whose rows are not contiguous)
-        assert peak < 5 * scoring.BLOCK_CELLS * 8 + held, peak
+        assert peak < tiles * scoring.BLOCK_CELLS * 8 + held, peak
 
     def test_checkpoint_rebuild_holds_one_tile_per_worker(self, monkeypatch):
         # 20,000 cache rows against 10,000 word-space rows in groups of 100,

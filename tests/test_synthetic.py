@@ -1,10 +1,13 @@
 """Synthetic world invariants and scenario-level directional checks."""
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from negtext.errors import ConfigError
 from negtext.mining import MiningConfig, classify_batch, mine_similar_classes
-from negtext.pipeline import init_stream
+from negtext.pipeline import init_stream, run_stream
 from negtext.spaces import generate_vsnl
 from negtext.synthetic import (
     SCENARIOS,
@@ -79,6 +82,109 @@ class TestWorldGeometry:
         a = client.embed_texts(["The nice class_00.", "anything else"])
         b = client.embed_texts(["The nice class_00.", "anything else"])
         assert np.array_equal(a, b)
+
+
+def _prompt(world, label):
+    return world.label_space.prompt_template.replace("<label>", label)
+
+
+class TestOracleRows:
+    """The oracle keeps token rows and embeds each distinct text of a request
+    once; every row it gives is the one a fresh oracle holding the same
+    tokens gives."""
+
+    def test_a_streamed_oracle_embeds_as_a_fresh_one(self):
+        world = SyntheticWorld(scenario_world_config("mixed", seed=42))
+        batches = world.make_batches(3, 150, 150)
+        streamed = world.oracle_client()
+        run_stream(
+            batches, world.label_space, world.corpus, streamed,
+            scenario_pipeline_config(), seed=42,
+        )
+        fresh = world.oracle_client()
+        # both then hold every description token and the same twins (a
+        # lookalike request asks for at most the space's 200 labels)
+        for oracle in (streamed, fresh):
+            sentences = [oracle.describe_image(i, "") for i in world.image_concepts]
+            for label in world.label_space.labels:
+                oracle.similar_labels(label, 200)
+        assert set(streamed._tokens) == set(fresh._tokens)
+        tokens = list(streamed._tokens)
+        texts = (
+            tokens
+            + [_prompt(world, t) for t in tokens]
+            + list(dict.fromkeys(sentences))
+            + ["a class_03 twin 11 on a lawn", "class_03 twin 200", "free text"]
+        )
+        expected = fresh.embed_texts(texts).tobytes()
+        # a second request reads the rows the first one kept
+        assert streamed.embed_texts(texts).tobytes() == expected
+        assert streamed.embed_texts(texts).tobytes() == expected
+
+    def test_a_later_token_changes_the_rows_that_hold_it(self):
+        world = SyntheticWorld(scenario_world_config("mixed", seed=42))
+        world.make_batches(1, 0, 40)
+        image = next(i for i, c in world.image_concepts.items() if c == "far_00")
+        texts = [
+            "a photo of something resembling scene_far_00 in the scene",
+            "scene_far_00",  # free text until the token is registered
+            "a class_00 twin 0 on a lawn",  # a sentence of class_00 until then
+            "class_00 twin 0",
+        ]
+
+        def register(oracle):
+            oracle.describe_image(image, "class_00")
+            assert "class_00 twin 0" in oracle.similar_labels("class_00", 12)
+
+        oracle = world.oracle_client()
+        before = oracle.embed_texts(texts)
+        register(oracle)
+        after = oracle.embed_texts(texts)
+        fresh = world.oracle_client()
+        register(fresh)
+        assert after.tobytes() == fresh.embed_texts(texts).tobytes()
+        assert np.all(np.any(before != after, axis=1))
+
+    def test_rows_hold_while_describe_threads_register_tokens(self):
+        # as in a stream, describe threads register tokens while a lane
+        # embeds sentences that hold them; after, each row is a fresh one's
+        world = SyntheticWorld(scenario_world_config("mixed", seed=42))
+        world.make_batches(2, 100, 100)
+        images = list(world.image_concepts)
+        oracle, fresh = world.oracle_client(), world.oracle_client()
+        texts = list(dict.fromkeys(fresh.describe_image(i, "") for i in images))
+
+        def describe(chunk):
+            for image_id in chunk:
+                oracle.describe_image(image_id, "")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(describe, images[k::4]) for k in range(4)]
+                while not all(future.done() for future in futures):
+                    oracle.embed_texts(texts)
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert oracle.embed_texts(texts).tobytes() == fresh.embed_texts(texts).tobytes()
+
+    def test_a_repeated_text_gets_the_row_of_a_one_text_request(self):
+        world = SyntheticWorld(scenario_world_config("mixed", seed=42))
+        texts = [
+            "class_00",
+            _prompt(world, "near_01"),
+            "a photo of something resembling kin_class_01 in the scene",
+            "anything else",
+        ]
+        request = texts + texts[::-1] + texts
+        rows = world.oracle_client().embed_texts(request)
+        assert rows.shape == (len(request), world.cfg.dim)
+        for text, row in zip(request, rows):
+            alone = world.oracle_client().embed_texts([text])
+            assert row.tobytes() == alone[0].tobytes(), text
 
 
 class TestOracleFidelity:
