@@ -123,6 +123,23 @@ def decode_nspc(raw: bytes, source) -> np.ndarray:
     return data.reshape(rows, dim)
 
 
+def check_unit_rows(data: np.ndarray, source) -> None:
+    """Refuse a matrix read back as the program stored it unless every row
+    is unit norm within `_NORM_SKIP_TOL`, as a stored row is; a non-finite
+    entry makes a NaN or infinite norm. `source` names the matrix in the
+    one-line `FormatError`. Checked a run of rows at a time, as a
+    whole-matrix norm would square a copy of every row."""
+    for start in range(0, len(data), _ROW_RUN):
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(data[start : start + _ROW_RUN], axis=1)
+        off = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_SKIP_TOL))
+        if off.size:
+            row = off[0]
+            raise FormatError(
+                f"{source}: row {start + row} has norm {norms[row]}, not 1"
+            )
+
+
 def save_embeddings(matrix: EmbeddingMatrix, path, version: int = 1) -> None:
     """Write the binary container plus the `<file>.ids.json` sidecar."""
     path = Path(path)

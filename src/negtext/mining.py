@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import _NORM_SKIP_TOL, _ROW_RUN, LabelSpace, TestBatch
+from .embeddings import LabelSpace, TestBatch
 from .errors import ConfigError, DataError, InputError, check_field_types
 
 
@@ -180,7 +180,8 @@ class HistoryCache:
     def load_state(self, state: dict, data: np.ndarray) -> None:
         """Take the `state_dict` of a cache of this capacity and dim, and its
         rows; `nl_scores` and `predictions` are left for the caller to
-        rebuild. A stream may repeat an image id, so ids may repeat."""
+        rebuild. A stream may repeat an image id, so ids may repeat. The
+        rows are taken as given: `load_checkpoint` checks their norms."""
         ids, n_seen = state["ids"], state["n_seen"]
         if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
             raise TypeError("cache ids must be a list of str")
@@ -192,17 +193,6 @@ class HistoryCache:
             )
         if data.shape != (len(ids), self._data.shape[1]):
             raise ValueError(f"cache rows {data.shape} do not match its ids and dim")
-        # unlike every other loaded matrix, cache rows skip `_normalize_rows`,
-        # so each must be unit norm, as the batch row it was copied from is; a
-        # non-finite entry makes a NaN or infinite norm. Checked a run at a
-        # time, as a whole-matrix norm would square a copy of every row
-        for start in range(0, len(data), _ROW_RUN):
-            with np.errstate(over="ignore"):
-                norms = np.linalg.norm(data[start : start + _ROW_RUN], axis=1)
-            off = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_SKIP_TOL))
-            if off.size:
-                row = off[0]
-                raise DataError(f"cache row {start + row} has norm {norms[row]}, not 1")
         self._rng.bit_generator.state = state["rng_state"]
         self._ids = list(ids)
         self._data[: len(ids)] = data

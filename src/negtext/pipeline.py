@@ -23,7 +23,8 @@ import numpy as np
 
 from .clients import GenerationClient
 from .embeddings import (
-    _ROW_RUN, LabelSpace, NegativeSpace, TestBatch, decode_nspc, encode_nspc
+    _ROW_RUN, LabelSpace, NegativeSpace, TestBatch, check_unit_rows, decode_nspc,
+    encode_nspc,
 )
 from .errors import (
     ConfigError, DataError, FormatError, GenerationError, InputError, check_field_types
@@ -343,7 +344,9 @@ def load_checkpoint(path, ids: LabelSpace, corpus: CorpusCandidates) -> StreamSt
     are then restored, and the cache's per-row columns (NL score, predicted
     class) rebuilt from its rows. A header that is not the one saving the
     loaded state writes is refused too, so each fact is read in the one form
-    it is written in. Every refusal is a one-line FormatError naming the file.
+    it is written in. Every blob's rows must be float64 and, as saved, unit
+    norm (`check_unit_rows`). Every refusal is a one-line FormatError naming
+    the file, and a bad row's blob and row.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -370,6 +373,7 @@ def load_checkpoint(path, ids: LabelSpace, corpus: CorpusCandidates) -> StreamSt
         matrices[name] = decode_nspc(blob, source)
         if blob[4:8] != struct.pack("<I", 2):  # float32 rows would not resume exactly
             raise FormatError(f"{source}: rows must be NSPC version 2 (float64)")
+        check_unit_rows(matrices[name], source)
         cursor += size
     try:  # a header that parses may still miss a field or hold a bad one
         seed = header["rng_seed"]
@@ -381,10 +385,7 @@ def load_checkpoint(path, ids: LabelSpace, corpus: CorpusCandidates) -> StreamSt
         digest = _inputs_digest(state)
         if header["digest"] != digest:
             raise ValueError("digest is not that of the config, labels and word space")
-        try:  # a row off the unit sphere is a fault of the blob, not the header
-            state.cache.load_state(header["cache"], matrices["cache"])
-        except DataError as exc:
-            raise FormatError(f"{path} [cache]: {exc}") from exc
+        state.cache.load_state(header["cache"], matrices["cache"])
         spaces = header["spaces"]
         state.ens_space, state.vsnl_space = (
             NegativeSpace.from_rows(

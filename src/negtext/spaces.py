@@ -106,19 +106,6 @@ def _word_pattern(label: str) -> re.Pattern:
     return re.compile(rf"\b{re.escape(label)}\b", re.IGNORECASE)
 
 
-def _sentence_ok(
-    sentence: str,
-    excluded: re.Pattern,
-    len_max: int,
-) -> tuple[bool, bool]:
-    """Returns (length in window, excluded label absent)."""
-    n_words = len(sentence.split())
-    return (
-        SENTENCE_MIN_WORDS <= n_words <= len_max,
-        excluded.search(sentence) is None,
-    )
-
-
 def _request_sentence(
     describe: Callable[[str, str], str],
     image_id: str,
@@ -126,21 +113,19 @@ def _request_sentence(
     excluded: re.Pattern,
     len_max: int,
 ) -> str | None:
-    """One validated sentence, or None when the excluded label sticks."""
-    sentence = ""
-    for _ in range(MAX_ATTEMPTS_PER_REQUEST):
+    """One admitted sentence, or None: an answer is admitted when it names
+    no excluded label and holds `SENTENCE_MIN_WORDS` to `len_max` words,
+    and only the last attempt's answer, when overlong, is cut to `len_max`."""
+    for attempt in range(1, MAX_ATTEMPTS_PER_REQUEST + 1):
         sentence = describe(image_id, exclude_label)
-        len_ok, label_ok = _sentence_ok(sentence, excluded, len_max)
-        if len_ok and label_ok:
+        if excluded.search(sentence) is not None:
+            continue
+        words = sentence.split()
+        if SENTENCE_MIN_WORDS <= len(words) <= len_max:
             return sentence
-    # length violations are recoverable by truncation; a lingering excluded
-    # label is not
-    if not _sentence_ok(sentence, excluded, len_max)[1]:
-        return None
-    words = sentence.split()
-    if len(words) > len_max:
-        return " ".join(words[:len_max])
-    return sentence if len(words) >= SENTENCE_MIN_WORDS else None
+        if attempt == MAX_ATTEMPTS_PER_REQUEST and len(words) > len_max:
+            return " ".join(words[:len_max])
+    return None
 
 
 class _Stopped(Exception):
@@ -154,8 +139,9 @@ def _describe_wave(
     predicted_labels: dict[str, str],
     patterns: dict[str, re.Pattern],
     len_max: int,
-) -> list[str | None]:
-    """`_request_sentence` for each image of `wave`, results in wave order.
+) -> list[str]:
+    """The sentences `_request_sentence` admits for the images of `wave`,
+    in wave order.
 
     The wave is cut into `DESCRIBE_WORKERS` contiguous chunks, one task
     each, and a task requests its chunk one image after another, retries
@@ -176,16 +162,16 @@ def _describe_wave(
             return sentence
         raise GenerationError(f"description is a {type(sentence).__name__}", image_id)
 
-    def run(chunk: list[str]) -> list[str | None]:
-        out: list[str | None] = []
+    def run(chunk: list[str]) -> list[str]:
+        out: list[str] = []
         try:
             for image_id in chunk:
                 label = predicted_labels[image_id]
-                out.append(
-                    _request_sentence(
-                        describe, image_id, label, patterns[label], len_max
-                    )
+                sentence = _request_sentence(
+                    describe, image_id, label, patterns[label], len_max
                 )
+                if sentence is not None:
+                    out.append(sentence)
         except _Stopped:
             pass
         except BaseException:
@@ -231,30 +217,25 @@ def generate_ens(
         label: _word_pattern(label)
         for label in {predicted_labels[image_id] for image_id in sources}
     }
-    sentences: list[str] = []
     with ThreadPoolExecutor(DESCRIBE_WORKERS) as pool:
 
-        def request(wave: list[str]) -> int:
-            """Appends the wave's admissible sentences; returns how many."""
-            found = _describe_wave(
+        def request(wave: list[str]) -> list[str]:
+            return _describe_wave(
                 pool, client, wave, predicted_labels, patterns, len_max
             )
-            found = [s for s in found if s is not None]
-            sentences.extend(found)
-            return len(found)
 
-        request(sources)
+        sentences = request(sources)
         if len(sentences) >= m:
             rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, 0xE25]))
             pick = np.sort(rng.choice(len(sentences), size=m, replace=False))
             sentences = [sentences[i] for i in pick]
         while len(sentences) < m:  # round-robin
-            produced = start = 0
+            before, start = len(sentences), 0
             while start < len(sources) and len(sentences) < m:
                 wave = sources[start : start + m - len(sentences)]
-                produced += request(wave)
+                sentences.extend(request(wave))
                 start += len(wave)
-            if produced == 0:
+            if len(sentences) == before:
                 raise GenerationError(
                     "no negative image yields an admissible sentence",
                     image_id=sources[0],

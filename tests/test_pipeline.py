@@ -651,23 +651,31 @@ class TestCheckpoint:
         )
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("blob", pipeline.CHECKPOINT_MATRICES)
     @pytest.mark.parametrize("row", [0, 3])
-    @pytest.mark.parametrize("entry, norm", [(np.nan, "nan"), (1e300, "inf")])
-    def test_non_finite_cache_row_names_the_blob_and_row(self, saved, row, entry, norm):
-        # the cache rows are the one matrix a load does not normalize; an
-        # entry of 1e300 is finite, but its row's norm overflows. The header
-        # is sound, so the one-line refusal names the blob and the row
+    @pytest.mark.parametrize("entry", [np.nan, 1e300, 0.5])
+    def test_off_unit_row_names_the_blob_and_row(self, saved, blob, row, entry):
+        # every blob's rows were unit norm when saved. An entry of 1e300 is
+        # finite, but its row's norm overflows; one of 0.5 moves the norm off
+        # 1 but would load renormalized. The header is sound, so the one-line
+        # refusal names the blob and the row
         world, path = saved
         raw = bytearray(path.read_bytes())
         (header_len,) = struct.unpack("<Q", raw[8:16])
-        dim = world.label_space.features.dim
-        entry_at = 16 + header_len + 20 + row * dim * 8  # past the cache blob's header
+        sizes = json.loads(raw[16 : 16 + header_len])["blob_sizes"]
+        k = pipeline.CHECKPOINT_MATRICES.index(blob)
+        blob_at = 16 + header_len + sum(sizes[:k])
+        entry_at = blob_at + 20 + row * world.label_space.features.dim * 8
         raw[entry_at : entry_at + 8] = struct.pack("<d", entry)
         path.write_bytes(bytes(raw))
+        with np.errstate(over="ignore"):
+            rows = decode_nspc(bytes(raw[blob_at : blob_at + sizes[k]]), blob)
+            norm = np.linalg.norm(rows, axis=1)[row]
+        assert not abs(norm - 1.0) <= 1e-6
         with pytest.raises(FormatError) as excinfo:
             load_checkpoint(path, world.label_space, world.corpus)
         assert str(excinfo.value) == (
-            f"{path} [cache]: cache row {row} has norm {norm}, not 1"
+            f"{path} [{blob}]: row {row} has norm {norm}, not 1"
         )
 
     @pytest.mark.parametrize("where", ["header", "cache blob", "last space blob"])

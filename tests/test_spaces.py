@@ -348,6 +348,33 @@ class TestGenerateEns:
             ("i0", "label_0")
         ] * 3
 
+    @pytest.mark.parametrize(
+        "answers, cut",
+        [
+            (["long", "excluded", "excluded"], False),
+            (["excluded", "excluded", "long"], True),
+            (["long", "long", "short"], False),
+        ],
+        ids=["long-excluded-excluded", "excluded-excluded-long", "long-long-short"],
+    )
+    def test_only_the_last_answer_is_cut(self, answers, cut):
+        # each answer is judged on its own: an overlong one is retried like
+        # any other, and only the last attempt's is cut to len_max
+        long = " ".join(f"w{k}" for k in range(20))
+        text = {"long": long, "excluded": "a label_0 on a table", "short": "two words"}
+        other = "a plain grey stone"
+        client = ScriptedClient(
+            dim=4, descriptions={"i0": [text[a] for a in answers], "i1": [other]}
+        )
+        labels = {"i0": "label_0", "i1": "label_1"}
+        ids = make_label_space(n=2, dim=4, seed=8)
+        space = generate_ens(mined(["i0", "i1"]), labels, ids, client, 2, seed=0)
+        first = " ".join(long.split()[:15]) if cut else other
+        assert space.texts == (first, other)
+        assert [c for c in client.describe_calls if c[0] == "i0"][:3] == [
+            ("i0", "label_0")
+        ] * 3
+
     def test_id_label_sentence_dropped_testing_each_distinct_sentence_once(
         self, monkeypatch
     ):
