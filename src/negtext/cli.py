@@ -37,6 +37,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
+from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import groupby
 from pathlib import Path
@@ -247,11 +248,12 @@ def _parse_set_flags(pairs) -> dict:
 
 def _load_truth_csv(path) -> dict[str, str]:
     truth = {}
-    for line, row in enumerate(read_csv_rows(path, ("image_id", "tag")), start=2):
-        where, image_id = f"{path}, line {line}", row["image_id"]
-        if image_id in truth:
-            raise InputError(f"{where}: image {image_id!r} is tagged twice")
-        truth[image_id] = checked_tag(where, row["tag"])
+    with closing(read_csv_rows(path, ("image_id", "tag"))) as rows:
+        for line, row in enumerate(rows, start=2):
+            where, image_id = f"{path}, line {line}", row["image_id"]
+            if image_id in truth:
+                raise InputError(f"{where}: image {image_id!r} is tagged twice")
+            truth[image_id] = checked_tag(where, row["tag"])
     return truth
 
 

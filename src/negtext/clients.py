@@ -41,9 +41,10 @@ class GenerationClient(Protocol):
     `similar_labels` and `embed_texts` while describes are in flight (a
     batch regenerates its two spaces in two lanes); `embed_texts` is never
     called twice at once. The clients here allow it: the HTTP client shares
-    a `requests.Session`, whose pool of 10 connections exceeds the
-    requests in flight, and `RecordingClient` asks its live client and
-    writes a file once per distinct request.
+    a `requests.Session`, whose pool of 10 connections
+    (`requests.adapters.DEFAULT_POOLSIZE`) holds every describe in flight
+    plus the other lane's call, and `RecordingClient` asks its live client
+    and writes a file once per distinct request.
 
     The pipeline checks each answer where it receives it: a description
     is a `str`, lookalike labels are a list or tuple of `str`, and an

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -166,47 +168,50 @@ def export_results(
     return out
 
 
-def read_csv_rows(path, columns) -> list[dict[str, str]]:
-    """Rows of a headed UTF-8 CSV; the header must name every one of `columns`."""
+def read_csv_rows(path, columns) -> Iterator[dict[str, str]]:
+    """Rows of a headed UTF-8 CSV, yielded as they are read, once the header
+    is found to name every one of `columns`. The file stays open until the
+    rows run out, one fails, or the generator is closed: a reader that may
+    stop early closes it (`contextlib.closing`)."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
-            rows = list(reader)
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
+            yield from reader
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text ({exc})") from exc
         except csv.Error as exc:  # e.g. a field over the csv module's limit
             # the DictReader's own line_num stops at the last row it returned
             raise InputError(f"{path}, line {reader.reader.line_num}: {exc}") from exc
-    missing = [c for c in columns if c not in (reader.fieldnames or ())]
-    if missing:
-        raise InputError(f"{path}: missing column(s) {', '.join(missing)}")
-    return rows
 
 
 def load_records_csv(path) -> tuple[list[ScoreRecord], dict[str, str]]:
     records: list[ScoreRecord] = []
     tags: dict[str, str] = {}
-    for line, row in enumerate(read_csv_rows(path, RECORD_COLUMNS), start=2):
-        try:
-            records.append(
-                ScoreRecord(
-                    image_id=row["image_id"],
-                    s_nl=float(row["s_nl"]),
-                    s_ens=float(row["s_ens"]),
-                    s_vsnl=float(row["s_vsnl"]),
-                    s_ada=float(row["s_ada"]),
-                    predicted_class=int(row["predicted_class"]),
+    with closing(read_csv_rows(path, RECORD_COLUMNS)) as rows:
+        for line, row in enumerate(rows, start=2):
+            try:
+                records.append(
+                    ScoreRecord(
+                        image_id=row["image_id"],
+                        s_nl=float(row["s_nl"]),
+                        s_ens=float(row["s_ens"]),
+                        s_vsnl=float(row["s_vsnl"]),
+                        s_ada=float(row["s_ada"]),
+                        predicted_class=int(row["predicted_class"]),
+                    )
                 )
-            )
-        except (TypeError, ValueError) as exc:  # short row or non-numeric cell
-            raise InputError(f"{path}, line {line}: {exc}") from exc
-        if row.get("tag"):
-            where, image_id = f"{path}, line {line}", row["image_id"]
-            tag = checked_tag(where, row["tag"])
-            # two batch files may share an image, but not tag it two ways
-            if tags.setdefault(image_id, tag) != tag:
-                raise InputError(
-                    f"{where}: image {image_id!r} is tagged {tag} here "
-                    f"but {tags[image_id]} on an earlier line"
-                )
+            except (TypeError, ValueError) as exc:  # short row or non-numeric cell
+                raise InputError(f"{path}, line {line}: {exc}") from exc
+            if row.get("tag"):
+                where, image_id = f"{path}, line {line}", row["image_id"]
+                tag = checked_tag(where, row["tag"])
+                # two batch files may share an image, but not tag it two ways
+                if tags.setdefault(image_id, tag) != tag:
+                    raise InputError(
+                        f"{where}: image {image_id!r} is tagged {tag} here "
+                        f"but {tags[image_id]} on an earlier line"
+                    )
     return records, tags

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import re
 import threading
+from collections import deque
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ SENTENCE_MIN_WORDS = 3
 SENTENCE_MAX_WORDS = 15
 MAX_ATTEMPTS_PER_REQUEST = 3
 # describe requests in flight at once during one ENS build
-DESCRIBE_WORKERS = 4
+DESCRIBE_WORKERS = 5
 
 
 @dataclass(frozen=True)
@@ -143,14 +144,18 @@ def _describe_wave(
     """The sentences `_request_sentence` admits for the images of `wave`,
     in wave order.
 
-    The wave is cut into `DESCRIBE_WORKERS` contiguous chunks, one task
-    each, and a task requests its chunk one image after another, retries
-    included; so the requests are those of a one-at-a-time loop, and only
-    their waits overlap. After the first failure no task starts
-    another request, and once every task has stopped the failure of the
-    earliest chunk is raised.
+    `DESCRIBE_WORKERS` requesters, the calling thread and up to
+    `DESCRIBE_WORKERS - 1` tasks of `pool`, take the wave's images one at
+    a time, in wave order, and request each image's sentence one attempt
+    after another; so the requests are those of a one-at-a-time loop, only
+    their waits overlap, and a slow image holds back no other. After the
+    first failure no requester starts another request, and once every
+    requester has stopped the failure of the earliest image is raised.
     """
     failed = threading.Event()
+    todo = deque(enumerate(wave))
+    sentences: list[str | None] = [None] * len(wave)
+    failures: dict[int, BaseException] = {}
 
     def describe(image_id: str, exclude_label: str) -> str:
         if failed.is_set():
@@ -162,30 +167,32 @@ def _describe_wave(
             return sentence
         raise GenerationError(f"description is a {type(sentence).__name__}", image_id)
 
-    def run(chunk: list[str]) -> list[str]:
-        out: list[str] = []
-        try:
-            for image_id in chunk:
+    def run() -> None:
+        while True:
+            try:
+                index, image_id = todo.popleft()
+            except IndexError:  # the wave is taken
+                return
+            try:
                 label = predicted_labels[image_id]
-                sentence = _request_sentence(
+                sentences[index] = _request_sentence(
                     describe, image_id, label, patterns[label], len_max
                 )
-                if sentence is not None:
-                    out.append(sentence)
-        except _Stopped:
-            pass
-        except BaseException:
-            failed.set()
-            raise
-        return out
+            except _Stopped:
+                return
+            except BaseException as exc:
+                failures[index] = exc
+                failed.set()
+                return
 
-    n = len(wave)
-    bounds = [n * k // DESCRIBE_WORKERS for k in range(DESCRIBE_WORKERS + 1)]
-    futures = [
-        pool.submit(run, wave[lo:hi]) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
-    ]
-    wait(futures)
-    return [sentence for future in futures for sentence in future.result()]
+    requesters = min(DESCRIBE_WORKERS, len(wave))
+    futures = [pool.submit(run) for _ in range(requesters - 1)]
+    run()
+    for future in futures:
+        future.result()
+    if failures:
+        raise failures[min(failures)]
+    return [sentence for sentence in sentences if sentence is not None]
 
 
 def generate_ens(
@@ -207,8 +214,9 @@ def generate_ens(
     round-robin pass sends waves of the next `M - len(sentences)` images,
     exactly the ones a request-by-request pass would reach, so the
     requests and the sentence order do not depend on `DESCRIBE_WORKERS`.
-    `before_embed`, if given, is called once the sentences are final and
-    before they are embedded.
+    The calling thread is one of each wave's `DESCRIBE_WORKERS` requesters,
+    so the pool holds one thread fewer. `before_embed`, if given, is called
+    once the sentences are final and before they are embedded.
     """
     if negatives.empty:
         raise InputError("no mined negative images")
@@ -217,7 +225,7 @@ def generate_ens(
         label: _word_pattern(label)
         for label in {predicted_labels[image_id] for image_id in sources}
     }
-    with ThreadPoolExecutor(DESCRIBE_WORKERS) as pool:
+    with ThreadPoolExecutor(max(1, DESCRIBE_WORKERS - 1)) as pool:
 
         def request(wave: list[str]) -> list[str]:
             return _describe_wave(

@@ -847,6 +847,12 @@ class TestEval:
         "content, named",
         [
             (b"a,b\n1,2\n", "image_id"),
+            # the header is checked before a later row is read
+            pytest.param(
+                b"a,b\n" + b"1,2\n" * 5_000 + b"\xe9,2\n",
+                "missing column(s) image_id",
+                id="header-before-undecodable-row",
+            ),
             (b"image_id,s_nl,s_ens,s_vsnl,s_ada,predicted_class,tag\n"
              b"img_1,0.5,0.5,0.5,abc,0,ID\n", "line 2"),
             (b"image_id,s_nl,s_ens,s_vsnl,s_ada,predicted_class,tag\n"

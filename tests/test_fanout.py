@@ -118,27 +118,32 @@ def test_same_calls_and_sentences_as_one_worker(monkeypatch, delay):
 
 
 class InFlight(ScriptedClient):
-    """Counts describe calls in flight under a lock; every call waits at a
-    barrier of `parties`, so `parties` calls must overlap or it times out."""
+    """Counts describe calls in flight under a lock and records the thread
+    of each; every call waits at a barrier of `parties`, so `parties` calls
+    must overlap or it times out. An image of `fail` then fails after the
+    seconds it maps to."""
 
     def __init__(self, parties, fail=None, **kwargs):
         super().__init__(**kwargs)
-        self.fail = fail
+        self.fail = dict(fail or {})
         self.barrier = threading.Barrier(parties)
         self.lock = threading.Lock()
         self.now = self.peak = self.started = 0
+        self.threads: set[threading.Thread] = set()
 
     def describe_image(self, image_ref, exclude_label):
         with self.lock:
             self.started += 1
             self.now += 1
             self.peak = max(self.peak, self.now)
+            self.threads.add(threading.current_thread())
         try:
             self.barrier.wait(timeout=10)
-            if image_ref == self.fail:
+            if image_ref in self.fail:
+                time.sleep(self.fail[image_ref])
                 raise GenerationError("model down", image_id=image_ref)
-            # long enough for the failure to stop the other workers first
-            time.sleep(0.05 if self.fail else 0.0)
+            # long enough for every failure to stop the other requesters first
+            time.sleep(0.1 if self.fail else 0.0)
             return super().describe_image(image_ref, exclude_label)
         finally:
             with self.lock:
@@ -152,34 +157,97 @@ def _sources(n):
     return ids, mined, descriptions, {i: "label_0" for i in ids}
 
 
+def _generate(client, mined, labels, m):
+    return spaces.generate_ens(
+        mined, labels, make_label_space(n=1, dim=4, seed=0), client, m, seed=0
+    )
+
+
 def test_in_flight_calls_reach_the_worker_count():
     workers = spaces.DESCRIBE_WORKERS
     assert workers > 1
-    # two requests per worker, so every call meets a full barrier
+    # two requests per requester, so every call meets a full barrier
     ids, mined, descriptions, labels = _sources(2 * workers)
     client = InFlight(workers, dim=4, descriptions=descriptions)
-    space = spaces.generate_ens(
-        mined, labels, make_label_space(n=1, dim=4, seed=0), client,
-        2 * workers, seed=0,
-    )
+    space = _generate(client, mined, labels, 2 * workers)
     assert client.peak == workers
     assert client.started == 2 * workers
     assert space.texts == tuple(f"thing number {i} here" for i in ids)
 
 
+def test_the_calling_thread_is_one_of_the_requesters():
+    workers = spaces.DESCRIBE_WORKERS
+    ids, mined, descriptions, labels = _sources(2 * workers)
+    client = InFlight(workers, dim=4, descriptions=descriptions)
+    before = set(threading.enumerate())
+    _generate(client, mined, labels, 2 * workers)
+    caller = threading.current_thread()
+    pool = client.threads - {caller}
+    assert caller in client.threads
+    assert len(pool) <= workers - 1 and not pool & before
+    assert set(threading.enumerate()) == before
+
+
 def test_no_request_starts_after_a_failure():
     workers = spaces.DESCRIBE_WORKERS
     ids, mined, descriptions, labels = _sources(2 * workers)
-    # the first request of the second chunk fails while the other first
-    # requests are in flight; no second request may start
-    client = InFlight(workers, fail=ids[2], dim=4, descriptions=descriptions)
+    # image 2 fails while every requester's first request is in flight; no
+    # requester may start a second request
+    client = InFlight(workers, fail={ids[2]: 0.0}, dim=4, descriptions=descriptions)
     with pytest.raises(GenerationError, match="model down"):
-        spaces.generate_ens(
-            mined, labels, make_label_space(n=1, dim=4, seed=0), client,
-            2 * workers, seed=0,
-        )
+        _generate(client, mined, labels, 2 * workers)
     assert client.started == workers
     assert client.now == 0
+
+
+def test_the_earliest_image_failure_is_raised():
+    workers = spaces.DESCRIBE_WORKERS
+    ids, mined, descriptions, labels = _sources(2 * workers)
+    # image 3 fails first, image 1 a little later
+    fail = {ids[1]: 0.05, ids[3]: 0.0}
+    client = InFlight(workers, fail=fail, dim=4, descriptions=descriptions)
+    with pytest.raises(GenerationError, match="model down") as raised:
+        _generate(client, mined, labels, 2 * workers)
+    assert raised.value.image_id == ids[1]
+    assert client.started == workers
+    assert client.now == 0
+
+
+class HeldFirst(ScriptedClient):
+    """The describe of `ids[0]` waits, 10 s at most, until every other image
+    of `ids` has been described, and fails if the wait times out."""
+
+    def __init__(self, ids, **kwargs):
+        super().__init__(**kwargs)
+        self.first = ids[0]
+        self.left = len(ids) - 1
+        self.lock = threading.Lock()
+        self.rest_done = threading.Event()
+
+    def describe_image(self, image_ref, exclude_label):
+        if image_ref == self.first:
+            if not self.rest_done.wait(timeout=10):
+                raise GenerationError("held back the images after it", image_ref)
+            return super().describe_image(image_ref, exclude_label)
+        answer = super().describe_image(image_ref, exclude_label)
+        with self.lock:
+            self.left -= 1
+            if self.left == 0:
+                self.rest_done.set()
+        return answer
+
+
+def test_a_slow_request_holds_back_no_later_image():
+    ids, mined, descriptions, labels = _sources(3 * spaces.DESCRIBE_WORKERS)
+    client = HeldFirst(ids, dim=4, descriptions=descriptions)
+    space = _generate(client, mined, labels, len(ids))
+    assert space.texts == tuple(f"thing number {i} here" for i in ids)
+
+
+def test_the_http_pool_has_a_connection_for_every_call_in_flight():
+    adapters = pytest.importorskip("requests.adapters")
+    # every describe in flight plus the lookalike lane's call
+    assert spaces.DESCRIBE_WORKERS + 1 <= adapters.DEFAULT_POOLSIZE
 
 
 class Raising:
@@ -224,7 +292,7 @@ def test_any_client_exception_degrades_the_batch(method, error):
         scenario_pipeline_config(), seed=42,
     )
     assert client.threads and state.degraded
-    if method == "describe_image":  # raised in a fan-out worker
+    if method == "describe_image":  # raised by a requester of the sentence lane
         assert threading.main_thread() not in client.threads
     assert [r.image_id for r in records] == [
         image_id for batch in batches for image_id in batch.images.ids

@@ -1,11 +1,14 @@
 """Detection metrics against brute-force oracles, plus result export."""
 import csv
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from negtext.cli import _load_truth_csv
 from negtext.errors import InputError
 from negtext.metrics import (
     auroc,
@@ -198,3 +201,46 @@ class TestExport:
         assert "\n" not in message and "img_4" in message and repr(bad) in message
         with pytest.raises(InputError, match="neither ID nor OOD"):
             split_scores(records, truth)
+
+
+class TestReadRecords:
+    @staticmethod
+    def _exported(tmp_path, n):
+        scores = np.random.default_rng(2).uniform(0.0, 1.0, n)
+        truth = {f"img_{i}": ("ID" if i % 2 else "OOD") for i in range(n)}
+        return export_results(_records(scores), truth, tmp_path)["records"]
+
+    def test_rows_are_read_as_they_arrive(self, tmp_path):
+        path = self._exported(tmp_path, 20_000)
+        tracemalloc.start()
+        try:
+            records, tags = load_records_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(records) == len(tags) == 20_000
+        # every row's dict held at once would peak at ~17 MB
+        assert peak < 10 * 2**20
+
+    @staticmethod
+    def _open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc")
+    @pytest.mark.parametrize("load", [load_records_csv, _load_truth_csv])
+    def test_a_bad_row_leaves_no_file_open(self, tmp_path, load):
+        if load is load_records_csv:
+            path = self._exported(tmp_path, 2_000)
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            lines[1_000] = "img_x,0.5,0.5,abc,0.5,0,ID\n"
+        else:
+            path = tmp_path / "truth.csv"
+            lines = ["image_id,tag\n", *(f"img_{i},ID\n" for i in range(2_000))]
+            lines[1_000] = "img_x,id\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        before = self._open_fds()
+        with pytest.raises(InputError, match="line 1001") as raised:
+            load(path)
+        # the exception, and with it the reading frames, is still held
+        assert raised.value.__traceback__ is not None
+        assert self._open_fds() == before
